@@ -390,6 +390,29 @@ void BM_LocalOptRound(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalOptRound)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
+// A whole six-round local optimization on bench-scale CLS1v2 (analytical
+// predictor, pooled): unlike BM_LocalOptRound it spans rounds, so it shows
+// what MovePredictor::scoreRound's cross-round cache saves.
+void BM_LocalOptRun(benchmark::State& state) {
+  static const network::Design d0 = [] {
+    testgen::TestcaseOptions o;
+    o.sinks = 120;
+    o.max_pairs = 120;
+    return testgen::makeCls1(sharedTech(), "v2", o);
+  }();
+  const sta::Timer timer(sharedTech());
+  const core::Objective objective(d0, timer);
+  core::LocalOptions o;
+  o.max_iterations = 6;
+  const core::LocalOptimizer opt(sharedTech(), o);
+  for (auto _ : state) {
+    network::Design d = d0;
+    const core::LocalResult r = opt.run(d, objective, nullptr);
+    benchmark::DoNotOptimize(r.sum_after_ps);
+  }
+}
+BENCHMARK(BM_LocalOptRun)->Unit(benchmark::kMillisecond);
+
 // Console output as usual, plus every per-iteration run captured into
 // BENCH_bench_kernels.json via bench::JsonEmitter (aggregate rows from
 // --benchmark_repetitions are skipped; the raw runs carry the data).

@@ -48,6 +48,18 @@ struct LocalObs {
   obs::Histogram& golden_ms = obs::MetricsRegistry::global().histogram(
       "skewopt_local_golden_trial_ms", obs::defaultMsBuckets(),
       "Per-trial golden evaluation wall time");
+  obs::Counter& scores_computed = obs::MetricsRegistry::global().counter(
+      "skewopt_local_scores_computed_total",
+      "Candidate moves whose group predictions were computed afresh");
+  obs::Counter& scores_reused = obs::MetricsRegistry::global().counter(
+      "skewopt_local_scores_reused_total",
+      "Candidate moves whose group predictions were reused from the "
+      "previous round");
+  obs::Histogram& residual_ps = obs::MetricsRegistry::global().histogram(
+      "skewopt_local_predictor_residual_ps",
+      {-50.0, -20.0, -10.0, -5.0, -2.0, -1.0, 0.0, 1.0, 2.0, 5.0, 10.0, 20.0,
+       50.0},
+      "Predicted minus realized objective change per golden trial");
 
   obs::Counter& acceptedByType(MoveType t) {
     switch (t) {
@@ -161,7 +173,8 @@ LocalResult LocalOptimizer::run(Design& d, const Objective& objective,
       workers.push_back(std::make_unique<WorkerContext>(d, base_timing));
   };
   std::vector<TrialEval> reports;  // slots reused across chunks and rounds
-  std::vector<double> scores;      // scoreBatch output, reused across rounds
+  std::vector<double> scores;      // scoreRound output, reused across rounds
+  ScoreCache score_cache;          // group predictions kept across rounds
 
   for (std::size_t round = 0; round < opts_.max_iterations; ++round) {
     obs::Span round_span("local.round");
@@ -177,21 +190,15 @@ LocalResult LocalOptimizer::run(Design& d, const Objective& objective,
       rec->field("candidates", static_cast<std::int64_t>(moves.size()));
     }
 
+    scores.resize(moves.size());
+    const MovePredictor::RoundStats st = predictor.scoreRound(
+        moves, scores, &score_cache, opts_.parallel_trials ? &pool : nullptr);
+    lobs.scores_computed.add(st.computed);
+    lobs.scores_reused.add(st.reused);
+    if (opts_.on_scored)
+      opts_.on_scored({round, d, base_timing.timings(), moves, scores, st});
     std::vector<std::pair<double, std::size_t>> scored(moves.size());
-    if (opts_.batch_scoring) {
-      scores.resize(moves.size());
-      predictor.scoreBatch(moves, scores,
-                           opts_.parallel_trials ? &pool : nullptr);
-      for (std::size_t i = 0; i < moves.size(); ++i)
-        scored[i] = {scores[i], i};
-    } else if (opts_.parallel_trials && moves.size() > 1) {
-      pool.parallelFor(moves.size(), [&](std::size_t i) {
-        scored[i] = {predictor.predictedVariationDelta(moves[i]), i};
-      });
-    } else {
-      for (std::size_t i = 0; i < moves.size(); ++i)
-        scored[i] = {predictor.predictedVariationDelta(moves[i]), i};
-    }
+    for (std::size_t i = 0; i < moves.size(); ++i) scored[i] = {scores[i], i};
     std::sort(scored.begin(), scored.end());
 
     bool committed = false;
@@ -234,6 +241,8 @@ LocalResult LocalOptimizer::run(Design& d, const Objective& objective,
           lobs.predictor_hits.add();
         else
           lobs.predictor_misses.add();
+        lobs.residual_ps.observe(scored[todo[t]].first -
+                                 (reports[t].sum_variation_ps - current_sum));
       }
 
       // Pick the best realized improvement (lowest index on ties, so the

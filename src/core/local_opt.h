@@ -1,7 +1,9 @@
 // Local iterative optimization (paper Sec. 4.2, Algorithm 2).
 //
 // Each round: enumerate every candidate move (Table 2), predict each move's
-// skew-variation reduction with the delta-latency predictor, sort, and try
+// skew-variation reduction with the delta-latency predictor (incrementally:
+// MovePredictor::scoreRound keeps each move's group predictions across
+// rounds and recomputes only those a commit touched), sort, and try
 // the top-R predictions against the golden timer. Commit the best realized
 // improvement and re-enumerate; when a chunk of R yields no improvement,
 // fall through to the next R; terminate when the predictor offers no move
@@ -9,6 +11,8 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "check/diagnostics.h"
@@ -17,6 +21,16 @@
 #include "network/design.h"
 
 namespace skewopt::core {
+
+/// One round's ranked input, as LocalOptions::on_scored sees it.
+struct LocalRoundView {
+  std::size_t round = 0;
+  const network::Design& design;
+  const std::vector<sta::CornerTiming>& baseline;  ///< the round's timing
+  std::span<const Move> moves;
+  std::span<double> scores;  ///< predicted delta per move, before sorting
+  MovePredictor::RoundStats stats;
+};
 
 struct LocalOptions {
   std::size_t r = 5;               ///< paper: R = 5 trial moves per round
@@ -31,12 +45,6 @@ struct LocalOptions {
   /// reused across all chunks and rounds — no per-trial copies. Results
   /// are bit-identical to the serial path.
   bool parallel_trials = true;
-  /// Rank each round's candidates through MovePredictor::scoreBatch (one
-  /// call per round over the whole candidate table) instead of one
-  /// predictedVariationDelta call per move. Scores — and therefore the
-  /// accepted-move history — are identical either way (asserted by tests);
-  /// off exists as the differential baseline.
-  bool batch_scoring = true;
   /// Trial-worker count; 0 = one per shared-pool thread. Setting this above
   /// the core count still interleaves real concurrency (the TSan test uses
   /// it to exercise races on single-core hosts).
@@ -45,6 +53,10 @@ struct LocalOptions {
   /// after the move loop. SKEWOPT_CHECK_LEVEL overrides.
   check::Level check_level = check::Level::kCheap;
   MoveEnumOptions enumerate;
+  /// Test seam, unset in production: called once per round after scoring,
+  /// before ranking. It may check the scores or replace them (the
+  /// differential tests' full-rescore reference does).
+  std::function<void(const LocalRoundView&)> on_scored;
 };
 
 struct LocalIteration {

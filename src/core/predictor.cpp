@@ -1,12 +1,11 @@
 #include "core/predictor.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <set>
+#include <functional>
 #include <stdexcept>
-#include <unordered_map>
 
-#include "obs/metrics.h"
 #include "rc/rc.h"
 #include "route/route.h"
 #include "support/thread_pool.h"
@@ -545,6 +544,96 @@ std::array<double, kNumFeatures> MoveAnalyzer::features(
   return f;
 }
 
+void MoveAnalyzer::captureInputs(Inputs* out) const {
+  const ClockTree& tree = design_->tree;
+  const std::size_t n = tree.numNodes();
+  const std::size_t nk = timing_.size();
+  out->nodes.assign(n, {});
+  out->children.clear();
+  out->timing.assign(n * nk * 3, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const int id = static_cast<int>(i);
+    if (!tree.isValid(id)) continue;
+    const ClockNode& node = tree.node(id);
+    Inputs::Node& rec = out->nodes[i];
+    rec.valid = true;
+    rec.kind = static_cast<int>(node.kind);
+    rec.cell = node.cell;
+    rec.parent = node.parent;
+    rec.x = std::bit_cast<std::uint64_t>(node.pos.x);
+    rec.y = std::bit_cast<std::uint64_t>(node.pos.y);
+    rec.sinks = subtree_sink_count_[i];
+    rec.child_begin = out->children.size();
+    out->children.insert(out->children.end(), node.children.begin(),
+                         node.children.end());
+    rec.child_end = out->children.size();
+    for (std::size_t ki = 0; ki < nk; ++ki) {
+      std::uint64_t* t = &out->timing[(i * nk + ki) * 3];
+      t[0] = std::bit_cast<std::uint64_t>(timing_[ki].in_slew[i]);
+      t[1] = std::bit_cast<std::uint64_t>(timing_[ki].in_arrival[i]);
+      t[2] = std::bit_cast<std::uint64_t>(timing_[ki].driver_load[i]);
+    }
+  }
+}
+
+bool MoveAnalyzer::diffInputs(const Inputs& before, const Inputs& after,
+                              ChangedNodes* out) {
+  const std::size_t n = after.nodes.size();
+  if (before.nodes.size() != n || before.timing.size() != after.timing.size())
+    return false;
+  const std::size_t per_node = n == 0 ? 0 : after.timing.size() / n;
+  auto kids = [](const Inputs& in, const Inputs::Node& node) {
+    return std::span(in.children)
+        .subspan(node.child_begin, node.child_end - node.child_begin);
+  };
+  auto timing = [&](const Inputs& in, std::size_t i) {
+    return std::span(in.timing).subspan(i * per_node, per_node);
+  };
+  out->geometry.assign(n, 0);
+  out->timing.assign(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Inputs::Node& a = before.nodes[i];
+    const Inputs::Node& b = after.nodes[i];
+    out->geometry[i] = a.valid != b.valid || a.kind != b.kind ||
+                       a.cell != b.cell || a.parent != b.parent ||
+                       a.x != b.x || a.y != b.y || a.sinks != b.sinks ||
+                       !std::ranges::equal(kids(before, a), kids(after, b));
+    out->timing[i] =
+        !std::ranges::equal(timing(before, i), timing(after, i));
+  }
+  return true;
+}
+
+bool MoveAnalyzer::readSetChanged(const Move& m,
+                                  const ChangedNodes& changed) const {
+  const ClockTree& tree = design_->tree;
+  auto geom = [&](int id) {
+    return changed.geometry[static_cast<std::size_t>(id)] != 0;
+  };
+  auto timing = [&](int id) {
+    return changed.timing[static_cast<std::size_t>(id)] != 0;
+  };
+  // A driver: its own geometry and timing, plus its children's geometry.
+  auto driverChanged = [&](int p) {
+    if (geom(p) || timing(p)) return true;
+    for (const int c : tree.node(p).children)
+      if (geom(c)) return true;
+    return false;
+  };
+  const int b = m.node;
+  if (geom(b)) return true;
+  if (m.type == MoveType::kReassign) {
+    if (timing(b) || driverChanged(m.new_parent)) return true;
+  }
+  if (driverChanged(tree.node(b).parent)) return true;
+  for (const int c : tree.node(b).children) {
+    if (geom(c) || timing(c)) return true;
+    for (const int g : tree.node(c).children)
+      if (geom(g) || timing(g)) return true;
+  }
+  return false;
+}
+
 // ---------------------------------------------------------------------------
 // Golden deltas & sample collection
 // ---------------------------------------------------------------------------
@@ -762,12 +851,52 @@ void MovePredictor::refresh(const std::vector<sta::CornerTiming>& baseline) {
 
 void MovePredictor::rebuildBase() {
   base_report_ = objective_->evaluateFromTimings(*design_, analyzer_.baseline());
-  pairs_of_sink_.assign(design_->tree.numNodes(), {});
+  const ClockTree& tree = design_->tree;
+  const std::size_t n = tree.numNodes();
+
+  // Sink spans: an iterative DFS from every root visits each subtree's
+  // sinks contiguously (sinks are leaves, as in subtreeSinks).
+  dfs_sinks_.clear();
+  span_begin_.assign(n, 0);
+  span_end_.assign(n, 0);
+  std::vector<std::pair<int, std::size_t>> stack;  // (node, next child)
+  auto enter = [&](int id) {
+    span_begin_[static_cast<std::size_t>(id)] = dfs_sinks_.size();
+    if (tree.node(id).kind == NodeKind::Sink) dfs_sinks_.push_back(id);
+    stack.emplace_back(id, 0);
+  };
+  for (std::size_t r = 0; r < n; ++r) {
+    const int root = static_cast<int>(r);
+    if (!tree.isValid(root) || tree.node(root).parent >= 0) continue;
+    enter(root);
+    while (!stack.empty()) {
+      const int v = stack.back().first;
+      const ClockNode& node = tree.node(v);
+      const std::size_t ci = stack.back().second++;
+      if (node.kind != NodeKind::Sink && ci < node.children.size()) {
+        enter(node.children[ci]);
+      } else {
+        span_end_[static_cast<std::size_t>(v)] = dfs_sinks_.size();
+        stack.pop_back();
+      }
+    }
+  }
+
+  // Pairs of each sink, CSR.
+  pair_off_.assign(n + 1, 0);
+  for (const network::SinkPair& p : design_->pairs) {
+    ++pair_off_[static_cast<std::size_t>(p.launch) + 1];
+    ++pair_off_[static_cast<std::size_t>(p.capture) + 1];
+  }
+  for (std::size_t i = 0; i < n; ++i) pair_off_[i + 1] += pair_off_[i];
+  pair_idx_.resize(pair_off_[n]);
+  std::vector<std::size_t> fill(pair_off_.begin(), pair_off_.end() - 1);
   for (std::size_t pi = 0; pi < design_->pairs.size(); ++pi) {
-    pairs_of_sink_[static_cast<std::size_t>(design_->pairs[pi].launch)]
-        .push_back(pi);
-    pairs_of_sink_[static_cast<std::size_t>(design_->pairs[pi].capture)]
-        .push_back(pi);
+    const network::SinkPair& p = design_->pairs[pi];
+    pair_idx_[fill[static_cast<std::size_t>(p.launch)]++] =
+        static_cast<std::uint32_t>(pi);
+    pair_idx_[fill[static_cast<std::size_t>(p.capture)]++] =
+        static_cast<std::uint32_t>(pi);
   }
 }
 
@@ -790,76 +919,207 @@ std::vector<double> MovePredictor::predictedPrimaryDelta(
   return out;
 }
 
-double MovePredictor::variationDeltaFromGroups(
-    const std::vector<ImpactGroup>& groups, const Move& m) const {
+std::size_t MovePredictor::predictGroups(const Move& m,
+                                         GroupPrediction* groups,
+                                         double* dval) const {
   const std::size_t nk = design_->corners.size();
-
-  // Per-sink latency delta at each corner.
-  std::unordered_map<int, std::vector<double>> delta_of;
-  std::set<std::size_t> affected_pairs;
-  for (const ImpactGroup& g : groups) {
-    std::vector<int> sinks = subtreeSinks(design_->tree, g.root);
-    std::vector<int> excl;
-    if (g.exclude >= 0) excl = subtreeSinks(design_->tree, g.exclude);
-    std::set<int> excl_set(excl.begin(), excl.end());
-
-    std::vector<double> dval(nk);
+  const std::vector<ImpactGroup> impact = analyzer_.analyze(m);
+  if (impact.size() > kMaxImpactGroups)
+    throw std::logic_error("MovePredictor: too many impact groups");
+  for (std::size_t gi = 0; gi < impact.size(); ++gi) {
+    const ImpactGroup& g = impact[gi];
+    groups[gi] = {g.root, g.exclude};
     for (std::size_t ki = 0; ki < nk; ++ki) {
       const std::size_t k = design_->corners[ki];
       if (g.primary && model_ != nullptr && model_->trainedFor(k))
-        dval[ki] = model_->predict(k, analyzer_.features(m, g, ki));
+        dval[gi * nk + ki] = model_->predict(k, analyzer_.features(m, g, ki));
       else
-        dval[ki] = g.delta[ki][fallback_];
+        dval[gi * nk + ki] = g.delta[ki][fallback_];
     }
-    for (const int s : sinks) {
-      if (excl_set.count(s)) continue;
-      std::vector<double>& acc =
-          delta_of.try_emplace(s, std::vector<double>(nk, 0.0)).first->second;
-      for (std::size_t ki = 0; ki < nk; ++ki) acc[ki] += dval[ki];
-      for (const std::size_t pi : pairs_of_sink_[static_cast<std::size_t>(s)])
-        affected_pairs.insert(pi);
+  }
+  return impact.size();
+}
+
+double MovePredictor::aggregate(const GroupPrediction* groups,
+                                std::size_t ngroups, const double* dval,
+                                ScoreCache::Scratch& s) const {
+  const std::size_t nk = design_->corners.size();
+  const std::size_t n = design_->tree.numNodes();
+  if (s.acc.size() != n * nk || s.sink_stamp.size() != n ||
+      s.pair_stamp.size() != design_->pairs.size() || ++s.epoch == 0) {
+    s.acc.assign(n * nk, 0.0);
+    s.sink_stamp.assign(n, 0);
+    s.pair_stamp.assign(design_->pairs.size(), 0);
+    s.skew.assign(nk, 0.0);
+    s.epoch = 1;
+  }
+  const std::uint32_t ep = s.epoch;
+
+  // Per-sink latency delta at each corner: a sink's first touch starts its
+  // sum at zero and collects its pairs; groups add in order.
+  s.pairs.clear();
+  for (std::size_t gi = 0; gi < ngroups; ++gi) {
+    const GroupPrediction& g = groups[gi];
+    const double* dv = dval + gi * nk;
+    const std::size_t lo = span_begin_[static_cast<std::size_t>(g.root)];
+    const std::size_t hi = span_end_[static_cast<std::size_t>(g.root)];
+    std::size_t xlo = 0, xhi = 0;
+    if (g.exclude >= 0) {
+      xlo = span_begin_[static_cast<std::size_t>(g.exclude)];
+      xhi = span_end_[static_cast<std::size_t>(g.exclude)];
+    }
+    for (std::size_t pos = lo; pos < hi; ++pos) {
+      if (pos >= xlo && pos < xhi) continue;
+      const std::size_t sink = static_cast<std::size_t>(dfs_sinks_[pos]);
+      double* acc = &s.acc[sink * nk];
+      if (s.sink_stamp[sink] != ep) {
+        s.sink_stamp[sink] = ep;
+        for (std::size_t ki = 0; ki < nk; ++ki) acc[ki] = 0.0;
+        for (std::size_t j = pair_off_[sink]; j < pair_off_[sink + 1]; ++j) {
+          const std::uint32_t pi = pair_idx_[j];
+          if (s.pair_stamp[pi] == ep) continue;
+          s.pair_stamp[pi] = ep;
+          s.pairs.push_back(pi);
+        }
+      }
+      for (std::size_t ki = 0; ki < nk; ++ki) acc[ki] += dv[ki];
     }
   }
 
+  std::sort(s.pairs.begin(), s.pairs.end());
   double delta_sum = 0.0;
-  std::vector<double> skew(nk);
-  for (const std::size_t pi : affected_pairs) {
+  for (const std::uint32_t pi : s.pairs) {
     const network::SinkPair& p = design_->pairs[pi];
-    const auto itl = delta_of.find(p.launch);
-    const auto itc = delta_of.find(p.capture);
+    const std::size_t l = static_cast<std::size_t>(p.launch);
+    const std::size_t c = static_cast<std::size_t>(p.capture);
+    const bool has_l = s.sink_stamp[l] == ep;
+    const bool has_c = s.sink_stamp[c] == ep;
     for (std::size_t ki = 0; ki < nk; ++ki) {
-      double s = base_report_.skew_ps[ki][pi];
-      if (itl != delta_of.end()) s += itl->second[ki];
-      if (itc != delta_of.end()) s -= itc->second[ki];
-      skew[ki] = s;
+      double v = base_report_.skew_ps[ki][pi];
+      if (has_l) v += s.acc[l * nk + ki];
+      if (has_c) v -= s.acc[c * nk + ki];
+      s.skew[ki] = v;
     }
-    delta_sum += objective_->pairV(skew) - base_report_.v_pair_ps[pi];
+    delta_sum += objective_->pairV(s.skew) - base_report_.v_pair_ps[pi];
   }
   return delta_sum;
 }
 
 double MovePredictor::predictedVariationDelta(const Move& m) const {
-  return variationDeltaFromGroups(analyzer_.analyze(m), m);
+  ScoreCache::Scratch s;
+  s.dval.resize(kMaxImpactGroups * design_->corners.size());
+  const std::size_t ng = predictGroups(m, s.groups.data(), s.dval.data());
+  return aggregate(s.groups.data(), ng, s.dval.data(), s);
 }
+
+namespace {
+
+/// One slice per pool thread plus the caller, or a single inline slice
+/// without a pool. Slice s owns the moves i = s, s + slices, ... and its
+/// own scratch.
+std::size_t sliceCount(const support::ThreadPool* pool, std::size_t n) {
+  return (pool != nullptr && n > 1) ? std::min(n, pool->size() + 1) : 1;
+}
+
+void forEachSlice(support::ThreadPool* pool, std::size_t slices,
+                  const std::function<void(std::size_t)>& fn) {
+  if (slices == 1)
+    fn(0);
+  else
+    pool->runSlices(slices, fn);
+}
+
+}  // namespace
 
 void MovePredictor::scoreBatch(std::span<const Move> moves,
                                std::span<double> out,
                                support::ThreadPool* pool) const {
-  // Driven only by the candidate count — deterministic for a given
-  // optimization, so serial and parallel snapshots stay identical.
-  static obs::Histogram& sizes = obs::MetricsRegistry::global().histogram(
-      "skewopt_local_score_batch_size",
-      {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0},
-      "Candidate moves scored per MovePredictor::scoreBatch call");
-  sizes.observe(static_cast<double>(moves.size()));
-  if (pool != nullptr && moves.size() > 1) {
-    pool->parallelFor(moves.size(), [&](std::size_t i) {
-      out[i] = predictedVariationDelta(moves[i]);
-    });
-  } else {
-    for (std::size_t i = 0; i < moves.size(); ++i)
-      out[i] = predictedVariationDelta(moves[i]);
+  const std::size_t slices = sliceCount(pool, moves.size());
+  std::vector<ScoreCache::Scratch> scratch(slices);
+  forEachSlice(pool, slices, [&](std::size_t sl) {
+    ScoreCache::Scratch& s = scratch[sl];
+    s.dval.resize(kMaxImpactGroups * design_->corners.size());
+    for (std::size_t i = sl; i < moves.size(); i += slices) {
+      const std::size_t ng =
+          predictGroups(moves[i], s.groups.data(), s.dval.data());
+      out[i] = aggregate(s.groups.data(), ng, s.dval.data(), s);
+    }
+  });
+}
+
+MovePredictor::RoundStats MovePredictor::scoreRound(
+    std::span<const Move> moves, std::span<double> out, ScoreCache* cache,
+    support::ThreadPool* pool) const {
+  constexpr std::uint32_t kStale = ~std::uint32_t{0};
+  constexpr std::size_t kG = kMaxImpactGroups;
+  ScoreCache& c = *cache;
+  const std::size_t nk = design_->corners.size();
+  const std::size_t n = moves.size();
+
+  // Which nodes' analyzer inputs changed since the cached predictions.
+  analyzer_.captureInputs(&c.now_inputs_);
+  const bool comparable =
+      c.primed_ && MoveAnalyzer::diffInputs(c.inputs_, c.now_inputs_,
+                                            &c.changed_);
+
+  // Reuse decisions: a move keeps its cached groups iff the same move was
+  // scored last round and nothing it reads changed.
+  ScoreCache::Table& next = c.next_;
+  const ScoreCache::Table& prev = c.prev_;
+  next.index.resize(n);
+  next.groups.resize(n * kG);
+  next.ngroups.resize(n);
+  next.dval.resize(n * kG * nk);
+  c.source_.assign(n, kStale);
+  RoundStats stats;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Move& m = moves[i];
+    const ScoreCache::Key key{static_cast<int>(m.type),
+                              m.node,
+                              m.size_step,
+                              m.child,
+                              m.new_parent,
+                              std::bit_cast<std::uint64_t>(m.delta.x),
+                              std::bit_cast<std::uint64_t>(m.delta.y)};
+    next.index[i] = {key, static_cast<std::uint32_t>(i)};
+    if (comparable) {
+      const auto it = std::ranges::lower_bound(
+          prev.index, key, {}, [](const auto& e) { return e.first; });
+      if (it != prev.index.end() && it->first == key &&
+          !analyzer_.readSetChanged(m, c.changed_))
+        c.source_[i] = it->second;
+    }
+    if (c.source_[i] == kStale)
+      ++stats.computed;
+    else
+      ++stats.reused;
   }
+
+  const std::size_t slices = sliceCount(pool, n);
+  if (c.scratch_.size() < slices) c.scratch_.resize(slices);
+  forEachSlice(pool, slices, [&](std::size_t sl) {
+    ScoreCache::Scratch& s = c.scratch_[sl];
+    for (std::size_t i = sl; i < n; i += slices) {
+      GroupPrediction* groups = &next.groups[i * kG];
+      double* dval = &next.dval[i * kG * nk];
+      const std::uint32_t src = c.source_[i];
+      if (src == kStale) {
+        next.ngroups[i] =
+            static_cast<std::uint8_t>(predictGroups(moves[i], groups, dval));
+      } else {
+        next.ngroups[i] = prev.ngroups[src];
+        std::copy_n(&prev.groups[src * kG], kG, groups);
+        std::copy_n(&prev.dval[src * kG * nk], kG * nk, dval);
+      }
+      out[i] = aggregate(groups, next.ngroups[i], dval, s);
+    }
+  });
+
+  std::sort(next.index.begin(), next.index.end());
+  std::swap(c.prev_, c.next_);
+  std::swap(c.inputs_, c.now_inputs_);
+  c.primed_ = true;
+  return stats;
 }
 
 }  // namespace skewopt::core

@@ -16,9 +16,12 @@
 #pragma once
 
 #include <array>
+#include <compare>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/moves.h"
@@ -53,6 +56,17 @@ struct ImpactGroup {
   std::vector<std::array<double, kNumAnalytic>> delta;
 };
 
+/// Most groups a move shifts (type III: moved, old-driver, new-driver).
+inline constexpr std::size_t kMaxImpactGroups = 3;
+
+/// The sinks one predicted impact group shifts: those under `root` minus
+/// those under `exclude`. MovePredictor keeps the group's per-corner
+/// delta-latency next to it.
+struct GroupPrediction {
+  int root = -1;
+  int exclude = -1;
+};
+
 /// Analytical move analysis against a fixed baseline timing.
 class MoveAnalyzer {
  public:
@@ -78,6 +92,47 @@ class MoveAnalyzer {
   std::array<double, kNumFeatures> features(const Move& m,
                                             const ImpactGroup& primary,
                                             std::size_t ki) const;
+
+  /// Bitwise capture of every per-node input analyze() and features() read:
+  /// geometry (validity, kind, cell, position, parent, child list, subtree
+  /// sink count) and timing (in_slew, in_arrival, driver_load at every
+  /// active corner).
+  struct Inputs {
+    struct Node {
+      bool valid = false;
+      int kind = 0, cell = -1, parent = -1;
+      std::uint64_t x = 0, y = 0;  // position bits
+      std::size_t sinks = 0;
+      std::size_t child_begin = 0, child_end = 0;  // into `children`
+    };
+    std::vector<Node> nodes;
+    std::vector<int> children;
+    std::vector<std::uint64_t> timing;  // [(node * corners + ki) * 3 + field]
+  };
+  /// Per-node flags: which nodes' geometry / timing differ between two
+  /// captures.
+  struct ChangedNodes {
+    std::vector<char> geometry;
+    std::vector<char> timing;
+  };
+
+  /// Refills `out` with the current inputs (buffers are reused).
+  void captureInputs(Inputs* out) const;
+  /// Bitwise diff of two captures. False when they are not comparable
+  /// (different node or corner counts) — then every move is stale.
+  static bool diffInputs(const Inputs& before, const Inputs& after,
+                         ChangedNodes* out);
+
+  /// The read set of analyze(m) and features(m), as node roles (b = m.node,
+  /// p = its driver; type III reads both p_old and p_new = m.new_parent):
+  ///   geometry of p, b, children(p), children(b), grandchildren(b);
+  ///   timing of p, children(b), grandchildren(b), and of b for type III.
+  /// The timing window is downstreamGateDelta's depth-2 truncation (the
+  /// paper's "two stages of downstream update"). If none of these nodes
+  /// changed, the parent/child links that name them did not change either,
+  /// so analyze(m) and the model inputs are bitwise what they were. True
+  /// iff the read set intersects `changed`.
+  bool readSetChanged(const Move& m, const ChangedNodes& changed) const;
 
   const std::vector<sta::CornerTiming>& baseline() const { return timing_; }
   const network::Design& design() const { return *design_; }
@@ -173,6 +228,46 @@ std::vector<double> goldenDelta(const network::Design& d,
 
 // ---------------------------------------------------------------------------
 
+/// Cross-round state of MovePredictor::scoreRound, owned by one
+/// optimization run: every candidate move's group predictions from the
+/// previous round, keyed by full move identity, plus the analyzer inputs
+/// they were computed from. Stored flat, kMaxImpactGroups slots per move.
+class ScoreCache {
+ private:
+  friend class MovePredictor;
+  /// Per-thread buffers of the flat pair aggregation: per-sink summed
+  /// deltas, epoch stamps marking the sinks and pairs the current move
+  /// touches (no clearing between moves), the touched pair list, and one
+  /// move's group predictions.
+  struct Scratch {
+    std::vector<double> acc;  // [node * corners + ki]
+    std::vector<std::uint32_t> sink_stamp;
+    std::vector<std::uint32_t> pair_stamp;
+    std::uint32_t epoch = 0;
+    std::vector<std::uint32_t> pairs;
+    std::vector<double> skew;
+    std::array<GroupPrediction, kMaxImpactGroups> groups;
+    std::vector<double> dval;  // [group * corners + ki]
+  };
+  struct Key {
+    int type = 0, node = -1, size_step = 0, child = -1, new_parent = -1;
+    std::uint64_t dx = 0, dy = 0;  // displacement bits
+    auto operator<=>(const Key&) const = default;
+  };
+  struct Table {
+    std::vector<std::pair<Key, std::uint32_t>> index;  // sorted by key
+    std::vector<GroupPrediction> groups;  // [move * kMaxImpactGroups + g]
+    std::vector<std::uint8_t> ngroups;
+    std::vector<double> dval;  // [(move * kMaxImpactGroups + g) * corners + ki]
+  };
+  Table prev_, next_;
+  MoveAnalyzer::Inputs inputs_, now_inputs_;  // prev_'s inputs, this round's
+  MoveAnalyzer::ChangedNodes changed_;
+  bool primed_ = false;
+  std::vector<std::uint32_t> source_;  // per move: prev_ slot or kStale
+  std::vector<Scratch> scratch_;  // per slice
+};
+
 /// Combines analyzer + model + objective into move scoring.
 class MovePredictor {
  public:
@@ -202,16 +297,39 @@ class MovePredictor {
   /// out[i] = predictedVariationDelta(moves[i]). With a pool the moves are
   /// scored on its threads (scoring is const and shares no mutable state);
   /// results are identical either way. `out` must have `moves.size()`
-  /// slots. Also feeds the skewopt_local_score_batch_size histogram.
+  /// slots. Memo-free: every move is analyzed afresh — the reference
+  /// scoreRound is checked against.
   void scoreBatch(std::span<const Move> moves, std::span<double> out,
                   support::ThreadPool* pool = nullptr) const;
+
+  struct RoundStats {
+    std::size_t computed = 0;  ///< moves whose groups were predicted afresh
+    std::size_t reused = 0;    ///< moves whose cached groups were kept
+  };
+  /// The local optimizer's round scorer: same scores as scoreBatch, bit for
+  /// bit, but a move's group predictions (analyze + model) are kept in
+  /// `cache` across rounds and recomputed only when the move is new or its
+  /// read set (MoveAnalyzer::readSetChanged) intersects the nodes whose
+  /// inputs changed since the previous call. The pair aggregation always
+  /// reruns against the refreshed baseline. Call refresh() between rounds.
+  RoundStats scoreRound(std::span<const Move> moves, std::span<double> out,
+                        ScoreCache* cache,
+                        support::ThreadPool* pool = nullptr) const;
 
   const MoveAnalyzer& analyzer() const { return analyzer_; }
 
  private:
   void rebuildBase();
-  double variationDeltaFromGroups(const std::vector<ImpactGroup>& groups,
-                                  const Move& m) const;
+  /// analyze(m) plus the per-corner shift of each group (ML-corrected for
+  /// the primary group where a model covers the corner); returns the group
+  /// count. `dval` has kMaxImpactGroups * corners slots.
+  std::size_t predictGroups(const Move& m, GroupPrediction* groups,
+                            double* dval) const;
+  /// Predicted change of the sum of variations from a move's groups:
+  /// per-sink shifts summed in group order, then every touched pair
+  /// re-evaluated in ascending pair order.
+  double aggregate(const GroupPrediction* groups, std::size_t ngroups,
+                   const double* dval, ScoreCache::Scratch& s) const;
 
   const network::Design* design_;
   const sta::Timer* timer_;
@@ -220,7 +338,13 @@ class MovePredictor {
   std::size_t fallback_;
   MoveAnalyzer analyzer_;
   VariationReport base_report_;
-  std::vector<std::vector<std::size_t>> pairs_of_sink_;  // sink id -> pair idx
+  // Per round: sinks in DFS order, so every node's subtree sinks are the
+  // contiguous span [span_begin_[n], span_end_[n]) of dfs_sinks_; and the
+  // pairs of each sink as CSR (pair_idx_[pair_off_[s] .. pair_off_[s+1])).
+  std::vector<int> dfs_sinks_;
+  std::vector<std::size_t> span_begin_, span_end_;
+  std::vector<std::size_t> pair_off_;
+  std::vector<std::uint32_t> pair_idx_;
 };
 
 }  // namespace skewopt::core

@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <span>
+#include <string>
+#include <tuple>
 #include <vector>
 
+#include "core/global_opt.h"
 #include "core/moves.h"
+#include "core/predictor.h"
 #include "sta/incremental.h"
+#include "support/thread_pool.h"
 #include "testgen/testgen.h"
 
 namespace skewopt::core {
@@ -224,60 +232,205 @@ TEST_F(LocalOptTest, ScopedRetimeRollbackBitIdentical) {
                      fresh_original, "undone design vs original");
 }
 
-TEST_F(LocalOptTest, BatchScoringIdenticalHistoryToPerMove) {
-  // scoreBatch is a pure layout change: with batch scoring on vs off the
-  // optimizer must rank, trial, and commit exactly the same moves.
-  network::Design batched = makeDesign(70, 13);
-  network::Design per_move = batched;
-  const Objective objective(batched, timer_);
-  LocalOptions o;
-  o.max_iterations = 4;
-  o.batch_scoring = true;
-  const LocalResult rb =
-      LocalOptimizer(sharedTech(), o).run(batched, objective, nullptr);
-  o.batch_scoring = false;
-  const LocalResult rm =
-      LocalOptimizer(sharedTech(), o).run(per_move, objective, nullptr);
-  ASSERT_EQ(rb.history.size(), rm.history.size());
-  for (std::size_t i = 0; i < rb.history.size(); ++i) {
-    EXPECT_EQ(rb.history[i].round, rm.history[i].round);
-    EXPECT_EQ(rb.history[i].type, rm.history[i].type);
-    EXPECT_EQ(rb.history[i].predicted_delta_ps,
-              rm.history[i].predicted_delta_ps);
-    EXPECT_EQ(rb.history[i].realized_delta_ps,
-              rm.history[i].realized_delta_ps);
-    EXPECT_EQ(rb.history[i].sum_after_ps, rm.history[i].sum_after_ps);
-  }
-  EXPECT_EQ(rb.sum_after_ps, rm.sum_after_ps);
-  EXPECT_EQ(rb.golden_evaluations, rm.golden_evaluations);
-  EXPECT_EQ(batched.tree.numNodes(), per_move.tree.numNodes());
+// ---------------------------------------------------------------------------
+// Incremental round scoring: MovePredictor::scoreRound keeps each move's
+// group predictions across rounds. Every round it must equal a memo-free
+// MovePredictor::scoreBatch on the same design and baseline, bit for bit.
+
+/// The three Table 5 cases at the benches' default scale.
+network::Design benchCase(const char* name) {
+  testgen::TestcaseOptions o;
+  o.sinks = std::string(name) == "CLS2v1" ? 160 : 120;
+  o.max_pairs = 120;
+  o.seed = 1;
+  return testgen::makeTestcase(sharedTech(), name, o);
 }
 
-TEST_F(LocalOptTest, BatchScoringIdenticalUnderParallelTrials) {
-  // The pooled scoreBatch path (parallel_trials on) must also reproduce the
-  // serial per-move history exactly.
-  network::Design batched = makeDesign(70, 14);
-  network::Design per_move = batched;
-  const Objective objective(batched, timer_);
-  LocalOptions o;
-  o.max_iterations = 3;
-  o.batch_scoring = true;
-  o.parallel_trials = true;
-  o.threads = 4;
-  const LocalResult rb =
-      LocalOptimizer(sharedTech(), o).run(batched, objective, nullptr);
-  o.batch_scoring = false;
-  o.parallel_trials = false;
-  const LocalResult rm =
-      LocalOptimizer(sharedTech(), o).run(per_move, objective, nullptr);
-  ASSERT_EQ(rb.history.size(), rm.history.size());
-  for (std::size_t i = 0; i < rb.history.size(); ++i) {
-    EXPECT_EQ(rb.history[i].type, rm.history[i].type);
-    EXPECT_EQ(rb.history[i].predicted_delta_ps,
-              rm.history[i].predicted_delta_ps);
-    EXPECT_EQ(rb.history[i].sum_after_ps, rm.history[i].sum_after_ps);
+/// A small trained delta-latency model covering all four corners.
+const DeltaLatencyModel& smallModel() {
+  static const DeltaLatencyModel m = [] {
+    DeltaLatencyModel model;
+    TrainOptions t;
+    t.cases = 8;
+    t.moves_per_case = 12;
+    model.train(sharedTech(), {0, 1, 2, 3}, t);
+    return model;
+  }();
+  return m;
+}
+
+void expectScoresEqual(std::span<const double> got,
+                       std::span<const double> want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < got.size(); ++i)
+    if (std::bit_cast<std::uint64_t>(got[i]) !=
+        std::bit_cast<std::uint64_t>(want[i]))
+      ++bad;
+  EXPECT_EQ(bad, 0u) << what << ": " << bad << " of " << got.size()
+                     << " scores differ from a full rescore";
+}
+
+void expectHistoriesEqual(const LocalResult& a, const LocalResult& b) {
+  ASSERT_EQ(a.history.size(), b.history.size());
+  for (std::size_t i = 0; i < a.history.size(); ++i) {
+    EXPECT_EQ(a.history[i].round, b.history[i].round);
+    EXPECT_EQ(a.history[i].type, b.history[i].type);
+    EXPECT_EQ(a.history[i].predicted_delta_ps, b.history[i].predicted_delta_ps);
+    EXPECT_EQ(a.history[i].realized_delta_ps, b.history[i].realized_delta_ps);
+    EXPECT_EQ(a.history[i].sum_after_ps, b.history[i].sum_after_ps);
   }
-  EXPECT_EQ(rb.sum_after_ps, rm.sum_after_ps);
+  EXPECT_EQ(a.sum_after_ps, b.sum_after_ps);
+  EXPECT_EQ(a.golden_evaluations, b.golden_evaluations);
+  EXPECT_EQ(a.candidate_moves, b.candidate_moves);
+}
+
+/// (case, start from the global-optimized design, small trained model).
+using ScoringCase = std::tuple<const char*, bool, bool>;
+
+class IncrementalScoring : public ::testing::TestWithParam<ScoringCase> {
+ protected:
+  sta::Timer timer_{sharedTech()};
+};
+
+TEST_P(IncrementalScoring, MatchesFullRescoreEveryRound) {
+  const auto [name, global_first, trained] = GetParam();
+  network::Design d = benchCase(name);
+  const Objective objective(d, timer_);
+  if (global_first) {
+    static const eco::StageDelayLut lut(sharedTech());
+    GlobalOptions g;
+    g.u_sweep = {0.05, 0.2, 0.4};
+    GlobalOptimizer(sharedTech(), lut, g).run(d, objective);
+  }
+  const DeltaLatencyModel* model = trained ? &smallModel() : nullptr;
+
+  LocalOptions o;
+  o.max_iterations = 6;
+  o.threads = 4;
+  std::size_t rounds = 0, reused = 0;
+  o.on_scored = [&](const LocalRoundView& v) {
+    const MovePredictor fresh(v.design, timer_, objective, model, 0,
+                              &v.baseline);
+    std::vector<double> want(v.moves.size());
+    fresh.scoreBatch(v.moves, want, &support::ThreadPool::shared());
+    expectScoresEqual(v.scores, want,
+                      std::string(name) + " round " +
+                          std::to_string(v.round));
+    EXPECT_EQ(v.stats.computed + v.stats.reused, v.moves.size());
+    ++rounds;
+    reused += v.stats.reused;
+  };
+  const LocalResult r = LocalOptimizer(sharedTech(), o).run(d, objective, model);
+  EXPECT_EQ(rounds, r.history.size() + (r.history.size() < 6 ? 1 : 0));
+  if (rounds > 1) {
+    EXPECT_GT(reused, 0u) << "no cached prediction was reused";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Table5Cases, IncrementalScoring,
+    ::testing::Combine(::testing::Values("CLS1v1", "CLS1v2", "CLS2v1"),
+                       ::testing::Bool(), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<ScoringCase>& info) {
+      return std::string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_GlobalLocal" : "_Local") +
+             (std::get<2>(info.param) ? "_Model" : "_Analytic");
+    });
+
+TEST_F(LocalOptTest, IncrementalHistoryMatchesFullRescoreReference) {
+  // The reference run replaces every round's cached scores with a fresh
+  // full rescore; both must rank, trial and commit exactly the same moves,
+  // serial and pooled alike.
+  for (const bool parallel : {false, true}) {
+    network::Design cached = makeDesign(90, 13);
+    network::Design reference = cached;
+    const Objective objective(cached, timer_);
+    LocalOptions o;
+    o.max_iterations = 5;
+    o.parallel_trials = parallel;
+    o.threads = parallel ? 4 : 0;
+    const LocalResult rc =
+        LocalOptimizer(sharedTech(), o).run(cached, objective, &smallModel());
+    o.on_scored = [&](const LocalRoundView& v) {
+      const MovePredictor fresh(v.design, timer_, objective, &smallModel(), 0,
+                                &v.baseline);
+      fresh.scoreBatch(v.moves, v.scores, &support::ThreadPool::shared());
+    };
+    const LocalResult rr = LocalOptimizer(sharedTech(), o).run(
+        reference, objective, &smallModel());
+    expectHistoriesEqual(rc, rr);
+    EXPECT_FALSE(rc.history.empty());
+    EXPECT_EQ(objective.evaluate(cached, timer_).sum_variation_ps,
+              objective.evaluate(reference, timer_).sum_variation_ps);
+  }
+}
+
+TEST_F(LocalOptTest, IncrementalScoringAcrossForcedCommitsOfEveryType) {
+  // Drive scoreRound directly through commits the optimizer might not pick:
+  // a type-III reassignment (tree surgery: child lists, sink counts and
+  // driver loads move), then type II and type I. After each commit the
+  // cached scores must equal a full rescore.
+  for (const DeltaLatencyModel* model :
+       {static_cast<const DeltaLatencyModel*>(nullptr), &smallModel()}) {
+    network::Design d = benchCase("CLS1v1");
+    const Objective objective(d, timer_);
+    sta::IncrementalTimer base(sharedTech(), d);
+    MovePredictor predictor(d, timer_, objective, model, 0, &base.timings());
+    ScoreCache cache;
+    support::ThreadPool pool(3);
+    std::vector<double> got, want;
+    const MoveType kCommits[] = {MoveType::kReassign,
+                                 MoveType::kChildDisplaceSize,
+                                 MoveType::kReassign, MoveType::kSizeDisplace};
+    for (std::size_t step = 0; step <= std::size(kCommits); ++step) {
+      if (step > 0) predictor.refresh(base.timings());
+      const std::vector<Move> moves = enumerateAllMoves(d);
+      got.assign(moves.size(), 0.0);
+      want.assign(moves.size(), 0.0);
+      const MovePredictor::RoundStats st =
+          predictor.scoreRound(moves, got, &cache, &pool);
+      predictor.scoreBatch(moves, want);
+      expectScoresEqual(got, want, "after commit " + std::to_string(step));
+      if (step == 0) {
+        EXPECT_EQ(st.reused, 0u);
+      } else {
+        EXPECT_GT(st.reused, 0u) << "commit " << step;
+        EXPECT_GT(st.computed, 0u) << "commit " << step;
+      }
+      if (step == std::size(kCommits)) break;
+      // Commit the middle candidate of the wanted type.
+      std::vector<std::size_t> of_type;
+      for (std::size_t i = 0; i < moves.size(); ++i)
+        if (moves[i].type == kCommits[step]) of_type.push_back(i);
+      ASSERT_FALSE(of_type.empty());
+      const Move& m = moves[of_type[of_type.size() / 2]];
+      base.update(d, applyMoveTracked(d, m));
+    }
+  }
+}
+
+TEST_F(LocalOptTest, IncrementalReuseFloorOnCls1v2) {
+  // A regression to "invalidate everything" stays correct and silently
+  // slow; this deterministic count catches it. On bench-scale CLS1v2 at
+  // least half of all moves scored in rounds >= 1 must reuse their cached
+  // group predictions.
+  network::Design d = benchCase("CLS1v2");
+  const Objective objective(d, timer_);
+  LocalOptions o;
+  o.max_iterations = 6;
+  std::size_t later = 0, reused = 0;
+  o.on_scored = [&](const LocalRoundView& v) {
+    if (v.round == 0) {
+      EXPECT_EQ(v.stats.reused, 0u);
+      return;
+    }
+    later += v.moves.size();
+    reused += v.stats.reused;
+  };
+  LocalOptimizer(sharedTech(), o).run(d, objective, nullptr);
+  ASSERT_GT(later, 0u) << "the run never reached a second round";
+  EXPECT_GE(2 * reused, later) << reused << " of " << later << " reused";
 }
 
 TEST_F(LocalOptTest, ZeroIterationsIsNoOp) {

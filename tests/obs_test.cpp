@@ -837,6 +837,19 @@ TEST(DeterminismTest, SerialAndParallelLocalOptSnapshotsIdentical) {
   ASSERT_NE(golden, nullptr);
   EXPECT_GT(golden->count, 0u);
   EXPECT_EQ(golden->value, 0.0);  // fake clock: every duration is zero
+
+  // Pinned names: incremental round scoring and the predictor residual.
+  const MetricSample* computed = find("skewopt_local_scores_computed_total");
+  ASSERT_NE(computed, nullptr);
+  EXPECT_GT(computed->count, 0u);
+  ASSERT_NE(find("skewopt_local_scores_reused_total"), nullptr);
+  const MetricSample* residual = find("skewopt_local_predictor_residual_ps");
+  ASSERT_NE(residual, nullptr);
+  EXPECT_EQ(residual->kind, MetricKind::kHistogram);
+  EXPECT_GT(residual->count, 0u);
+  // The round loop no longer calls scoreBatch; its batch-size histogram
+  // is gone.
+  EXPECT_EQ(find("skewopt_local_score_batch_size"), nullptr);
 }
 
 }  // namespace
