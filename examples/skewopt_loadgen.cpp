@@ -211,6 +211,15 @@ std::string digestResult(const json::Value& result) {
   return json::dump(out);
 }
 
+/// A spec hash in the 16-digit hex form SUBMIT replies carry as "hash",
+/// so in-process and TCP runs key their digests identically.
+std::string hashHex(std::uint64_t h) {
+  char buf[20];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
 /// hash-hex -> digest, collected as jobs complete. Two jobs with the same
 /// spec hash must produce the same digest, within a run and across runs.
 class DigestMap {
@@ -304,7 +313,7 @@ class InprocClient : public ClientBase {
     out.state = serve::jobStateName(s.state);
     if (s.state == serve::JobState::kDone)
       out.digest_ok = digests_.record(
-          serve::hashHex(sub.job->hash),
+          hashHex(sub.job->hash),
           digestResult(serve::resultToJson(fe_.result(sub.id))));
     return out;
   }

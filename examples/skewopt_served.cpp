@@ -1,5 +1,5 @@
-// Long-lived optimization daemon: the serve subsystem behind a local TCP
-// socket.
+// Long-lived optimization daemon: a one-shard cluster front-end (one
+// Scheduler) behind a local TCP socket.
 //
 //   skewopt_served [--port N] [--workers N] [--queue N] [--cache N]
 //                  [--warm-capacity N] [--log PATH|-] [--log-level LEVEL]
@@ -16,12 +16,14 @@
 // SIGINT/SIGTERM drains gracefully: intake stops, queued and running jobs
 // finish, then the process exits.
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
 
+#include "cluster/protocol.h"
 #include "obs/log.h"
 #include "serve/server.h"
 
@@ -126,10 +128,13 @@ int main(int argc, char** argv) {
 
   const tech::TechModel tech = tech::TechModel::make28nm();
   const eco::StageDelayLut lut(tech);
-  serve::Scheduler sched(tech, lut, sched_opts);
+  cluster::ClusterOptions cluster_opts;
+  cluster_opts.shards = 1;
+  cluster_opts.shard = sched_opts;
+  cluster::ClusterFrontend fe(tech, lut, cluster_opts);
 
   try {
-    serve::TcpServer server(sched, tcp_opts);
+    serve::TcpServer server(cluster::clusterLineHandler(fe), tcp_opts);
     std::printf("skewopt_served: listening on %s:%d (%zu workers, queue %zu, "
                 "cache %zu)\n",
                 tcp_opts.host.c_str(), server.port(), sched_opts.workers,
@@ -144,8 +149,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "skewopt_served: %s\n", e.what());
     return 1;
   }
-  sched.drain();
-  const serve::SchedulerStats s = sched.stats();
+  fe.drain();
+  const serve::SchedulerStats s = fe.stats().total;
   std::printf("skewopt_served: done=%zu failed=%zu cancelled=%zu "
               "cache_hits=%zu\n",
               s.done, s.failed, s.cancelled, s.cache.hits);

@@ -16,8 +16,8 @@
 //   gid = (local - 1) * nshards + shard + 1
 // which is a bijection (local ids are dense per shard), decodes with one
 // modulo, and — the property the wire protocol relies on — degenerates to
-// gid == local id when nshards == 1, keeping single-shard responses
-// byte-identical to a bare serve::Scheduler's.
+// gid == local id when nshards == 1, so a single-shard deployment
+// (skewopt_served) hands out the scheduler's own job ids.
 //
 // Completion flow: every shard's Scheduler fires on_terminal; the
 // front-end turns that into a monotonically increasing completion epoch +

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -15,40 +16,44 @@ namespace json = serve::json;
 
 namespace {
 
-using serve::errorReply;
+using serve::checkKeys;
+using serve::requireId;
+using serve::requireObject;
 
-const json::Value& requireObject(const json::Value& v, const char* what) {
-  if (!v.isObject())
-    throw std::runtime_error(std::string(what) + " must be an object");
+// Reply builders: the protocol's reply format lives in this file only.
+
+json::Value errorReply(const std::string& message) {
+  json::Value v = json::Value::object();
+  v.set("ok", false);
+  v.set("error", message);
   return v;
 }
 
-void checkKeys(const json::Value& v, std::initializer_list<const char*> allowed,
-               const char* context) {
-  for (const auto& [key, value] : v.members()) {
-    (void)value;
-    bool ok = false;
-    for (const char* a : allowed)
-      if (key == a) {
-        ok = true;
-        break;
-      }
-    if (!ok)
-      throw std::runtime_error(std::string("unknown ") + context + " key '" +
-                               key + "'");
-  }
+std::string hashHex(std::uint64_t h) {
+  char buf[20];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
 }
 
-std::uint64_t requireId(const json::Value& req) {
-  const json::Value* id = req.find("id");
-  if (!id || !id->isNumber() || id->asDouble() < 0)
-    throw std::runtime_error("missing or bad 'id'");
-  return static_cast<std::uint64_t>(id->asDouble());
-}
-
-/// SchedulerStats fields without the "ok" flag, for the per-shard array.
-json::Value statsFields(const serve::SchedulerStats& s) {
+json::Value statusToJson(const serve::JobStatus& s) {
   json::Value v = json::Value::object();
+  v.set("ok", true);
+  v.set("id", s.id);
+  v.set("state", serve::jobStateName(s.state));
+  v.set("attempts", s.attempts);
+  v.set("cached", s.cached);
+  if (!s.error.empty()) v.set("error", s.error);
+  v.set("queue_ms", s.queue_ms);
+  v.set("run_ms", s.run_ms);
+  return v;
+}
+
+/// Appends SchedulerStats' job counters to `v`; `with_stores` adds the
+/// result-cache and warm-store counters (the per-shard STATS entries — the
+/// top-level reply carries those in "gauges" instead).
+void setStats(json::Value& v, const serve::SchedulerStats& s,
+              bool with_stores) {
   v.set("submitted", s.submitted);
   v.set("done", s.done);
   v.set("failed", s.failed);
@@ -57,23 +62,73 @@ json::Value statsFields(const serve::SchedulerStats& s) {
   v.set("running", s.running);
   v.set("queue_depth", s.queue_depth);
   v.set("workers", s.workers);
+  if (!with_stores) return;
   v.set("cache_hits", s.cache.hits);
   v.set("cache_misses", s.cache.misses);
   v.set("cache_entries", s.cache.entries);
   v.set("warm_hits", s.warm.hits);
   v.set("warm_misses", s.warm.misses);
   v.set("warm_entries", s.warm.entries);
-  return v;
 }
 
-json::Value submittedReply(const ClusterFrontend& fe,
-                           const ClusterFrontend::Submitted& sub) {
+/// The STATS "gauges" object: live values of the serve obs gauges and
+/// counters (process-wide, so they aggregate all shards).
+json::Value gaugesToJson() {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  json::Value gauges = json::Value::object();
+  gauges.set("queue_depth", reg.gauge("skewopt_serve_queue_depth").value());
+  gauges.set("jobs_running",
+             reg.gauge("skewopt_serve_jobs_running").value());
+  gauges.set("cache_entries",
+             reg.gauge("skewopt_serve_cache_entries").value());
+  gauges.set("cache_hits",
+             reg.counter("skewopt_serve_cache_hits_total").value());
+  gauges.set("cache_misses",
+             reg.counter("skewopt_serve_cache_misses_total").value());
+  gauges.set("retries", reg.counter("skewopt_serve_retries_total").value());
+  gauges.set("cache_evictions",
+             reg.counter("skewopt_serve_cache_evictions_total").value());
+  gauges.set("warmstate_entries",
+             reg.gauge("skewopt_serve_warmstate_entries").value());
+  gauges.set("warmstate_hits",
+             reg.counter("skewopt_serve_warmstate_hits_total").value());
+  gauges.set("warmstate_misses",
+             reg.counter("skewopt_serve_warmstate_misses_total").value());
+  gauges.set("warmstate_evictions",
+             reg.counter("skewopt_serve_warmstate_evictions_total").value());
+  return gauges;
+}
+
+/// Bumps skewopt_serve_requests_total{verb="...",ok="..."} for one
+/// dispatched request. Verbs outside the protocol's fixed set are counted
+/// under verb="unknown" so a hostile client cannot grow label cardinality.
+void countRequest(const std::string& verb, bool ok) {
+  static const char* const kVerbs[] = {
+      "SUBMIT", "DELTA",   "STATUS", "RESULT",       "CANCEL",  "STATS",
+      "METRICS", "TRACE",  "BATCH_SUBMIT", "RESULTS", "DRAIN"};
+  const char* v = "unknown";
+  for (const char* k : kVerbs)
+    if (verb == k) {
+      v = k;
+      break;
+    }
+  obs::MetricsRegistry::global()
+      .counter("skewopt_serve_requests_total",
+               {{"verb", v}, {"ok", ok ? "true" : "false"}},
+               "Protocol requests dispatched, by verb and outcome")
+      .add();
+}
+
+/// The SUBMIT reply and a BATCH_SUBMIT entry's verdict. `with_shard` adds
+/// the routed shard (SUBMIT: only on a multi-shard cluster).
+json::Value submittedReply(const ClusterFrontend::Submitted& sub,
+                           bool with_shard) {
   json::Value v = json::Value::object();
   v.set("ok", true);
   v.set("id", sub.id);
-  v.set("hash", serve::hashHex(sub.job->hash));
+  v.set("hash", hashHex(sub.job->hash));
   v.set("state", serve::jobStateName(serve::JobState::kQueued));
-  if (fe.shards() > 1) v.set("shard", sub.shard);
+  if (with_shard) v.set("shard", sub.shard);
   // Echoed only when the client supplied a context (spec.trace_id is
   // client-set; the derived per-job fallback id is not echoed), keeping
   // pre-telemetry replies byte-identical.
@@ -92,20 +147,13 @@ json::Value batchEntryReply(ClusterFrontend& fe, const json::Value& entry,
   try {
     const json::Value* spec_v = entry.find("spec");
     if (!spec_v) throw std::runtime_error("batch entry needs a 'spec'");
-    const serve::JobSpec spec = serve::specFromJson(*spec_v);
-    const ClusterFrontend::Submitted sub = fe.submit(spec, block);
+    const ClusterFrontend::Submitted sub =
+        fe.submit(serve::specFromJson(*spec_v), block);
     if (!sub.job) {
       v = errorReply("queue full");
     } else {
       ++*accepted;
-      v = json::Value::object();
-      v.set("ok", true);
-      v.set("id", sub.id);
-      v.set("hash", serve::hashHex(sub.job->hash));
-      v.set("state", serve::jobStateName(serve::JobState::kQueued));
-      v.set("shard", sub.shard);
-      if (spec.trace_id != 0)
-        v.set("trace_id", obs::traceIdHex(sub.job->trace_id));
+      v = submittedReply(sub, true);
     }
   } catch (const std::exception& e) {
     v = errorReply(e.what());
@@ -151,10 +199,8 @@ json::Value handleDrain(ClusterFrontend& fe, const json::Value& request) {
     return errorReply("DRAIN mode must be 'drain' or 'shutdown'");
   json::Value v = json::Value::object();
   if (const json::Value* shard_v = request.find("shard")) {
-    if (!shard_v->isNumber() || shard_v->asDouble() < 0 ||
-        shard_v->asDouble() >= static_cast<double>(fe.shards()))
-      return errorReply("bad 'shard' index");
-    const std::size_t i = static_cast<std::size_t>(shard_v->asDouble());
+    const std::uint64_t i = serve::uintFromJson(shard_v, "bad 'shard' index");
+    if (i >= fe.shards()) return errorReply("bad 'shard' index");
     if (mode == "drain")
       fe.drainShard(i);
     else
@@ -208,19 +254,20 @@ bool handleResults(ClusterFrontend& fe, const json::Value& request,
     const json::Value* ids = request.find("ids");
     if (!ids || !ids->isArray() || ids->items().empty())
       throw std::runtime_error("RESULTS needs a non-empty 'ids' array");
+    const char* const bad_id = "RESULTS ids must be positive integers";
     for (const json::Value& id : ids->items()) {
-      if (!id.isNumber() || id.asDouble() < 1)
-        throw std::runtime_error("RESULTS ids must be positive numbers");
-      pending.push_back(static_cast<std::uint64_t>(id.asDouble()));
+      const std::uint64_t gid = serve::uintFromJson(&id, bad_id);
+      if (gid == 0) throw std::runtime_error(bad_id);
+      pending.push_back(gid);
     }
     timeout_ms = request.num("timeout_ms", timeout_ms);
   } catch (const std::exception& e) {
-    serve::countRequest("RESULTS", false);
+    countRequest("RESULTS", false);
     return emit(json::dump(errorReply(e.what())));
   }
   // Counted at subscription time (the stream itself can outlive the
   // request by minutes).
-  serve::countRequest("RESULTS", true);
+  countRequest("RESULTS", true);
 
   const auto deadline =
       std::chrono::steady_clock::now() +
@@ -276,15 +323,14 @@ json::Value dispatchClusterRequest(ClusterFrontend& fe,
       const bool block = request.boolean("block", false);
       const ClusterFrontend::Submitted sub = fe.submit(spec, block);
       if (!sub.job) return errorReply("queue full");
-      return submittedReply(fe, sub);
+      return submittedReply(sub, fe.shards() > 1);
     }
 
     if (cmd == "DELTA") {
       checkKeys(request, {"cmd", "base", "edits", "block", "trace_id"},
                 "request");
-      const json::Value* base = request.find("base");
-      if (!base || !base->isNumber() || base->asDouble() < 0)
-        throw std::runtime_error("DELTA needs a numeric 'base' job id");
+      const std::uint64_t base = serve::uintFromJson(
+          request.find("base"), "DELTA needs a numeric 'base' job id");
       const json::Value* edits_v = request.find("edits");
       if (!edits_v) throw std::runtime_error("DELTA needs an 'edits' object");
       const serve::DeltaEdits edits = serve::deltaEditsFromJson(*edits_v);
@@ -294,8 +340,7 @@ json::Value dispatchClusterRequest(ClusterFrontend& fe,
           tid != nullptr ? serve::traceIdFromJson(*tid) : 0;
       ClusterFrontend::Submitted sub;
       try {
-        sub = fe.submitDelta(static_cast<std::uint64_t>(base->asDouble()),
-                             edits, block, trace_id);
+        sub = fe.submitDelta(base, edits, block, trace_id);
       } catch (const std::out_of_range&) {
         return errorReply("unknown base job id");
       }
@@ -303,8 +348,8 @@ json::Value dispatchClusterRequest(ClusterFrontend& fe,
       json::Value v = json::Value::object();
       v.set("ok", true);
       v.set("id", sub.id);
-      v.set("base", static_cast<std::uint64_t>(base->asDouble()));
-      v.set("hash", serve::hashHex(sub.job->hash));
+      v.set("base", base);
+      v.set("hash", hashHex(sub.job->hash));
       v.set("state", serve::jobStateName(serve::JobState::kQueued));
       if (fe.shards() > 1) v.set("shard", sub.shard);
       if (tid != nullptr)
@@ -314,7 +359,7 @@ json::Value dispatchClusterRequest(ClusterFrontend& fe,
 
     if (cmd == "STATUS") {
       checkKeys(request, {"cmd", "id"}, "request");
-      return serve::statusToJson(fe.status(requireId(request)));
+      return statusToJson(fe.status(requireId(request)));
     }
 
     if (cmd == "RESULT") {
@@ -348,8 +393,11 @@ json::Value dispatchClusterRequest(ClusterFrontend& fe,
     }
 
     if (cmd == "TRACE") {
-      // Identical to the serve TRACE verb: shards record into the one
-      // process-wide tracer, so the filtered export already merges the
+      // The job's span tree (every span stamped with its trace context),
+      // as Chrome trace-event JSON embedded in the reply. Works for
+      // running and finished jobs alike — the export is a snapshot of
+      // whatever the ring buffers hold for that id. Shards record into the
+      // one process-wide tracer, so the filtered export already merges the
       // job's spans across shards.
       checkKeys(request, {"cmd", "id"}, "request");
       const std::uint64_t id = requireId(request);
@@ -378,14 +426,17 @@ json::Value dispatchClusterRequest(ClusterFrontend& fe,
     if (cmd == "STATS") {
       checkKeys(request, {"cmd"}, "request");
       const ClusterStats cs = fe.stats();
-      json::Value v = serve::schedulerStatsToJson(cs.total);
-      v.set("gauges", serve::serveGaugesToJson());
+      json::Value v = json::Value::object();
+      v.set("ok", true);
+      setStats(v, cs.total, false);
+      v.set("gauges", gaugesToJson());
       if (fe.shards() > 1) {
         v.set("routed", cs.routed);
         v.set("rejected", cs.rejected);
         json::Value shards = json::Value::array();
         for (std::size_t i = 0; i < cs.shards.size(); ++i) {
-          json::Value sv = statsFields(cs.shards[i]);
+          json::Value sv = json::Value::object();
+          setStats(sv, cs.shards[i], true);
           sv.set("shard", i);
           shards.push(std::move(sv));
         }
@@ -418,8 +469,8 @@ json::Value dispatchClusterRequest(ClusterFrontend& fe,
 json::Value handleClusterRequest(ClusterFrontend& fe,
                                  const json::Value& request) {
   json::Value reply = dispatchClusterRequest(fe, request);
-  serve::countRequest(request.isObject() ? request.str("cmd", "") : "",
-                      reply.boolean("ok", false));
+  countRequest(request.isObject() ? request.str("cmd", "") : "",
+               reply.boolean("ok", false));
   return reply;
 }
 

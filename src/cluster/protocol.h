@@ -1,14 +1,14 @@
-// Cluster wire protocol: the serve newline-JSON protocol, dispatched
-// against a ClusterFrontend instead of a single Scheduler, plus the
-// cluster-only verbs.
+// The wire protocol's one dispatcher: the newline-JSON protocol of
+// docs/serving.md, dispatched against a ClusterFrontend. A single-scheduler
+// deployment (skewopt_served) is a 1-shard frontend.
 //
-// Compatibility contract: with one shard, every verb the single-scheduler
-// protocol defines (SUBMIT/DELTA/STATUS/RESULT/CANCEL/STATS/METRICS/TRACE)
-// answers byte-identically to serve::handleRequest — global ids collapse
-// to local ids and the shard-specific fields are only added when
-// shards > 1. Existing clients keep working unchanged against a cluster.
+// Job verbs: SUBMIT/DELTA/STATUS/RESULT/CANCEL/STATS/METRICS/TRACE. With
+// one shard, global ids equal the shard's local ids and the shard-specific
+// reply fields ("shard", STATS "routed"/"rejected"/"shards") are left out;
+// the pinned-reply test in cluster_test holds those single-shard reply
+// bytes fixed, since every existing client depends on them.
 //
-// New verbs (wire examples in docs/serving.md):
+// Batch and shard verbs (wire examples in docs/serving.md):
 //   BATCH_SUBMIT  one request, many specs; one reply line with a per-spec
 //                 verdict array (an invalid spec fails only its entry).
 //   RESULTS       streaming subscription: per-completion event lines as

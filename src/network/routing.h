@@ -63,7 +63,7 @@ class Routing {
   std::size_t numNets() const { return nets_.size(); }
 
   /// Monotonic counter bumped by every mutation; paired with
-  /// ClockTree::editStamp() it keys timing caches (see sta::CachedTimer).
+  /// ClockTree::editStamp() it identifies a timing state.
   std::uint64_t version() const { return version_; }
 
  private:

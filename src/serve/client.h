@@ -1,50 +1,15 @@
-// Clients for the optimization service.
-//
-// InProcessClient wraps a Scheduler directly: native JobSpec in,
-// FlowResult out — zero serialization, which is what lets tests assert
-// served results bit-identical to direct core::Flow::run calls. Its
-// call() path feeds a raw protocol line through the same dispatch the TCP
-// server uses, so the wire protocol is testable without sockets.
+// Client for the optimization service.
 //
 // TcpClient speaks the newline-delimited JSON protocol to a running
 // TcpServer (or the skewopt_served daemon): one request line out, one
 // reply line back, parsed to a json::Value.
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "serve/json.h"
-#include "serve/scheduler.h"
-#include "serve/server.h"
 
 namespace skewopt::serve {
-
-class InProcessClient {
- public:
-  explicit InProcessClient(Scheduler& sched) : sched_(&sched) {}
-
-  /// Native submit; nullptr when rejected (see Scheduler::submit).
-  std::shared_ptr<Job> submit(const JobSpec& spec, bool block = true) {
-    return sched_->submit(spec, block);
-  }
-  JobStatus status(std::uint64_t id) const { return sched_->status(id); }
-  /// Blocks until terminal; throws when the job did not complete.
-  core::FlowResult result(std::uint64_t id) const {
-    return sched_->result(id);
-  }
-  bool cancel(std::uint64_t id) { return sched_->cancel(id); }
-  SchedulerStats stats() const { return sched_->stats(); }
-
-  /// Protocol-level access: one request line -> one reply line, exactly as
-  /// the TCP server would answer it.
-  std::string call(const std::string& request_line) {
-    return handleLine(*sched_, request_line);
-  }
-
- private:
-  Scheduler* sched_;
-};
 
 class TcpClient {
  public:

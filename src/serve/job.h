@@ -86,16 +86,11 @@ struct JobSpec {
   int max_retries = 0;      ///< transient-failure retries beyond attempt 1
 
   /// Observability-only (not part of the content key, like check_level):
-  /// when non-empty, the scheduler exports a Chrome trace-event JSON file
-  /// of the tracing window that covers this job's run to this path. Jobs
-  /// share the process-wide tracer, so spans of concurrently running jobs
-  /// appear in each other's windows (they are distinguishable by thread).
-  std::string trace;
-  /// Observability-only: client-supplied trace context (0 = none). When
-  /// nonzero the scheduler enables tracing for the job's run and stamps
-  /// every span with this id (obs::ScopedTraceContext), so the TRACE verb
-  /// can export exactly this job's tree even across cluster shards. When
-  /// zero but tracing is otherwise active, a deterministic per-job id
+  /// client-supplied trace context (0 = none). When nonzero the scheduler
+  /// enables tracing for the job's run and stamps every span with this id
+  /// (obs::ScopedTraceContext), so the TRACE verb can export exactly this
+  /// job's tree even across cluster shards. When zero but tracing is
+  /// otherwise active, a deterministic per-job id
   /// (obs::traceIdFor(hash, id)) is stamped instead.
   std::uint64_t trace_id = 0;
   /// Observability-only: spec-level alias of options.record (the flight

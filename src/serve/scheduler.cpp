@@ -49,39 +49,9 @@ struct ServeObs {
   }
 };
 
-/// Scopes one job's optional trace export: opens a tracing window at
-/// construction when the spec asks for one, and on destruction exports
-/// everything the window saw to the spec's path. Export failures are
-/// logged, never reported to the job (observability must not change job
-/// outcomes).
-class JobTraceScope {
- public:
-  explicit JobTraceScope(const std::string& path) : path_(path) {
-    if (path_.empty()) return;
-    since_ns_ = obs::nowNs();
-    obs::Tracer::global().start();
-  }
-  ~JobTraceScope() {
-    if (path_.empty()) return;
-    obs::Tracer::global().stop();
-    std::string err;
-    if (!obs::Tracer::global().writeJsonFile(path_, since_ns_, &err))
-      obs::logWarn("serve: trace export failed")
-          .field("path", path_)
-          .field("error", err);
-  }
-  JobTraceScope(const JobTraceScope&) = delete;
-  JobTraceScope& operator=(const JobTraceScope&) = delete;
-
- private:
-  std::string path_;
-  std::uint64_t since_ns_ = 0;
-};
-
 /// Holds the tracer open (refcounted) while a client-traced job runs: a
 /// nonzero spec.trace_id means the client intends to pull the job's span
-/// tree with the TRACE verb, which needs the spans recorded even without
-/// a trace file path.
+/// tree with the TRACE verb, which needs the spans recorded.
 class TracerOnScope {
  public:
   explicit TracerOnScope(bool active) : active_(active) {
@@ -370,16 +340,14 @@ void Scheduler::runJob(const std::shared_ptr<Job>& job) {
   std::string error;
 
   // The tracing scope closes before the terminal state flip below: every
-  // span of the job (serve.job included — emitted at Span destruction)
-  // and any "trace" file export are complete before waiters wake, so a
-  // client doing RESULT(wait) then TRACE never sees a partial tree.
+  // span of the job (serve.job included — emitted at Span destruction) is
+  // recorded before waiters wake, so a client doing RESULT(wait) then
+  // TRACE never sees a partial tree.
   {
-    // Tracing: open the windows first (refcounted client window +
-    // optional file-export window), then install the job's trace context
-    // so every span below — including pool slices via runSlices — is
-    // stamped with it.
+    // Tracing: open the refcounted client window first, then install the
+    // job's trace context so every span below — including pool slices via
+    // runSlices — is stamped with it.
     TracerOnScope client_trace(job->spec.trace_id != 0);
-    JobTraceScope trace_scope(job->spec.trace);
     obs::ScopedTraceContext trace_ctx(job->trace_id);
     if (obs::tracingOn()) {
       const std::uint64_t now_ns = obs::nowNs();

@@ -7,13 +7,12 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
 
 #include "obs/log.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace skewopt::serve {
@@ -28,35 +27,6 @@ core::FlowMode flowModeFromName(const std::string& name) {
   if (name == "local") return core::FlowMode::kLocal;
   if (name == "global-local") return core::FlowMode::kGlobalLocal;
   throw std::runtime_error("unknown flow mode '" + name + "'");
-}
-
-/// Strict-key guard: every member of `v` must appear in `allowed`.
-void checkKeys(const json::Value& v, std::initializer_list<const char*> allowed,
-               const char* context) {
-  for (const auto& [key, value] : v.members()) {
-    bool ok = false;
-    for (const char* a : allowed)
-      if (key == a) {
-        ok = true;
-        break;
-      }
-    if (!ok)
-      throw std::runtime_error(std::string("unknown ") + context + " key '" +
-                               key + "'");
-  }
-}
-
-const json::Value& requireObject(const json::Value& v, const char* what) {
-  if (!v.isObject())
-    throw std::runtime_error(std::string(what) + " must be an object");
-  return v;
-}
-
-std::uint64_t requireId(const json::Value& req) {
-  const json::Value* id = req.find("id");
-  if (!id || !id->isNumber() || id->asDouble() < 0)
-    throw std::runtime_error("missing or bad 'id'");
-  return static_cast<std::uint64_t>(id->asDouble());
 }
 
 /// Shared by spec.source and DELTA edits. Entries are sorted by sink id
@@ -103,11 +73,41 @@ std::vector<double> doubleArrayFromJson(const json::Value& arr,
 
 }  // namespace
 
-std::string hashHex(std::uint64_t h) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(h));
-  return buf;
+void checkKeys(const json::Value& v, std::initializer_list<const char*> allowed,
+               const char* context) {
+  for (const auto& [key, value] : v.members()) {
+    (void)value;
+    bool ok = false;
+    for (const char* a : allowed)
+      if (key == a) {
+        ok = true;
+        break;
+      }
+    if (!ok)
+      throw std::runtime_error(std::string("unknown ") + context + " key '" +
+                               key + "'");
+  }
+}
+
+const json::Value& requireObject(const json::Value& v, const char* what) {
+  if (!v.isObject())
+    throw std::runtime_error(std::string(what) + " must be an object");
+  return v;
+}
+
+std::uint64_t uintFromJson(const json::Value* v, const char* error) {
+  // 2^53: every integer up to here is exact in a double, and the cast
+  // below stays far inside uint64 range.
+  constexpr double kMaxExact = 9007199254740992.0;
+  if (v == nullptr || !v->isNumber()) throw std::runtime_error(error);
+  const double d = v->asDouble();
+  if (!(d >= 0.0 && d <= kMaxExact) || d != std::floor(d))
+    throw std::runtime_error(error);
+  return static_cast<std::uint64_t>(d);
+}
+
+std::uint64_t requireId(const json::Value& request) {
+  return uintFromJson(request.find("id"), "missing or bad 'id'");
 }
 
 DeltaEdits deltaEditsFromJson(const json::Value& v) {
@@ -199,7 +199,6 @@ json::Value specToJson(const JobSpec& spec) {
   v.set("priority", spec.priority);
   v.set("deadline_ms", spec.deadline_ms);
   v.set("max_retries", spec.max_retries);
-  if (!spec.trace.empty()) v.set("trace", spec.trace);
   if (spec.trace_id != 0) v.set("trace_id", obs::traceIdHex(spec.trace_id));
   if (spec.options.record) v.set("record", true);
   return v;
@@ -207,8 +206,14 @@ json::Value specToJson(const JobSpec& spec) {
 
 JobSpec specFromJson(const json::Value& v) {
   requireObject(v, "spec");
+  // The "trace" file-export field was removed in favour of the TRACE verb;
+  // name the replacement instead of a bare unknown-key error.
+  if (v.find("trace") != nullptr)
+    throw std::runtime_error(
+        "spec key 'trace' was removed: submit with a 'trace_id' and fetch "
+        "the job's spans with the TRACE verb");
   checkKeys(v, {"source", "mode", "options", "check", "priority",
-                "deadline_ms", "max_retries", "trace", "trace_id", "record"},
+                "deadline_ms", "max_retries", "trace_id", "record"},
             "spec");
   JobSpec spec;
 
@@ -313,11 +318,6 @@ JobSpec specFromJson(const json::Value& v) {
   spec.priority = static_cast<int>(v.num("priority", 0));
   spec.deadline_ms = v.num("deadline_ms", 0);
   spec.max_retries = static_cast<int>(v.num("max_retries", 0));
-  if (const json::Value* trace = v.find("trace")) {
-    if (!trace->isString() || trace->asString().empty())
-      throw std::runtime_error("'trace' must be a non-empty output path");
-    spec.trace = trace->asString();
-  }
   if (const json::Value* tid = v.find("trace_id"))
     spec.trace_id = traceIdFromJson(*tid);
   spec.options.record = v.boolean("record", false);
@@ -389,264 +389,6 @@ json::Value resultToJson(const core::FlowResult& r, bool include_record) {
 }
 
 // ---------------------------------------------------------------------------
-// Request dispatch
-
-json::Value errorReply(const std::string& message) {
-  json::Value v = json::Value::object();
-  v.set("ok", false);
-  v.set("error", message);
-  return v;
-}
-
-json::Value statusToJson(const JobStatus& s) {
-  json::Value v = json::Value::object();
-  v.set("ok", true);
-  v.set("id", s.id);
-  v.set("state", jobStateName(s.state));
-  v.set("attempts", s.attempts);
-  v.set("cached", s.cached);
-  if (!s.error.empty()) v.set("error", s.error);
-  v.set("queue_ms", s.queue_ms);
-  v.set("run_ms", s.run_ms);
-  return v;
-}
-
-json::Value serveGaugesToJson() {
-  // Live values of the obs gauges/counters the scheduler maintains —
-  // the authoritative queue-depth/cache/retry numbers.
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  json::Value gauges = json::Value::object();
-  gauges.set("queue_depth", reg.gauge("skewopt_serve_queue_depth").value());
-  gauges.set("jobs_running",
-             reg.gauge("skewopt_serve_jobs_running").value());
-  gauges.set("cache_entries",
-             reg.gauge("skewopt_serve_cache_entries").value());
-  gauges.set("cache_hits",
-             reg.counter("skewopt_serve_cache_hits_total").value());
-  gauges.set("cache_misses",
-             reg.counter("skewopt_serve_cache_misses_total").value());
-  gauges.set("retries", reg.counter("skewopt_serve_retries_total").value());
-  gauges.set("cache_evictions",
-             reg.counter("skewopt_serve_cache_evictions_total").value());
-  gauges.set("warmstate_entries",
-             reg.gauge("skewopt_serve_warmstate_entries").value());
-  gauges.set("warmstate_hits",
-             reg.counter("skewopt_serve_warmstate_hits_total").value());
-  gauges.set("warmstate_misses",
-             reg.counter("skewopt_serve_warmstate_misses_total").value());
-  gauges.set("warmstate_evictions",
-             reg.counter("skewopt_serve_warmstate_evictions_total").value());
-  return gauges;
-}
-
-json::Value schedulerStatsToJson(const SchedulerStats& s) {
-  json::Value v = json::Value::object();
-  v.set("ok", true);
-  v.set("submitted", s.submitted);
-  v.set("done", s.done);
-  v.set("failed", s.failed);
-  v.set("cancelled", s.cancelled);
-  v.set("retries", s.retries);
-  v.set("running", s.running);
-  v.set("queue_depth", s.queue_depth);
-  v.set("workers", s.workers);
-  // Deprecated (see docs/serving.md release notes): the flat cache_*
-  // fields are superseded by the "gauges" object below and the METRICS
-  // verb; they stay for one release so existing clients round-trip.
-  v.set("cache_hits", s.cache.hits);
-  v.set("cache_misses", s.cache.misses);
-  v.set("cache_entries", s.cache.entries);
-  return v;
-}
-
-namespace {
-
-json::Value dispatchRequest(Scheduler& sched, const json::Value& request) {
-  try {
-    requireObject(request, "request");
-    const std::string cmd = request.str("cmd", "");
-
-    if (cmd == "SUBMIT") {
-      checkKeys(request, {"cmd", "spec", "block"}, "request");
-      const json::Value* spec_v = request.find("spec");
-      if (!spec_v) throw std::runtime_error("SUBMIT needs a 'spec'");
-      const JobSpec spec = specFromJson(*spec_v);
-      const bool block = request.boolean("block", false);
-      const std::shared_ptr<Job> job = sched.submit(spec, block);
-      if (!job) return errorReply("queue full");
-      json::Value v = json::Value::object();
-      v.set("ok", true);
-      v.set("id", job->id);
-      v.set("hash", hashHex(job->hash));
-      v.set("state", jobStateName(JobState::kQueued));
-      // Echoed only when the client supplied a context, so pre-telemetry
-      // clients see byte-identical replies.
-      if (spec.trace_id != 0)
-        v.set("trace_id", obs::traceIdHex(job->trace_id));
-      return v;
-    }
-
-    if (cmd == "DELTA") {
-      // Incremental re-optimization: the base job's spec with an edit list
-      // applied, run through the normal submit path. The merged spec hits
-      // the warm-state store under its topology key; an evicted base entry
-      // silently degrades to a cold run with identical results.
-      checkKeys(request, {"cmd", "base", "edits", "block", "trace_id"},
-                "request");
-      const json::Value* base = request.find("base");
-      if (!base || !base->isNumber() || base->asDouble() < 0)
-        throw std::runtime_error("DELTA needs a numeric 'base' job id");
-      const json::Value* edits_v = request.find("edits");
-      if (!edits_v) throw std::runtime_error("DELTA needs an 'edits' object");
-      const DeltaEdits edits = deltaEditsFromJson(*edits_v);
-      const bool block = request.boolean("block", false);
-      // A request-level trace context overrides whatever the base spec
-      // carried (otherwise the delta inherits the base's context).
-      const json::Value* tid = request.find("trace_id");
-      const std::uint64_t trace_id =
-          tid != nullptr ? traceIdFromJson(*tid) : 0;
-      std::shared_ptr<Job> job;
-      try {
-        job = sched.submitDelta(static_cast<std::uint64_t>(base->asDouble()),
-                                edits, block, trace_id);
-      } catch (const std::out_of_range&) {
-        return errorReply("unknown base job id");
-      }
-      if (!job) return errorReply("queue full");
-      json::Value v = json::Value::object();
-      v.set("ok", true);
-      v.set("id", job->id);
-      v.set("base", static_cast<std::uint64_t>(base->asDouble()));
-      v.set("hash", hashHex(job->hash));
-      v.set("state", jobStateName(JobState::kQueued));
-      if (tid != nullptr) v.set("trace_id", obs::traceIdHex(job->trace_id));
-      return v;
-    }
-
-    if (cmd == "STATUS") {
-      checkKeys(request, {"cmd", "id"}, "request");
-      return statusToJson(sched.status(requireId(request)));
-    }
-
-    if (cmd == "RESULT") {
-      checkKeys(request, {"cmd", "id", "wait"}, "request");
-      const std::uint64_t id = requireId(request);
-      const bool wait = request.boolean("wait", true);
-      JobStatus s = sched.status(id);
-      if (!isTerminal(s.state)) {
-        if (!wait) {
-          json::Value v = errorReply("not finished");
-          v.set("state", jobStateName(s.state));
-          return v;
-        }
-        s = sched.waitTerminal(id);
-      }
-      if (s.state != JobState::kDone) {
-        json::Value v = errorReply(s.error.empty() ? jobStateName(s.state)
-                                                   : s.error);
-        v.set("id", id);
-        v.set("state", jobStateName(s.state));
-        return v;
-      }
-      json::Value v = json::Value::object();
-      v.set("ok", true);
-      v.set("id", id);
-      v.set("state", jobStateName(s.state));
-      v.set("cached", s.cached);
-      v.set("result", resultToJson(sched.result(id),
-                                   sched.jobSpec(id).options.record));
-      return v;
-    }
-
-    if (cmd == "TRACE") {
-      // The job's span tree (every span stamped with its trace context),
-      // as Chrome trace-event JSON embedded in the reply. Works for
-      // running and finished jobs alike — the export is a snapshot of
-      // whatever the ring buffers currently hold for that id.
-      checkKeys(request, {"cmd", "id"}, "request");
-      const std::uint64_t id = requireId(request);
-      const std::uint64_t trace_id = sched.traceId(id);
-      json::Value v = json::Value::object();
-      v.set("ok", true);
-      v.set("id", id);
-      v.set("trace_id", obs::traceIdHex(trace_id));
-      v.set("trace",
-            json::parse(obs::Tracer::global().exportJson(0, trace_id)));
-      return v;
-    }
-
-    if (cmd == "CANCEL") {
-      checkKeys(request, {"cmd", "id"}, "request");
-      const std::uint64_t id = requireId(request);
-      const bool cancelled = sched.cancel(id);
-      json::Value v = json::Value::object();
-      v.set("ok", true);
-      v.set("id", id);
-      v.set("cancelled", cancelled);
-      v.set("state", jobStateName(sched.status(id).state));
-      return v;
-    }
-
-    if (cmd == "STATS") {
-      checkKeys(request, {"cmd"}, "request");
-      json::Value v = schedulerStatsToJson(sched.stats());
-      v.set("gauges", serveGaugesToJson());
-      return v;
-    }
-
-    if (cmd == "METRICS") {
-      checkKeys(request, {"cmd"}, "request");
-      json::Value v = json::Value::object();
-      v.set("ok", true);
-      v.set("metrics",
-            obs::prometheusText(obs::MetricsRegistry::global().snapshot()));
-      return v;
-    }
-
-    return errorReply(cmd.empty() ? "missing 'cmd'"
-                                  : "unknown cmd '" + cmd + "'");
-  } catch (const std::exception& e) {
-    return errorReply(e.what());
-  }
-}
-
-}  // namespace
-
-void countRequest(const std::string& verb, bool ok) {
-  static const char* const kVerbs[] = {
-      "SUBMIT", "DELTA",   "STATUS", "RESULT",       "CANCEL",  "STATS",
-      "METRICS", "TRACE",  "BATCH_SUBMIT", "RESULTS", "DRAIN"};
-  const char* v = "unknown";
-  for (const char* k : kVerbs)
-    if (verb == k) {
-      v = k;
-      break;
-    }
-  obs::MetricsRegistry::global()
-      .counter("skewopt_serve_requests_total",
-               {{"verb", v}, {"ok", ok ? "true" : "false"}},
-               "Protocol requests dispatched, by verb and outcome")
-      .add();
-}
-
-json::Value handleRequest(Scheduler& sched, const json::Value& request) {
-  json::Value reply = dispatchRequest(sched, request);
-  countRequest(request.isObject() ? request.str("cmd", "") : "",
-               reply.boolean("ok", false));
-  return reply;
-}
-
-std::string handleLine(Scheduler& sched, const std::string& line) {
-  json::Value request;
-  try {
-    request = json::parse(line);
-  } catch (const std::exception& e) {
-    return json::dump(errorReply(e.what()));
-  }
-  return json::dump(handleRequest(sched, request));
-}
-
-// ---------------------------------------------------------------------------
 // TCP front-end
 
 namespace {
@@ -673,14 +415,16 @@ bool sendAll(int fd, const std::string& data) {
   return true;
 }
 
-}  // namespace
+/// The transport's own reply, for a request line past max_line_bytes.
+std::string oversizedReply(std::size_t max_line_bytes) {
+  json::Value v = json::Value::object();
+  v.set("ok", false);
+  v.set("error",
+        "request line exceeds " + std::to_string(max_line_bytes) + " bytes");
+  return json::dump(v);
+}
 
-TcpServer::TcpServer(Scheduler& sched, TcpServerOptions opts)
-    : TcpServer(
-          [&sched](const std::string& line, const LineSink& emit) {
-            return emit(handleLine(sched, line));
-          },
-          std::move(opts)) {}
+}  // namespace
 
 TcpServer::TcpServer(LineHandler handler, TcpServerOptions opts)
     : handler_(std::move(handler)), opts_(std::move(opts)) {
@@ -776,9 +520,7 @@ void TcpServer::serveConnection(int fd) {
         obs::logWarn("serve: oversized request line, closing connection")
             .field("fd", static_cast<std::int64_t>(fd))
             .field("bytes", static_cast<std::uint64_t>(line.size()));
-        emit(json::dump(errorReply("request line exceeds " +
-                                   std::to_string(opts_.max_line_bytes) +
-                                   " bytes")));
+        emit(oversizedReply(opts_.max_line_bytes));
         return;
       }
       if (!handler_(line, emit)) return;
@@ -790,9 +532,7 @@ void TcpServer::serveConnection(int fd) {
       obs::logWarn("serve: oversized request line, closing connection")
           .field("fd", static_cast<std::int64_t>(fd))
           .field("bytes", static_cast<std::uint64_t>(buffer.size()));
-      emit(json::dump(errorReply("request line exceeds " +
-                                 std::to_string(opts_.max_line_bytes) +
-                                 " bytes")));
+      emit(oversizedReply(opts_.max_line_bytes));
       return;
     }
   }

@@ -1,25 +1,11 @@
-// Wire protocol + TCP front-end for the optimization service.
+// Wire codecs + TCP transport for the optimization service.
 //
 // The protocol is newline-delimited JSON: one request object per line, one
-// reply object per line, over a local TCP connection (or handed straight
-// to handleLine for in-process use — the dispatch is identical, which is
-// how the tests cover the protocol without sockets).
-//
-// Requests ("cmd" selects the verb):
-//   {"cmd":"SUBMIT","spec":{...},"block":false}
-//       -> {"ok":true,"id":7,"hash":"9f..","state":"QUEUED"}
-//       -> {"ok":false,"error":"queue full"}            (backpressure)
-//   {"cmd":"STATUS","id":7}
-//       -> {"ok":true,"id":7,"state":"RUNNING","attempts":1,...}
-//   {"cmd":"RESULT","id":7,"wait":true}
-//       -> {"ok":true,"id":7,"state":"DONE","result":{...}}
-//       -> {"ok":false,"state":"FAILED","error":"..."}
-//   {"cmd":"CANCEL","id":7}    -> {"ok":true,"cancelled":true}
-//   {"cmd":"STATS"}            -> {"ok":true,"submitted":N,...}
-//   {"cmd":"TRACE","id":7}
-//       -> {"ok":true,"id":7,"trace_id":"9f..","trace":{...}}
-//       (the job's span tree as Chrome trace-event JSON; requires the job
-//        to have been submitted with a "trace_id" spec field)
+// reply object per line (see docs/serving.md). Its one dispatcher is
+// cluster::handleClusterLine (cluster/protocol.h); a single-scheduler
+// deployment is a 1-shard ClusterFrontend. This header holds what that
+// dispatcher and other clients share: the spec/result/delta codecs, the
+// strict-key and id validators, and the line-oriented TCP transport.
 //
 // The spec JSON covers the commonly-tuned option knobs (see specFromJson);
 // everything else takes its FlowOptions default, identically on both the
@@ -30,7 +16,9 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,33 +41,26 @@ json::Value metricsToJson(const core::DesignMetrics& m);
 json::Value resultToJson(const core::FlowResult& r,
                          bool include_record = false);
 
-/// Building blocks the cluster front-end shares with this dispatcher, so
-/// the sharded protocol stays byte-compatible with the single-scheduler
-/// one (see src/cluster/protocol.h).
-json::Value errorReply(const std::string& message);
-json::Value statusToJson(const JobStatus& s);
-json::Value schedulerStatsToJson(const SchedulerStats& s);
-/// The STATS "gauges" object: live values of the serve obs gauges and
-/// counters (process-wide — in a cluster these aggregate all shards).
-json::Value serveGaugesToJson();
-std::string hashHex(std::uint64_t h);
 /// Parses a DELTA "edits" object ({"u_sweep":..,"corner_dmax_derate":..,
 /// "moved_sinks":..}); throws std::runtime_error on malformed input.
 DeltaEdits deltaEditsFromJson(const json::Value& v);
 /// Parses a request/spec "trace_id" value (16-digit hex string); throws
 /// std::runtime_error on malformed input or the reserved id 0.
 std::uint64_t traceIdFromJson(const json::Value& v);
-/// Bumps skewopt_serve_requests_total{verb="...",ok="..."} for one
-/// dispatched request. Verbs outside the protocol's fixed set are counted
-/// under verb="unknown" so a hostile client cannot grow label cardinality.
-void countRequest(const std::string& verb, bool ok);
-
-/// Dispatches one parsed request against the scheduler. Never throws for
-/// protocol-level errors — they become {"ok":false,"error":...} replies.
-json::Value handleRequest(Scheduler& sched, const json::Value& request);
-
-/// parse + handleRequest + dump; malformed JSON becomes an error reply.
-std::string handleLine(Scheduler& sched, const std::string& line);
+/// Strict-key guard: throws std::runtime_error naming the first member of
+/// `v` that is not in `allowed` ("unknown <context> key '<k>'").
+void checkKeys(const json::Value& v, std::initializer_list<const char*> allowed,
+               const char* context);
+/// Throws std::runtime_error("<what> must be an object") unless `v` is one.
+const json::Value& requireObject(const json::Value& v, const char* what);
+/// The protocol's one integer parser, for job ids, the DELTA base, RESULTS
+/// ids and the DRAIN shard: `v` must be an integral number in [0, 2^53],
+/// the range a JSON double carries exactly. Anything else — null, a
+/// fraction, a negative or larger number — throws std::runtime_error with
+/// `error` as the message.
+std::uint64_t uintFromJson(const json::Value* v, const char* error);
+/// uintFromJson of the request's "id" member.
+std::uint64_t requireId(const json::Value& request);
 
 struct TcpServerOptions {
   std::string host = "127.0.0.1";
@@ -90,12 +71,12 @@ struct TcpServerOptions {
   std::size_t max_line_bytes = 1u << 20;
 };
 
-/// Serves the protocol over a local TCP socket: one accept loop, one
+/// Serves a line protocol over a local TCP socket: one accept loop, one
 /// thread per connection, each processing requests sequentially (clients
 /// wanting parallel jobs open several connections or use non-blocking
 /// SUBMIT + STATUS polling). stop() (and the destructor) shuts every
-/// connection down and joins all threads; the scheduler itself is left
-/// running.
+/// connection down and joins all threads; whatever the handler serves is
+/// left running.
 class TcpServer {
  public:
   /// Delivers one reply line to the peer ("\n" appended by the server);
@@ -108,7 +89,6 @@ class TcpServer {
   using LineHandler =
       std::function<bool(const std::string& line, const LineSink& emit)>;
 
-  TcpServer(Scheduler& sched, TcpServerOptions opts = {});
   TcpServer(LineHandler handler, TcpServerOptions opts = {});
   ~TcpServer();
   TcpServer(const TcpServer&) = delete;

@@ -1,7 +1,9 @@
 // Tests for the cluster subsystem: consistent-hash routing determinism,
 // the global job-id codec, N-shard vs single-shard bit-identity (the
-// subsystem's core guarantee, including DELTA jobs), the BATCH_SUBMIT and
-// streaming RESULTS wire verbs with their malformed-payload handling,
+// subsystem's core guarantee, including DELTA jobs), and the wire
+// protocol's one dispatcher: pinned single-shard reply bytes, every verb
+// session-tested against a 1-shard frontend, the BATCH_SUBMIT and
+// streaming RESULTS verbs with their malformed-payload handling,
 // subscriber disconnect mid-stream, per-shard drain, and aggregated stats
 // coherence under concurrent load.
 //
@@ -12,11 +14,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <future>
 #include <mutex>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -239,14 +244,13 @@ TEST(ClusterFrontend, IdenticalSpecsLandOnTheSameShardAndCache) {
 }
 
 // ---------------------------------------------------------------------------
-// Wire protocol: single-shard byte-compatibility
+// Wire protocol: pinned single-shard reply bytes
 
-TEST(ClusterProtocol, SingleShardRepliesMatchServeByteForByte) {
-  // The same request stream against a bare Scheduler and a 1-shard
-  // cluster: every reply line must be byte-identical.
-  serve::SchedulerOptions sopts;
-  sopts.workers = 2;
-  serve::Scheduler sched(sharedTech(), sharedLut(), sopts);
+TEST(ClusterProtocol, SingleShardRepliesMatchPinnedBytes) {
+  // One request stream against a 1-shard cluster (what skewopt_served
+  // runs): every reply, scrubbed of timing fields, must equal the bytes
+  // the protocol has always answered with. A change here is a wire break
+  // for every existing client.
   ClusterFrontend fe(sharedTech(), sharedLut(), smallCluster(1));
 
   const std::string spec_line =
@@ -255,7 +259,7 @@ TEST(ClusterProtocol, SingleShardRepliesMatchServeByteForByte) {
       R"({"cmd":"SUBMIT","spec":)" + spec_line + R"(,"block":true})",
       R"({"cmd":"RESULT","id":1,"wait":true})",
       // STATUS after the result wait: the job is deterministically DONE
-      // on both sides (mid-flight it could be QUEUED or RUNNING).
+      // (mid-flight it could be QUEUED or RUNNING).
       R"({"cmd":"STATUS","id":1})",
       R"({"cmd":"DELTA","base":1,"edits":{"u_sweep":[0.05,0.2]},"block":true})",
       R"({"cmd":"RESULT","id":2,"wait":true})",
@@ -264,31 +268,108 @@ TEST(ClusterProtocol, SingleShardRepliesMatchServeByteForByte) {
       R"({"cmd":"nonsense"})",
       R"(not json)",
   };
-  for (const std::string& req : requests) {
-    const std::string serve_reply = serve::handleLine(sched, req);
-    const std::string cluster_reply = call(fe, req);
-    // Timing fields (queue_ms/run_ms, stage_ms) differ run to run; compare
-    // the parsed structure with those removed, serialized back to bytes.
-    const auto scrub = [](const std::string& line) {
-      const json::Value v = json::parse(line);
-      json::Value out = json::Value::object();
-      for (const auto& [key, value] : v.members()) {
-        if (key == "queue_ms" || key == "run_ms") continue;
-        if (key == "result") {
-          json::Value r = json::Value::object();
-          for (const auto& [rk, rv] : value.members())
-            if (rk != "stage_ms") r.set(rk, rv);
-          out.set(key, std::move(r));
-          continue;
-        }
-        out.set(key, value);
+  const std::vector<std::string> expected = {
+      R"({"ok":true,"id":1,"hash":"dd46b1a0942aaa5f","state":"QUEUED"})",
+      R"({"ok":true,"id":1,"state":"DONE","cached":false,)"
+      R"("result":{"before":{"sum_variation_ps":416.8281917132466,)"
+      R"("local_skew_ps":[73.54316222362411,139.94231873122817,)"
+      R"(68.58319787123594],"clock_cells":43,"power_mw":1.9190106063772332,)"
+      R"("area_um2":80.04999999999993},)"
+      R"("after":{"sum_variation_ps":222.01496733025803,)"
+      R"("local_skew_ps":[52.74971125639979,72.11131021084475,)"
+      R"(68.58319787123588],"clock_cells":43,"power_mw":1.6814873293111492,)"
+      R"("area_um2":76.89999999999995},"global":{"sum_before_ps":0,)"
+      R"("sum_after_ps":0,"chosen_u_ps":0,"improved":false,)"
+      R"("arcs_changed":0,"lp_solves":0,"lp_warm_hits":0},)"
+      R"("local":{"sum_before_ps":416.8281917132466,)"
+      R"("sum_after_ps":222.01496733025803,"improved":true,)"
+      R"("moves_committed":2,"golden_evaluations":15}}})",
+      R"({"ok":true,"id":1,"state":"DONE","attempts":1,"cached":false})",
+      R"({"ok":true,"id":2,"base":1,"hash":"7f51c16da0b37fcf",)"
+      R"("state":"QUEUED"})",
+      R"({"ok":true,"id":2,"state":"DONE","cached":false,)"
+      R"("result":{"before":{"sum_variation_ps":416.8281917132466,)"
+      R"("local_skew_ps":[73.54316222362411,139.94231873122817,)"
+      R"(68.58319787123594],"clock_cells":43,"power_mw":1.9190106063772332,)"
+      R"("area_um2":80.04999999999993},)"
+      R"("after":{"sum_variation_ps":222.01496733025803,)"
+      R"("local_skew_ps":[52.74971125639979,72.11131021084475,)"
+      R"(68.58319787123588],"clock_cells":43,"power_mw":1.6814873293111492,)"
+      R"("area_um2":76.89999999999995},"global":{"sum_before_ps":0,)"
+      R"("sum_after_ps":0,"chosen_u_ps":0,"improved":false,)"
+      R"("arcs_changed":0,"lp_solves":0,"lp_warm_hits":0},)"
+      R"("local":{"sum_before_ps":416.8281917132466,)"
+      R"("sum_after_ps":222.01496733025803,"improved":true,)"
+      R"("moves_committed":2,"golden_evaluations":15}}})",
+      R"({"ok":true,"id":2,"cancelled":false,"state":"DONE"})",
+      R"({"ok":false,"error":"serve: unknown job id 99"})",
+      R"({"ok":false,"error":"unknown cmd 'nonsense'"})",
+      R"({"ok":false,"error":"json: bad literal at offset 0"})",
+  };
+  ASSERT_EQ(requests.size(), expected.size());
+  // Timing fields (queue_ms/run_ms, stage_ms) differ run to run; compare
+  // the parsed structure with those removed, serialized back to bytes.
+  const auto scrub = [](const std::string& line) {
+    const json::Value v = json::parse(line);
+    json::Value out = json::Value::object();
+    for (const auto& [key, value] : v.members()) {
+      if (key == "queue_ms" || key == "run_ms") continue;
+      if (key == "result") {
+        json::Value r = json::Value::object();
+        for (const auto& [rk, rv] : value.members())
+          if (rk != "stage_ms") r.set(rk, rv);
+        out.set(key, std::move(r));
+        continue;
       }
-      return json::dump(out);
-    };
-    EXPECT_EQ(scrub(serve_reply), scrub(cluster_reply)) << req;
-  }
+      out.set(key, value);
+    }
+    return json::dump(out);
+  };
+  for (std::size_t i = 0; i < requests.size(); ++i)
+    EXPECT_EQ(scrub(call(fe, requests[i])), expected[i]) << requests[i];
   fe.drain();
-  sched.drain();
+}
+
+TEST(ClusterProtocol, IdsMustBeExactNonNegativeIntegers) {
+  // Every id field goes through one parser: a fraction must not truncate
+  // onto a real job (1.9 -> job 1), and a number past 2^53 must not reach
+  // the double->uint64 cast (undefined beyond the uint64 range).
+  ClusterFrontend fe(sharedTech(), sharedLut(), smallCluster(1, 1),
+                     [](const serve::JobSpec&) { return core::FlowResult{}; });
+  const ClusterFrontend::Submitted job = fe.submit(tinySpec(1));
+  ASSERT_EQ(job.id, 1u);
+  ASSERT_EQ(fe.waitTerminal(1).state, serve::JobState::kDone);
+
+  for (const char* line : {
+           R"({"cmd":"STATUS","id":1.9})",
+           R"({"cmd":"CANCEL","id":1.5})",
+           R"({"cmd":"RESULT","id":1.2})",
+           R"({"cmd":"TRACE","id":1.1})",
+           R"({"cmd":"DELTA","base":1.5,"edits":{"u_sweep":[0.1]}})",
+           R"({"cmd":"RESULTS","ids":[1.7]})",
+           R"({"cmd":"DRAIN","shard":0.5})",
+           R"({"cmd":"STATUS","id":-1})",
+           R"({"cmd":"STATUS","id":9007199254740994})",
+           R"({"cmd":"STATUS","id":18446744073709551617})",
+           R"({"cmd":"STATUS","id":1e300})",
+       }) {
+    Emitted out;
+    EXPECT_TRUE(handleClusterLine(fe, line, out.sink()));
+    ASSERT_EQ(out.lines.size(), 1u) << line;  // a lone error, no stream
+    const json::Value reply = out.at(0);
+    EXPECT_FALSE(reply.boolean("ok", true)) << line << " -> " << out.lines[0];
+    EXPECT_FALSE(reply.str("error", "").empty()) << line;
+  }
+
+  // Nothing above touched job 1 or drained shard 0; integral ids (1.0
+  // included — JSON has one number type) still resolve.
+  const json::Value st = json::parse(call(fe, R"({"cmd":"STATUS","id":1.0})"));
+  EXPECT_TRUE(st.boolean("ok", false));
+  EXPECT_EQ(st.str("state", ""), "DONE");
+  EXPECT_NE(fe.submit(tinySpec(2)).job, nullptr);
+  const json::Value stats = json::parse(call(fe, R"({"cmd":"STATS"})"));
+  EXPECT_EQ(stats.num("cancelled", -1), 0.0);
+  fe.drain();
 }
 
 TEST(ClusterProtocol, StatsAggregatesShards) {
@@ -704,6 +785,384 @@ TEST(ClusterObs, FlightRecordsAreIdenticalAcrossShardCounts) {
   ASSERT_FALSE(sharded.empty());
   EXPECT_EQ(sharded, solo);  // shard placement never leaks into the record
   (void)json::parse(sharded);  // strict JSON
+}
+
+// ---------------------------------------------------------------------------
+// Wire protocol: one-shard sessions, verb by verb
+
+TEST(ProtocolTest, SubmitStatusResultCancelStatsSession) {
+  ClusterFrontend fe(sharedTech(), sharedLut(), smallCluster(1, 1));
+
+  // Direct result for the same spec, for the bit-identity check below.
+  const serve::JobSpec spec = tinySpec(5);
+  network::Design d = serve::buildDesign(sharedTech(), spec.source);
+  const core::Flow flow(sharedTech(), sharedLut(), spec.options);
+  const core::FlowResult direct = flow.run(d, spec.mode, nullptr);
+
+  json::Value submit = json::Value::object();
+  submit.set("cmd", "SUBMIT");
+  submit.set("spec", serve::specToJson(spec));
+  const json::Value sr = json::parse(call(fe, json::dump(submit)));
+  ASSERT_TRUE(sr.boolean("ok", false)) << call(fe, json::dump(submit));
+  const std::uint64_t id = static_cast<std::uint64_t>(sr.num("id", 0));
+  EXPECT_EQ(sr.str("state", ""), "QUEUED");
+  EXPECT_EQ(sr.find("hash")->asString().size(), 16u);
+
+  const json::Value rr = json::parse(
+      call(fe, R"({"cmd":"RESULT","id":)" + std::to_string(id) + "}"));
+  ASSERT_TRUE(rr.boolean("ok", false));
+  EXPECT_EQ(rr.str("state", ""), "DONE");
+  const json::Value* result = rr.find("result");
+  ASSERT_NE(result, nullptr);
+  // The wire serializes doubles at %.17g: the parsed value equals the
+  // direct run's bit for bit.
+  EXPECT_EQ(result->find("after")->num("sum_variation_ps", -1),
+            direct.after.sum_variation_ps);
+  EXPECT_EQ(result->find("before")->num("sum_variation_ps", -1),
+            direct.before.sum_variation_ps);
+
+  const json::Value st = json::parse(
+      call(fe, R"({"cmd":"STATUS","id":)" + std::to_string(id) + "}"));
+  EXPECT_TRUE(st.boolean("ok", false));
+  EXPECT_EQ(st.str("state", ""), "DONE");
+
+  const json::Value stats = json::parse(call(fe, R"({"cmd":"STATS"})"));
+  EXPECT_TRUE(stats.boolean("ok", false));
+  EXPECT_EQ(stats.num("done", 0), 1.0);
+
+  // Error paths: malformed JSON, unknown cmd, unknown id, bad spec key.
+  EXPECT_FALSE(json::parse(call(fe, "not json")).boolean("ok", true));
+  EXPECT_FALSE(
+      json::parse(call(fe, R"({"cmd":"NOPE"})")).boolean("ok", true));
+  EXPECT_FALSE(json::parse(call(fe, R"({"cmd":"STATUS","id":424242})"))
+                   .boolean("ok", true));
+  EXPECT_FALSE(json::parse(call(
+                   fe, R"({"cmd":"SUBMIT","spec":{"mode":"local","oops":1}})"))
+                   .boolean("ok", true));
+}
+
+TEST(ProtocolTest, DeltaVerbResubmitsTheEditedSpec) {
+  ClusterFrontend fe(sharedTech(), sharedLut(), smallCluster(1, 1));
+
+  const serve::JobSpec base = tinySpec(41);
+  json::Value submit = json::Value::object();
+  submit.set("cmd", "SUBMIT");
+  submit.set("spec", serve::specToJson(base));
+  const json::Value sr = json::parse(call(fe, json::dump(submit)));
+  ASSERT_TRUE(sr.boolean("ok", false));
+  const std::uint64_t base_id = static_cast<std::uint64_t>(sr.num("id", 0));
+  ASSERT_TRUE(json::parse(call(fe, R"({"cmd":"RESULT","id":)" +
+                                   std::to_string(base_id) + "}"))
+                  .boolean("ok", false));
+
+  // Two real sinks of the base design; sent out of order on purpose — the
+  // wire layer normalizes, SKW306 sees a sorted list.
+  const network::Design d0 = serve::buildDesign(sharedTech(), base.source);
+  const int s0 = d0.tree.sinks()[0];
+  const int s1 = d0.tree.sinks()[1];
+  const int lo = std::min(s0, s1), hi = std::max(s0, s1);
+  const geom::Point p_lo = d0.tree.node(lo).pos;
+  const geom::Point p_hi = d0.tree.node(hi).pos;
+  std::ostringstream delta;
+  delta << R"({"cmd":"DELTA","base":)" << base_id
+        << R"(,"edits":{"corner_dmax_derate":[1.02],"moved_sinks":[)"
+        << R"({"sink":)" << hi << R"(,"x":)" << p_hi.x + 1.0 << R"(,"y":)"
+        << p_hi.y << "},"
+        << R"({"sink":)" << lo << R"(,"x":)" << p_lo.x << R"(,"y":)"
+        << p_lo.y + 1.0 << "}]}}";
+  const json::Value dr = json::parse(call(fe, delta.str()));
+  ASSERT_TRUE(dr.boolean("ok", false)) << call(fe, delta.str());
+  EXPECT_EQ(dr.num("base", 0), static_cast<double>(base_id));
+  const std::uint64_t delta_id = static_cast<std::uint64_t>(dr.num("id", 0));
+  EXPECT_NE(delta_id, base_id);
+
+  const json::Value rr = json::parse(call(
+      fe, R"({"cmd":"RESULT","id":)" + std::to_string(delta_id) + "}"));
+  ASSERT_TRUE(rr.boolean("ok", false)) << json::dump(rr);
+  EXPECT_EQ(rr.str("state", ""), "DONE");
+
+  // The stored spec is the merged, normalized edit of the base.
+  const serve::JobSpec merged = fe.jobSpec(delta_id);
+  ASSERT_EQ(merged.source.moved_sinks.size(), 2u);
+  EXPECT_EQ(merged.source.moved_sinks[0].sink, lo);
+  EXPECT_EQ(merged.source.moved_sinks[1].sink, hi);
+  EXPECT_EQ(merged.options.global.corner_dmax_derate,
+            (std::vector<double>{1.02}));
+
+  // STATS carries the warm-state gauges.
+  const json::Value st = json::parse(call(fe, R"({"cmd":"STATS"})"));
+  ASSERT_TRUE(st.boolean("ok", false));
+  const json::Value* gauges = st.find("gauges");
+  ASSERT_NE(gauges, nullptr);
+  for (const char* key :
+       {"warmstate_entries", "warmstate_hits", "warmstate_misses",
+        "warmstate_evictions", "cache_evictions"}) {
+    ASSERT_NE(gauges->find(key), nullptr) << key;
+    EXPECT_GE(gauges->num(key, -1), 0.0) << key;
+  }
+
+  // Error paths: unknown base, unknown edit key, missing edits.
+  EXPECT_FALSE(
+      json::parse(call(fe, R"({"cmd":"DELTA","base":424242,"edits":{}})"))
+          .boolean("ok", true));
+  EXPECT_FALSE(json::parse(call(fe, R"({"cmd":"DELTA","base":)" +
+                                    std::to_string(base_id) +
+                                    R"(,"edits":{"bogus":1}})"))
+                   .boolean("ok", true));
+  EXPECT_FALSE(
+      json::parse(call(fe, R"({"cmd":"DELTA","base":)" +
+                           std::to_string(base_id) + "}"))
+          .boolean("ok", true));
+  fe.drain();
+}
+
+TEST(ProtocolTest, CancelOverTheWire) {
+  std::promise<void> gate;
+  const std::shared_future<void> opened = gate.get_future().share();
+  ClusterFrontend fe(sharedTech(), sharedLut(), smallCluster(1, 1),
+                     [opened](const serve::JobSpec&) {
+                       opened.wait();
+                       return core::FlowResult{};
+                     });
+  ASSERT_NE(fe.submit(tinySpec(1)).job, nullptr);  // occupies the worker
+  const ClusterFrontend::Submitted victim = fe.submit(tinySpec(2));
+  ASSERT_NE(victim.job, nullptr);
+  const json::Value cr = json::parse(call(
+      fe, R"({"cmd":"CANCEL","id":)" + std::to_string(victim.id) + "}"));
+  EXPECT_TRUE(cr.boolean("ok", false));
+  EXPECT_TRUE(cr.boolean("cancelled", false));
+  EXPECT_EQ(cr.str("state", ""), "CANCELLED");
+  const json::Value rr = json::parse(call(
+      fe, R"({"cmd":"RESULT","id":)" + std::to_string(victim.id) + "}"));
+  EXPECT_FALSE(rr.boolean("ok", true));
+  EXPECT_EQ(rr.str("state", ""), "CANCELLED");
+  gate.set_value();
+  fe.drain();
+}
+
+TEST(TcpTest, SubmitAndFetchOverARealSocket) {
+  ClusterFrontend fe(sharedTech(), sharedLut(), smallCluster(1, 1));
+  serve::TcpServer server(clusterLineHandler(fe));  // ephemeral port
+  ASSERT_GT(server.port(), 0);
+
+  const serve::JobSpec spec = tinySpec(6);
+  network::Design d = serve::buildDesign(sharedTech(), spec.source);
+  const core::Flow flow(sharedTech(), sharedLut(), spec.options);
+  const core::FlowResult direct = flow.run(d, spec.mode, nullptr);
+
+  serve::TcpClient client("127.0.0.1", server.port());
+  json::Value submit = json::Value::object();
+  submit.set("cmd", "SUBMIT");
+  submit.set("spec", serve::specToJson(spec));
+  const json::Value sr = client.call(submit);
+  ASSERT_TRUE(sr.boolean("ok", false));
+  const std::uint64_t id = static_cast<std::uint64_t>(sr.num("id", 0));
+
+  json::Value fetch = json::Value::object();
+  fetch.set("cmd", "RESULT");
+  fetch.set("id", id);
+  const json::Value rr = client.call(fetch);
+  ASSERT_TRUE(rr.boolean("ok", false));
+  EXPECT_EQ(rr.find("result")->find("after")->num("sum_variation_ps", -1),
+            direct.after.sum_variation_ps);
+
+  json::Value stats = json::Value::object();
+  stats.set("cmd", "STATS");
+  EXPECT_EQ(client.call(stats).num("done", 0), 1.0);
+  server.stop();
+  fe.drain();
+}
+
+TEST(ObsProtocolTest, MetricsVerbReturnsPrometheusTextAndStatsGrowGauges) {
+  ClusterFrontend fe(sharedTech(), sharedLut(), smallCluster(1, 1));
+
+  json::Value submit = json::Value::object();
+  submit.set("cmd", "SUBMIT");
+  submit.set("spec", serve::specToJson(tinySpec(32)));
+  const json::Value sr = json::parse(call(fe, json::dump(submit)));
+  ASSERT_TRUE(sr.boolean("ok", false));
+  const std::uint64_t id = static_cast<std::uint64_t>(sr.num("id", 0));
+  const json::Value rr = json::parse(
+      call(fe, R"({"cmd":"RESULT","id":)" + std::to_string(id) + "}"));
+  ASSERT_TRUE(rr.boolean("ok", false));
+
+  // RESULT carries the flow's stage timings.
+  const json::Value* stage = rr.find("result")->find("stage_ms");
+  ASSERT_NE(stage, nullptr);
+  EXPECT_GE(stage->num("total_ms", -1), 0.0);
+  EXPECT_GE(stage->num("local_ms", -1), 0.0);
+
+  const json::Value mr = json::parse(call(fe, R"({"cmd":"METRICS"})"));
+  ASSERT_TRUE(mr.boolean("ok", false));
+  const std::string text = mr.str("metrics", "");
+  ASSERT_FALSE(text.empty());
+  EXPECT_EQ(text.back(), '\n');
+  EXPECT_NE(text.find("# TYPE skewopt_serve_jobs_submitted_total counter"),
+            std::string::npos);
+  EXPECT_NE(text.find("# TYPE skewopt_serve_job_run_ms histogram"),
+            std::string::npos);
+  EXPECT_NE(text.find("skewopt_serve_job_run_ms_bucket{le=\"+Inf\"}"),
+            std::string::npos);
+  // Unknown request keys are rejected on the new verb too.
+  EXPECT_FALSE(json::parse(call(fe, R"({"cmd":"METRICS","bogus":1})"))
+                   .boolean("ok", true));
+
+  // STATS: the "gauges" object carries the authoritative obs values
+  // (process-global, so only sanity bounds are asserted here); the flat
+  // cache_* fields it superseded are gone.
+  const json::Value st = json::parse(call(fe, R"({"cmd":"STATS"})"));
+  ASSERT_TRUE(st.boolean("ok", false));
+  EXPECT_GE(st.num("done", -1), 1.0);
+  for (const char* key : {"cache_hits", "cache_misses", "cache_entries"})
+    EXPECT_EQ(st.find(key), nullptr) << key;
+  const json::Value* gauges = st.find("gauges");
+  ASSERT_NE(gauges, nullptr);
+  for (const char* key : {"queue_depth", "jobs_running", "cache_entries",
+                          "cache_hits", "cache_misses", "retries"}) {
+    ASSERT_NE(gauges->find(key), nullptr) << key;
+    EXPECT_GE(gauges->num(key, -1), 0.0) << key;
+  }
+  fe.drain();
+}
+
+TEST(ObsProtocolTest, TraceVerbExportsTheJobsFullSpanTree) {
+  ClusterFrontend fe(sharedTech(), sharedLut(), smallCluster(1));
+
+  serve::JobSpec spec = tinySpec(35);
+  spec.trace_id = obs::traceIdFor(serve::contentHash(spec), 42);
+  const std::string hex = obs::traceIdHex(spec.trace_id);
+
+  json::Value submit = json::Value::object();
+  submit.set("cmd", "SUBMIT");
+  submit.set("spec", serve::specToJson(spec));
+  const json::Value sr = json::parse(call(fe, json::dump(submit)));
+  ASSERT_TRUE(sr.boolean("ok", false)) << json::dump(sr);
+  EXPECT_EQ(sr.str("trace_id", ""), hex);  // echoed back
+  const std::uint64_t id = static_cast<std::uint64_t>(sr.num("id", 0));
+  ASSERT_TRUE(json::parse(call(fe, R"({"cmd":"RESULT","id":)" +
+                                   std::to_string(id) +
+                                   R"(,"wait":true})"))
+                  .boolean("ok", false));
+  // No drain: the scheduler guarantees every span of the job is in the
+  // ring before the terminal notify, so TRACE right after a blocking
+  // RESULT must already see the full tree.
+  const json::Value tr = json::parse(
+      call(fe, R"({"cmd":"TRACE","id":)" + std::to_string(id) + "}"));
+  ASSERT_TRUE(tr.boolean("ok", false)) << json::dump(tr);
+  EXPECT_EQ(tr.str("trace_id", ""), hex);
+  const json::Value* trace = tr.find("trace");
+  ASSERT_NE(trace, nullptr);
+  EXPECT_EQ(trace->str("displayTimeUnit", ""), "ms");
+  const json::Value* events = trace->find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_GT(events->size(), 0u);
+  bool saw_queue = false, saw_job = false, saw_flow = false, saw_local = false;
+  for (std::size_t i = 0; i < events->size(); ++i) {
+    const json::Value& e = events->at(i);
+    // Every span in the filtered export carries the submitted id.
+    EXPECT_EQ(e.find("args")->str("trace_id", ""), hex) << json::dump(e);
+    const std::string name = e.str("name", "");
+    if (name == "serve.queue") saw_queue = true;
+    if (name == "serve.job") saw_job = true;
+    if (name == "flow.run") saw_flow = true;
+    if (name == "local.run") saw_local = true;
+  }
+  // The full queue → job → flow → optimizer tree, in one export.
+  EXPECT_TRUE(saw_queue);
+  EXPECT_TRUE(saw_job);
+  EXPECT_TRUE(saw_flow);
+  EXPECT_TRUE(saw_local);
+
+  // Unknown id and unknown request keys reject.
+  EXPECT_FALSE(json::parse(call(fe, R"({"cmd":"TRACE","id":424242})"))
+                   .boolean("ok", true));
+  EXPECT_FALSE(json::parse(call(fe, R"({"cmd":"TRACE","id":)" +
+                                    std::to_string(id) + R"(,"bogus":1})"))
+                   .boolean("ok", true));
+}
+
+TEST(ObsProtocolTest, ResultCarriesTheFlightRecordOnlyWhenRequested) {
+  ClusterFrontend fe(sharedTech(), sharedLut(), smallCluster(1, 1));
+
+  serve::JobSpec spec = tinySpec(37);
+  spec.options.record = true;
+  json::Value submit = json::Value::object();
+  submit.set("cmd", "SUBMIT");
+  submit.set("spec", serve::specToJson(spec));
+  const json::Value sr = json::parse(call(fe, json::dump(submit)));
+  ASSERT_TRUE(sr.boolean("ok", false));
+  EXPECT_EQ(sr.find("trace_id"), nullptr);  // no client id: not echoed
+  const std::uint64_t id = static_cast<std::uint64_t>(sr.num("id", 0));
+  const json::Value rr = json::parse(call(
+      fe, R"({"cmd":"RESULT","id":)" + std::to_string(id) +
+              R"(,"wait":true})"));
+  ASSERT_TRUE(rr.boolean("ok", false));
+  const json::Value* record = rr.find("result")->find("record");
+  ASSERT_NE(record, nullptr);
+  EXPECT_NE(record->find("local"), nullptr);
+
+  // The same spec without record (a cache hit — record stays out of the
+  // key): the reply omits the member, so recorder-off responses are
+  // byte-compatible with the pre-recorder protocol.
+  json::Value submit2 = json::Value::object();
+  submit2.set("cmd", "SUBMIT");
+  submit2.set("spec", serve::specToJson(tinySpec(37)));
+  const json::Value sr2 = json::parse(call(fe, json::dump(submit2)));
+  ASSERT_TRUE(sr2.boolean("ok", false));
+  const std::uint64_t id2 = static_cast<std::uint64_t>(sr2.num("id", 0));
+  const json::Value rr2 = json::parse(call(
+      fe, R"({"cmd":"RESULT","id":)" + std::to_string(id2) +
+              R"(,"wait":true})"));
+  ASSERT_TRUE(rr2.boolean("ok", false));
+  EXPECT_TRUE(json::parse(call(fe, R"({"cmd":"STATUS","id":)" +
+                                   std::to_string(id2) + "}"))
+                  .boolean("cached", false));
+  EXPECT_EQ(rr2.find("result")->find("record"), nullptr);
+  fe.drain();
+}
+
+TEST(ObsProtocolTest, DeltaVerbAcceptsAndEchoesATraceId) {
+  ClusterFrontend fe(sharedTech(), sharedLut(), smallCluster(1, 1));
+
+  json::Value submit = json::Value::object();
+  submit.set("cmd", "SUBMIT");
+  submit.set("spec", serve::specToJson(tinySpec(38)));
+  const json::Value sr = json::parse(call(fe, json::dump(submit)));
+  ASSERT_TRUE(sr.boolean("ok", false));
+  const std::uint64_t base_id = static_cast<std::uint64_t>(sr.num("id", 0));
+  ASSERT_TRUE(json::parse(call(fe, R"({"cmd":"RESULT","id":)" +
+                                   std::to_string(base_id) +
+                                   R"(,"wait":true})"))
+                  .boolean("ok", false));
+
+  const std::string hex = obs::traceIdHex(obs::traceIdFor(99, 99));
+  const json::Value dr = json::parse(call(
+      fe, R"({"cmd":"DELTA","base":)" + std::to_string(base_id) +
+              R"(,"edits":{"u_sweep":[0.1]},"trace_id":")" + hex +
+              R"(","block":true})"));
+  ASSERT_TRUE(dr.boolean("ok", false)) << json::dump(dr);
+  EXPECT_EQ(dr.str("trace_id", ""), hex);  // echoed
+  const std::uint64_t delta_id = static_cast<std::uint64_t>(dr.num("id", 0));
+  EXPECT_EQ(fe.traceId(delta_id), obs::traceIdFor(99, 99));
+  EXPECT_EQ(fe.jobSpec(delta_id).trace_id, obs::traceIdFor(99, 99));
+
+  // A DELTA without trace_id inherits nothing to echo; the base job's
+  // derived fallback id exists (scheduler-side) but stays off the wire.
+  const json::Value dr2 = json::parse(call(
+      fe, R"({"cmd":"DELTA","base":)" + std::to_string(base_id) +
+              R"(,"edits":{"u_sweep":[0.2]},"block":true})"));
+  ASSERT_TRUE(dr2.boolean("ok", false));
+  EXPECT_EQ(dr2.find("trace_id"), nullptr);
+  EXPECT_NE(fe.traceId(base_id), 0u);  // every job has an effective id
+  EXPECT_THROW(fe.traceId(424242), std::out_of_range);
+
+  // Malformed trace_id on the wire rejects the request.
+  EXPECT_FALSE(json::parse(call(fe, R"({"cmd":"DELTA","base":)" +
+                                    std::to_string(base_id) +
+                                    R"(,"edits":{"u_sweep":[0.3]},)"
+                                    R"("trace_id":"nope"})"))
+                   .boolean("ok", true));
+  fe.drain();
 }
 
 // ---------------------------------------------------------------------------

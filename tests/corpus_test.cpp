@@ -1,7 +1,7 @@
 // Malformed-input corpus: hostile, truncated, and oversized request lines
-// driven through the serve protocol (serve::handleLine) and the cluster
-// protocol dispatch (cluster::handleClusterLine). Every reply must be a
-// clean one-line JSON error — parseable, ok:false, no crash. The same
+// driven through the protocol's one dispatcher (cluster::handleClusterLine).
+// Every reply must be a clean one-line JSON error — parseable, ok:false, no
+// crash. The same
 // binary runs in the ASan/UBSan tier-1 variants, where a stack overflow
 // from hostile nesting or an out-of-bounds parse would be fatal.
 #include <fstream>
@@ -14,7 +14,6 @@
 #include "cluster/frontend.h"
 #include "cluster/protocol.h"
 #include "serve/json.h"
-#include "serve/scheduler.h"
 #include "serve/server.h"
 
 namespace skewopt::serve {
@@ -30,23 +29,6 @@ const tech::TechModel& sharedTech() {
 const eco::StageDelayLut& sharedLut() {
   static eco::StageDelayLut lut(sharedTech());
   return lut;
-}
-
-/// Dispatch-hermetic scheduler: nothing in the corpus may reach the
-/// runner (every line must fail at parse or validation), and if one ever
-/// does, the stub keeps the test fast instead of running a real flow.
-Scheduler& sharedScheduler() {
-  static SchedulerOptions opts = [] {
-    SchedulerOptions o;
-    o.workers = 1;
-    o.queue_capacity = 8;
-    o.cache_capacity = 8;
-    o.warm_capacity = 4;
-    return o;
-  }();
-  static Scheduler sched(sharedTech(), sharedLut(), opts,
-                         [](const JobSpec&) { return core::FlowResult{}; });
-  return sched;
 }
 
 std::vector<std::string> corpusLines(const std::string& name) {
@@ -105,18 +87,6 @@ void expectCleanError(const std::string& reply, const std::string& input) {
   EXPECT_FALSE(v.str("error", "").empty()) << "no error text for: " << label;
 }
 
-TEST(MalformedCorpus, ServeProtocolRepliesCleanErrors) {
-  Scheduler& sched = sharedScheduler();
-  for (const std::string& line : corpusLines("malformed_requests.txt"))
-    expectCleanError(handleLine(sched, line), line);
-}
-
-TEST(MalformedCorpus, ServeProtocolSurvivesGeneratedHostiles) {
-  Scheduler& sched = sharedScheduler();
-  for (const std::string& line : generatedHostiles())
-    expectCleanError(handleLine(sched, line), line);
-}
-
 TEST(MalformedCorpus, ClusterProtocolRepliesCleanErrors) {
   cluster::ClusterOptions copts;
   copts.shards = 2;
@@ -124,6 +94,9 @@ TEST(MalformedCorpus, ClusterProtocolRepliesCleanErrors) {
   copts.shard.queue_capacity = 8;
   copts.shard.cache_capacity = 8;
   copts.shard.warm_capacity = 4;
+  // Dispatch-hermetic: nothing in the corpus may reach the runner (every
+  // line must fail at parse or validation), and if one ever does, the stub
+  // keeps the test fast instead of running a real flow.
   cluster::ClusterFrontend fe(
       sharedTech(), sharedLut(), copts,
       [](const JobSpec&) { return core::FlowResult{}; });

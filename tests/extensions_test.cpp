@@ -1,10 +1,9 @@
 // Tests for the extensions beyond the paper's core flow: the continuous
 // buffer-placement explorer (the paper's future-work item (ii)) and the
-// memoizing timer.
+// incremental timer.
 #include <gtest/gtest.h>
 
 #include "core/placement_explorer.h"
-#include "sta/cached_timer.h"
 #include "sta/incremental.h"
 #include "eco/eco.h"
 #include "testgen/testgen.h"
@@ -93,54 +92,6 @@ TEST(PlacementExplorer, StaysInsideFloorplan) {
   const int b = d.tree.buffers().front();
   const core::PlacementChoice c = explorer.explore(b, eo);
   EXPECT_TRUE(d.floorplan.contains(c.position));
-}
-
-TEST(CachedTimer, HitsOnRepeatAndInvalidatesOnEdit) {
-  network::Design d = makeDesign(4);
-  sta::CachedTimer timer(sharedTech());
-
-  const sta::CornerTiming& a = timer.analyze(d.tree, d.routing, 0);
-  const double lat = a.arrival.back();
-  timer.analyze(d.tree, d.routing, 0);
-  timer.analyze(d.tree, d.routing, 0);
-  EXPECT_EQ(timer.hits(), 2u);
-  EXPECT_EQ(timer.misses(), 1u);
-
-  // Different corner: miss.
-  timer.analyze(d.tree, d.routing, 1);
-  EXPECT_EQ(timer.misses(), 2u);
-
-  // Edit invalidates (new stamp): result must track the change.
-  const int buf = d.tree.buffers().front();
-  const geom::Point p = d.tree.node(buf).pos;
-  d.tree.moveNode(buf, {p.x + 40.0, p.y});
-  d.routing.rebuildAround(d.tree, buf);
-  const sta::CornerTiming& b = timer.analyze(d.tree, d.routing, 0);
-  EXPECT_EQ(timer.misses(), 3u);
-  EXPECT_NE(b.arrival.back(), lat);
-
-  // Fresh timer agrees with cached result after the edit.
-  const sta::Timer plain(sharedTech());
-  const sta::CornerTiming t = plain.analyze(d.tree, d.routing, 0);
-  for (std::size_t i = 0; i < t.arrival.size(); ++i)
-    EXPECT_DOUBLE_EQ(t.arrival[i], b.arrival[i]);
-}
-
-TEST(CachedTimer, RoutingOnlyEditInvalidates) {
-  network::Design d = makeDesign(5);
-  sta::CachedTimer timer(sharedTech());
-  const double before =
-      timer.analyze(d.tree, d.routing, 0).arrival.back();
-  // Snaking changes timing without touching the tree.
-  const int drv = d.tree.buffers().front();
-  if (!d.tree.node(drv).children.empty()) {
-    d.routing.addExtra(drv, 0, 200.0);
-    const double after =
-        timer.analyze(d.tree, d.routing, 0).arrival.back();
-    EXPECT_EQ(timer.misses(), 2u);
-    (void)before;
-    (void)after;
-  }
 }
 
 TEST(IncrementalTimer, BitIdenticalToFullAnalysisAcrossMoves) {

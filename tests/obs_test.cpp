@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "cluster/frontend.h"
+#include "cluster/protocol.h"
 #include "core/local_opt.h"
 #include "core/objective.h"
 #include "obs/clock.h"
@@ -587,7 +588,7 @@ TEST(TraceTest, RingCapacityIsConfigurableAndDropsAreCounted) {
 }
 
 // ---------------------------------------------------------------------------
-// Request counter (shared by the serve and cluster dispatchers)
+// Request counter (bumped once per request by the protocol dispatcher)
 
 TEST(MetricsTest, RequestCounterNameIsPinnedAndClampsUnknownVerbs) {
   // Dashboards key on skewopt_serve_requests_total{verb=,ok=}; the verb
@@ -601,21 +602,34 @@ TEST(MetricsTest, RequestCounterNameIsPinnedAndClampsUnknownVerbs) {
                                     {{"verb", "SUBMIT"}, {"ok", "false"}});
   Counter& trace_ok = reg.counter("skewopt_serve_requests_total",
                                   {{"verb", "TRACE"}, {"ok", "true"}});
-  Counter& unknown_ok = reg.counter("skewopt_serve_requests_total",
-                                    {{"verb", "unknown"}, {"ok", "true"}});
+  Counter& unknown_err = reg.counter("skewopt_serve_requests_total",
+                                     {{"verb", "unknown"}, {"ok", "false"}});
   const auto a0 = submit_ok.value(), b0 = submit_err.value(),
-             t0 = trace_ok.value(), u0 = unknown_ok.value();
+             t0 = trace_ok.value(), u0 = unknown_err.value();
 
-  serve::countRequest("SUBMIT", true);
-  serve::countRequest("SUBMIT", true);
-  serve::countRequest("SUBMIT", false);
-  serve::countRequest("TRACE", true);
-  serve::countRequest("EVIL{injected=\"label\"}", true);  // clamped
+  const tech::TechModel tech = tech::TechModel::make28nm();
+  const eco::StageDelayLut lut(tech);
+  cluster::ClusterFrontend fe(
+      tech, lut, {}, [](const serve::JobSpec&) { return core::FlowResult{}; });
+  const auto send = [&](const std::string& line) {
+    return cluster::handleClusterRequest(fe, serve::json::parse(line));
+  };
+  const std::string submit =
+      R"({"cmd":"SUBMIT","block":true,"spec":{"source":{"kind":"testgen",)"
+      R"("testcase":"CLS1v1","sinks":8,"seed":1}}})";
+  ASSERT_TRUE(send(submit).boolean("ok", false));
+  ASSERT_TRUE(send(submit).boolean("ok", false));
+  EXPECT_FALSE(send(R"({"cmd":"SUBMIT"})").boolean("ok", true));
+  fe.waitTerminal(1);
+  EXPECT_TRUE(send(R"({"cmd":"TRACE","id":1})").boolean("ok", false));
+  EXPECT_FALSE(send(R"({"cmd":"EVIL{injected=\"label\"}"})")  // clamped
+                   .boolean("ok", true));
+  fe.drain();
 
   EXPECT_EQ(submit_ok.value() - a0, 2u);
   EXPECT_EQ(submit_err.value() - b0, 1u);
   EXPECT_EQ(trace_ok.value() - t0, 1u);
-  EXPECT_EQ(unknown_ok.value() - u0, 1u);
+  EXPECT_EQ(unknown_err.value() - u0, 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 // Tests for the serve subsystem: spec hashing, the bounded priority queue,
 // the result cache, the scheduler (concurrent submit / cancel / retry /
-// backpressure / drain / shutdown), the in-process client's bit-identity
-// guarantee against direct core::Flow::run, and the JSON wire protocol
-// (both the socket-free dispatch path and a live TCP round trip).
+// backpressure / drain / shutdown) and its bit-identity guarantee against
+// direct core::Flow::run, the spec/trace-id wire codecs, and the TCP
+// transport's line bound. Protocol dispatch is tested where it lives, in
+// cluster_test.
 //
 // The whole file runs under ThreadSanitizer as serve_test_tsan (see
 // tests/CMakeLists.txt), which is the race coverage the subsystem's
@@ -14,15 +15,11 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdio>
-#include <fstream>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "obs/trace.h"
 #include "serve/client.h"
 #include "serve/json.h"
 #include "serve/queue.h"
@@ -314,23 +311,22 @@ TEST(SchedulerTest, ThirtyTwoConcurrentSubmissionsBitIdenticalToDirectRun) {
   SchedulerOptions opts;
   opts.workers = 3;
   Scheduler sched(sharedTech(), sharedLut(), opts);
-  InProcessClient client(sched);
 
   std::vector<std::shared_ptr<Job>> jobs(kDistinct * kRepeat);
   std::vector<std::thread> submitters;
   for (std::size_t t = 0; t < kSubmitters; ++t)
     submitters.emplace_back([&, t] {
       for (std::size_t j = t; j < jobs.size(); j += kSubmitters)
-        jobs[j] = client.submit(tinySpec(j % kDistinct + 1));
+        jobs[j] = sched.submit(tinySpec(j % kDistinct + 1));
     });
   for (std::thread& t : submitters) t.join();
 
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     ASSERT_NE(jobs[j], nullptr) << "submission " << j << " rejected";
-    const core::FlowResult served = client.result(jobs[j]->id);
+    const core::FlowResult served = sched.result(jobs[j]->id);
     expectIdentical(served, direct[j % kDistinct]);
   }
-  const SchedulerStats s = client.stats();
+  const SchedulerStats s = sched.stats();
   EXPECT_EQ(s.submitted, jobs.size());
   EXPECT_EQ(s.done, jobs.size());
   EXPECT_EQ(s.failed, 0u);
@@ -459,26 +455,25 @@ TEST(SchedulerTest, IdenticalResubmissionIsACacheHit) {
   SchedulerOptions opts;
   opts.workers = 1;
   Scheduler sched(sharedTech(), sharedLut(), opts);
-  InProcessClient client(sched);
 
-  const auto first = client.submit(tinySpec(3, core::FlowMode::kGlobal));
+  const auto first = sched.submit(tinySpec(3, core::FlowMode::kGlobal));
   ASSERT_NE(first, nullptr);
-  const core::FlowResult r1 = client.result(first->id);
-  EXPECT_FALSE(client.status(first->id).cached);
+  const core::FlowResult r1 = sched.result(first->id);
+  EXPECT_FALSE(sched.status(first->id).cached);
 
-  const auto second = client.submit(tinySpec(3, core::FlowMode::kGlobal));
+  const auto second = sched.submit(tinySpec(3, core::FlowMode::kGlobal));
   ASSERT_NE(second, nullptr);
-  const core::FlowResult r2 = client.result(second->id);
-  EXPECT_TRUE(client.status(second->id).cached);
-  EXPECT_EQ(client.status(second->id).attempts, 0);  // flow never re-ran
+  const core::FlowResult r2 = sched.result(second->id);
+  EXPECT_TRUE(sched.status(second->id).cached);
+  EXPECT_EQ(sched.status(second->id).attempts, 0);  // flow never re-ran
   expectIdentical(r1, r2);
 
   // A different spec misses.
-  const auto third = client.submit(tinySpec(4, core::FlowMode::kGlobal));
-  client.result(third->id);
-  EXPECT_FALSE(client.status(third->id).cached);
+  const auto third = sched.submit(tinySpec(4, core::FlowMode::kGlobal));
+  sched.result(third->id);
+  EXPECT_FALSE(sched.status(third->id).cached);
 
-  const SchedulerStats s = client.stats();
+  const SchedulerStats s = sched.stats();
   EXPECT_EQ(s.cache.hits, 1u);
   EXPECT_EQ(s.cache.misses, 2u);
 }
@@ -743,7 +738,7 @@ TEST(DeltaTest, ConcurrentSubmitDeltaAndEvictionIsRaceFree) {
 }
 
 // ---------------------------------------------------------------------------
-// Wire protocol (socket-free dispatch, exactly what the TCP server runs)
+// Wire codecs
 
 TEST(ProtocolTest, JsonRoundTripsAndRejectsMalformedInput) {
   const json::Value v = json::parse(
@@ -804,208 +799,33 @@ TEST(ProtocolTest, SpecJsonRoundTripPreservesTheCanonicalKey) {
   EXPECT_THROW(specFromJson(bad_opt), std::runtime_error);
 }
 
-TEST(ProtocolTest, SubmitStatusResultCancelStatsSession) {
-  SchedulerOptions opts;
-  opts.workers = 1;
-  Scheduler sched(sharedTech(), sharedLut(), opts);
-  InProcessClient client(sched);
-
-  // Direct result for the same spec, for the bit-identity check below.
-  const JobSpec spec = tinySpec(5);
-  network::Design d = buildDesign(sharedTech(), spec.source);
-  const core::Flow flow(sharedTech(), sharedLut(), spec.options);
-  const core::FlowResult direct = flow.run(d, spec.mode, nullptr);
-
-  json::Value submit = json::Value::object();
-  submit.set("cmd", "SUBMIT");
-  submit.set("spec", specToJson(spec));
-  const json::Value sr = json::parse(client.call(json::dump(submit)));
-  ASSERT_TRUE(sr.boolean("ok", false)) << client.call(json::dump(submit));
-  const std::uint64_t id = static_cast<std::uint64_t>(sr.num("id", 0));
-  EXPECT_EQ(sr.str("state", ""), "QUEUED");
-  EXPECT_EQ(sr.find("hash")->asString().size(), 16u);
-
-  const json::Value rr = json::parse(
-      client.call(R"({"cmd":"RESULT","id":)" + std::to_string(id) + "}"));
-  ASSERT_TRUE(rr.boolean("ok", false));
-  EXPECT_EQ(rr.str("state", ""), "DONE");
-  const json::Value* result = rr.find("result");
-  ASSERT_NE(result, nullptr);
-  // The wire serializes doubles at %.17g: the parsed value equals the
-  // direct run's bit for bit.
-  EXPECT_EQ(result->find("after")->num("sum_variation_ps", -1),
-            direct.after.sum_variation_ps);
-  EXPECT_EQ(result->find("before")->num("sum_variation_ps", -1),
-            direct.before.sum_variation_ps);
-
-  const json::Value st = json::parse(
-      client.call(R"({"cmd":"STATUS","id":)" + std::to_string(id) + "}"));
-  EXPECT_TRUE(st.boolean("ok", false));
-  EXPECT_EQ(st.str("state", ""), "DONE");
-
-  const json::Value stats = json::parse(client.call(R"({"cmd":"STATS"})"));
-  EXPECT_TRUE(stats.boolean("ok", false));
-  EXPECT_EQ(stats.num("done", 0), 1.0);
-
-  // Error paths: malformed JSON, unknown cmd, unknown id, bad spec key.
-  EXPECT_FALSE(json::parse(client.call("not json")).boolean("ok", true));
-  EXPECT_FALSE(
-      json::parse(client.call(R"({"cmd":"NOPE"})")).boolean("ok", true));
-  EXPECT_FALSE(json::parse(client.call(R"({"cmd":"STATUS","id":424242})"))
-                   .boolean("ok", true));
-  EXPECT_FALSE(json::parse(client.call(
-                   R"({"cmd":"SUBMIT","spec":{"mode":"local","oops":1}})"))
-                   .boolean("ok", true));
-}
-
-TEST(ProtocolTest, DeltaVerbResubmitsTheEditedSpec) {
-  SchedulerOptions opts;
-  opts.workers = 1;
-  Scheduler sched(sharedTech(), sharedLut(), opts);
-  InProcessClient client(sched);
-
-  const JobSpec base = tinySpec(41);
-  json::Value submit = json::Value::object();
-  submit.set("cmd", "SUBMIT");
-  submit.set("spec", specToJson(base));
-  const json::Value sr = json::parse(client.call(json::dump(submit)));
-  ASSERT_TRUE(sr.boolean("ok", false));
-  const std::uint64_t base_id = static_cast<std::uint64_t>(sr.num("id", 0));
-  ASSERT_TRUE(json::parse(client.call(R"({"cmd":"RESULT","id":)" +
-                                      std::to_string(base_id) + "}"))
-                  .boolean("ok", false));
-
-  // Two real sinks of the base design; sent out of order on purpose — the
-  // wire layer normalizes, SKW306 sees a sorted list.
-  const network::Design d0 = buildDesign(sharedTech(), base.source);
-  const int s0 = d0.tree.sinks()[0];
-  const int s1 = d0.tree.sinks()[1];
-  const int lo = std::min(s0, s1), hi = std::max(s0, s1);
-  const geom::Point p_lo = d0.tree.node(lo).pos;
-  const geom::Point p_hi = d0.tree.node(hi).pos;
-  std::ostringstream delta;
-  delta << R"({"cmd":"DELTA","base":)" << base_id
-        << R"(,"edits":{"corner_dmax_derate":[1.02],"moved_sinks":[)"
-        << R"({"sink":)" << hi << R"(,"x":)" << p_hi.x + 1.0 << R"(,"y":)"
-        << p_hi.y << "},"
-        << R"({"sink":)" << lo << R"(,"x":)" << p_lo.x << R"(,"y":)"
-        << p_lo.y + 1.0 << "}]}}";
-  const json::Value dr = json::parse(client.call(delta.str()));
-  ASSERT_TRUE(dr.boolean("ok", false)) << client.call(delta.str());
-  EXPECT_EQ(dr.num("base", 0), static_cast<double>(base_id));
-  const std::uint64_t delta_id = static_cast<std::uint64_t>(dr.num("id", 0));
-  EXPECT_NE(delta_id, base_id);
-
-  const json::Value rr = json::parse(client.call(
-      R"({"cmd":"RESULT","id":)" + std::to_string(delta_id) + "}"));
-  ASSERT_TRUE(rr.boolean("ok", false)) << json::dump(rr);
-  EXPECT_EQ(rr.str("state", ""), "DONE");
-
-  // The stored spec is the merged, normalized edit of the base.
-  const JobSpec merged = sched.jobSpec(delta_id);
-  ASSERT_EQ(merged.source.moved_sinks.size(), 2u);
-  EXPECT_EQ(merged.source.moved_sinks[0].sink, lo);
-  EXPECT_EQ(merged.source.moved_sinks[1].sink, hi);
-  EXPECT_EQ(merged.options.global.corner_dmax_derate,
-            (std::vector<double>{1.02}));
-
-  // STATS carries the warm-state gauges.
-  const json::Value st = json::parse(client.call(R"({"cmd":"STATS"})"));
-  ASSERT_TRUE(st.boolean("ok", false));
-  const json::Value* gauges = st.find("gauges");
-  ASSERT_NE(gauges, nullptr);
-  for (const char* key :
-       {"warmstate_entries", "warmstate_hits", "warmstate_misses",
-        "warmstate_evictions", "cache_evictions"}) {
-    ASSERT_NE(gauges->find(key), nullptr) << key;
-    EXPECT_GE(gauges->num(key, -1), 0.0) << key;
+TEST(ProtocolTest, TraceSpecFieldIsRejectedInFavourOfTheTraceVerb) {
+  // A spec may not name a server-side output path; the rejection points
+  // the client at the TRACE verb instead.
+  json::Value v = specToJson(tinySpec(31));
+  v.set("trace", "/tmp/job_trace.json");
+  try {
+    specFromJson(v);
+    FAIL() << "a spec with a 'trace' key must be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("TRACE verb"), std::string::npos)
+        << e.what();
   }
-
-  // Error paths: unknown base, unknown edit key, missing edits.
-  EXPECT_FALSE(json::parse(client.call(
-                   R"({"cmd":"DELTA","base":424242,"edits":{}})"))
-                   .boolean("ok", true));
-  EXPECT_FALSE(json::parse(client.call(
-                   R"({"cmd":"DELTA","base":)" + std::to_string(base_id) +
-                   R"(,"edits":{"bogus":1}})"))
-                   .boolean("ok", true));
-  EXPECT_FALSE(
-      json::parse(client.call(R"({"cmd":"DELTA","base":)" +
-                              std::to_string(base_id) + "}"))
-          .boolean("ok", true));
-  sched.drain();
-}
-
-TEST(ProtocolTest, CancelOverTheWire) {
-  Gate gate;
-  SchedulerOptions opts;
-  opts.workers = 1;
-  Scheduler sched(sharedTech(), sharedLut(), opts, [&](const JobSpec&) {
-    gate.wait();
-    return core::FlowResult{};
-  });
-  InProcessClient client(sched);
-  const auto blocker = sched.submit(tinySpec(1));
-  ASSERT_NE(blocker, nullptr);
-  const auto victim = sched.submit(tinySpec(2));
-  const json::Value cr = json::parse(client.call(
-      R"({"cmd":"CANCEL","id":)" + std::to_string(victim->id) + "}"));
-  EXPECT_TRUE(cr.boolean("ok", false));
-  EXPECT_TRUE(cr.boolean("cancelled", false));
-  EXPECT_EQ(cr.str("state", ""), "CANCELLED");
-  const json::Value rr = json::parse(client.call(
-      R"({"cmd":"RESULT","id":)" + std::to_string(victim->id) + "}"));
-  EXPECT_FALSE(rr.boolean("ok", true));
-  EXPECT_EQ(rr.str("state", ""), "CANCELLED");
-  gate.open();
-  sched.drain();
 }
 
 // ---------------------------------------------------------------------------
-// Live TCP round trip
-
-TEST(TcpTest, SubmitAndFetchOverARealSocket) {
-  SchedulerOptions opts;
-  opts.workers = 1;
-  Scheduler sched(sharedTech(), sharedLut(), opts);
-  TcpServer server(sched, {});  // ephemeral port on 127.0.0.1
-  ASSERT_GT(server.port(), 0);
-
-  const JobSpec spec = tinySpec(6);
-  network::Design d = buildDesign(sharedTech(), spec.source);
-  const core::Flow flow(sharedTech(), sharedLut(), spec.options);
-  const core::FlowResult direct = flow.run(d, spec.mode, nullptr);
-
-  TcpClient client("127.0.0.1", server.port());
-  json::Value submit = json::Value::object();
-  submit.set("cmd", "SUBMIT");
-  submit.set("spec", specToJson(spec));
-  const json::Value sr = client.call(submit);
-  ASSERT_TRUE(sr.boolean("ok", false));
-  const std::uint64_t id = static_cast<std::uint64_t>(sr.num("id", 0));
-
-  json::Value fetch = json::Value::object();
-  fetch.set("cmd", "RESULT");
-  fetch.set("id", id);
-  const json::Value rr = client.call(fetch);
-  ASSERT_TRUE(rr.boolean("ok", false));
-  EXPECT_EQ(rr.find("result")->find("after")->num("sum_variation_ps", -1),
-            direct.after.sum_variation_ps);
-
-  json::Value stats = json::Value::object();
-  stats.set("cmd", "STATS");
-  EXPECT_EQ(client.call(stats).num("done", 0), 1.0);
-  server.stop();
-  sched.drain();
-}
+// TCP transport
 
 TEST(TcpTest, OversizedRequestLineIsRejectedWithACleanError) {
-  SchedulerOptions opts;
-  opts.workers = 1;
-  Scheduler sched(sharedTech(), sharedLut(), opts);
+  // The bound is the transport's own: a stub handler acknowledging every
+  // line stands in for the protocol dispatcher.
   TcpServerOptions sopts;
   sopts.max_line_bytes = 256;
-  TcpServer server(sched, sopts);
+  TcpServer server(
+      [](const std::string&, const TcpServer::LineSink& emit) {
+        return emit(R"({"ok":true})");
+      },
+      sopts);
 
   {
     // A complete over-long line: one JSON error reply, then the server
@@ -1072,119 +892,7 @@ TEST(SchedulerTest, StatsStayCoherentThroughShutdown) {
 }
 
 // ---------------------------------------------------------------------------
-// Observability surface (METRICS verb, STATS gauges, per-job traces)
-
-TEST(ObsProtocolTest, TraceSpecFieldRoundTripsButStaysOutOfTheKey) {
-  JobSpec spec = tinySpec(31);
-  spec.trace = "/tmp/job_trace.json";
-  const JobSpec back = specFromJson(specToJson(spec));
-  EXPECT_EQ(back.trace, spec.trace);
-
-  // Observability output must never change which cached result a spec
-  // maps to: the key ignores it, like check_level.
-  JobSpec untraced = tinySpec(31);
-  EXPECT_EQ(canonicalKey(spec), canonicalKey(untraced));
-  EXPECT_EQ(contentHash(spec), contentHash(untraced));
-
-  json::Value bad = specToJson(spec);
-  bad.set("trace", "");
-  EXPECT_THROW(specFromJson(bad), std::runtime_error);
-}
-
-TEST(ObsProtocolTest, MetricsVerbReturnsPrometheusTextAndStatsGrowGauges) {
-  SchedulerOptions opts;
-  opts.workers = 1;
-  Scheduler sched(sharedTech(), sharedLut(), opts);
-  InProcessClient client(sched);
-
-  json::Value submit = json::Value::object();
-  submit.set("cmd", "SUBMIT");
-  submit.set("spec", specToJson(tinySpec(32)));
-  const json::Value sr = json::parse(client.call(json::dump(submit)));
-  ASSERT_TRUE(sr.boolean("ok", false));
-  const std::uint64_t id = static_cast<std::uint64_t>(sr.num("id", 0));
-  const json::Value rr = json::parse(
-      client.call(R"({"cmd":"RESULT","id":)" + std::to_string(id) + "}"));
-  ASSERT_TRUE(rr.boolean("ok", false));
-
-  // RESULT carries the flow's stage timings.
-  const json::Value* stage = rr.find("result")->find("stage_ms");
-  ASSERT_NE(stage, nullptr);
-  EXPECT_GE(stage->num("total_ms", -1), 0.0);
-  EXPECT_GE(stage->num("local_ms", -1), 0.0);
-
-  const json::Value mr = json::parse(client.call(R"({"cmd":"METRICS"})"));
-  ASSERT_TRUE(mr.boolean("ok", false));
-  const std::string text = mr.str("metrics", "");
-  ASSERT_FALSE(text.empty());
-  EXPECT_EQ(text.back(), '\n');
-  EXPECT_NE(text.find("# TYPE skewopt_serve_jobs_submitted_total counter"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE skewopt_serve_job_run_ms histogram"),
-            std::string::npos);
-  EXPECT_NE(text.find("skewopt_serve_job_run_ms_bucket{le=\"+Inf\"}"),
-            std::string::npos);
-  // Unknown request keys are rejected on the new verb too.
-  EXPECT_FALSE(json::parse(client.call(R"({"cmd":"METRICS","bogus":1})"))
-                   .boolean("ok", true));
-
-  // STATS: the deprecated flat fields still round-trip, and the new
-  // "gauges" object carries the authoritative obs values (process-global,
-  // so only sanity bounds are asserted here).
-  const json::Value st = json::parse(client.call(R"({"cmd":"STATS"})"));
-  ASSERT_TRUE(st.boolean("ok", false));
-  EXPECT_GE(st.num("done", -1), 1.0);
-  EXPECT_GE(st.num("cache_hits", -1), 0.0);  // deprecated, still present
-  const json::Value* gauges = st.find("gauges");
-  ASSERT_NE(gauges, nullptr);
-  for (const char* key : {"queue_depth", "jobs_running", "cache_entries",
-                          "cache_hits", "cache_misses", "retries"}) {
-    ASSERT_NE(gauges->find(key), nullptr) << key;
-    EXPECT_GE(gauges->num(key, -1), 0.0) << key;
-  }
-  sched.drain();
-}
-
-TEST(ObsProtocolTest, JobWithTraceSpecWritesAChromeTrace) {
-  const std::string path =
-      ::testing::TempDir() + "skewopt_serve_job_trace.json";
-  std::remove(path.c_str());
-
-  SchedulerOptions opts;
-  opts.workers = 1;
-  Scheduler sched(sharedTech(), sharedLut(), opts);
-  InProcessClient client(sched);
-
-  JobSpec spec = tinySpec(33);
-  spec.trace = path;
-  json::Value submit = json::Value::object();
-  submit.set("cmd", "SUBMIT");
-  submit.set("spec", specToJson(spec));
-  const json::Value sr = json::parse(client.call(json::dump(submit)));
-  ASSERT_TRUE(sr.boolean("ok", false));
-  const std::uint64_t id = static_cast<std::uint64_t>(sr.num("id", 0));
-  const json::Value rr = json::parse(
-      client.call(R"({"cmd":"RESULT","id":)" + std::to_string(id) + "}"));
-  ASSERT_TRUE(rr.boolean("ok", false));
-  EXPECT_EQ(rr.str("state", ""), "DONE");
-  sched.drain();
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << path;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const json::Value trace = json::parse(ss.str());
-  const json::Value* events = trace.find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  bool saw_job_span = false;
-  for (std::size_t i = 0; i < events->size(); ++i)
-    if (events->at(i).str("name", "") == "serve.job") saw_job_span = true;
-  EXPECT_TRUE(saw_job_span);
-  std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// Job telemetry: trace ids, the TRACE verb, and the flight recorder
+// Job telemetry: trace ids and the flight recorder
 
 TEST(ObsProtocolTest, TraceIdRoundTripsButStaysOutOfTheKey) {
   JobSpec spec = tinySpec(34);
@@ -1219,65 +927,6 @@ TEST(ObsProtocolTest, TraceIdRoundTripsButStaysOutOfTheKey) {
   }
 }
 
-TEST(ObsProtocolTest, TraceVerbExportsTheJobsFullSpanTree) {
-  SchedulerOptions opts;
-  opts.workers = 2;
-  Scheduler sched(sharedTech(), sharedLut(), opts);
-  InProcessClient client(sched);
-
-  JobSpec spec = tinySpec(35);
-  spec.trace_id = obs::traceIdFor(contentHash(spec), 42);
-  const std::string hex = obs::traceIdHex(spec.trace_id);
-
-  json::Value submit = json::Value::object();
-  submit.set("cmd", "SUBMIT");
-  submit.set("spec", specToJson(spec));
-  const json::Value sr = json::parse(client.call(json::dump(submit)));
-  ASSERT_TRUE(sr.boolean("ok", false)) << json::dump(sr);
-  EXPECT_EQ(sr.str("trace_id", ""), hex);  // echoed back
-  const std::uint64_t id = static_cast<std::uint64_t>(sr.num("id", 0));
-  ASSERT_TRUE(json::parse(client.call(R"({"cmd":"RESULT","id":)" +
-                                      std::to_string(id) +
-                                      R"(,"wait":true})"))
-                  .boolean("ok", false));
-  // No drain: the scheduler guarantees every span of the job is in the
-  // ring before the terminal notify, so TRACE right after a blocking
-  // RESULT must already see the full tree.
-  const json::Value tr = json::parse(
-      client.call(R"({"cmd":"TRACE","id":)" + std::to_string(id) + "}"));
-  ASSERT_TRUE(tr.boolean("ok", false)) << json::dump(tr);
-  EXPECT_EQ(tr.str("trace_id", ""), hex);
-  const json::Value* trace = tr.find("trace");
-  ASSERT_NE(trace, nullptr);
-  EXPECT_EQ(trace->str("displayTimeUnit", ""), "ms");
-  const json::Value* events = trace->find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  ASSERT_GT(events->size(), 0u);
-  bool saw_queue = false, saw_job = false, saw_flow = false, saw_local = false;
-  for (std::size_t i = 0; i < events->size(); ++i) {
-    const json::Value& e = events->at(i);
-    // Every span in the filtered export carries the submitted id.
-    EXPECT_EQ(e.find("args")->str("trace_id", ""), hex) << json::dump(e);
-    const std::string name = e.str("name", "");
-    if (name == "serve.queue") saw_queue = true;
-    if (name == "serve.job") saw_job = true;
-    if (name == "flow.run") saw_flow = true;
-    if (name == "local.run") saw_local = true;
-  }
-  // The full queue → job → flow → optimizer tree, in one export.
-  EXPECT_TRUE(saw_queue);
-  EXPECT_TRUE(saw_job);
-  EXPECT_TRUE(saw_flow);
-  EXPECT_TRUE(saw_local);
-
-  // Unknown id and unknown request keys reject.
-  EXPECT_FALSE(json::parse(client.call(R"({"cmd":"TRACE","id":424242})"))
-                   .boolean("ok", true));
-  EXPECT_FALSE(json::parse(client.call(R"({"cmd":"TRACE","id":)" +
-                                       std::to_string(id) + R"(,"bogus":1})"))
-                   .boolean("ok", true));
-}
-
 TEST(ObsProtocolTest, FlightRecordIsBitIdenticalSerialVsParallel) {
   JobSpec spec = tinySpec(36, core::FlowMode::kGlobalLocal);
   spec.options.global.u_sweep = {0.05, 0.2};
@@ -1309,93 +958,6 @@ TEST(ObsProtocolTest, FlightRecordIsBitIdenticalSerialVsParallel) {
   const core::FlowResult ro = runJobSpec(sharedTech(), sharedLut(), off);
   EXPECT_TRUE(ro.flight_record.empty());
   expectIdentical(rs, ro);
-}
-
-TEST(ObsProtocolTest, ResultCarriesTheFlightRecordOnlyWhenRequested) {
-  SchedulerOptions opts;
-  opts.workers = 1;
-  Scheduler sched(sharedTech(), sharedLut(), opts);
-  InProcessClient client(sched);
-
-  JobSpec spec = tinySpec(37);
-  spec.options.record = true;
-  json::Value submit = json::Value::object();
-  submit.set("cmd", "SUBMIT");
-  submit.set("spec", specToJson(spec));
-  const json::Value sr = json::parse(client.call(json::dump(submit)));
-  ASSERT_TRUE(sr.boolean("ok", false));
-  EXPECT_EQ(sr.find("trace_id"), nullptr);  // no client id: not echoed
-  const std::uint64_t id = static_cast<std::uint64_t>(sr.num("id", 0));
-  const json::Value rr = json::parse(client.call(
-      R"({"cmd":"RESULT","id":)" + std::to_string(id) + R"(,"wait":true})"));
-  ASSERT_TRUE(rr.boolean("ok", false));
-  const json::Value* record = rr.find("result")->find("record");
-  ASSERT_NE(record, nullptr);
-  EXPECT_NE(record->find("local"), nullptr);
-
-  // The same spec without record (a cache hit — record stays out of the
-  // key): the reply omits the member, so recorder-off responses are
-  // byte-compatible with the pre-recorder protocol.
-  json::Value submit2 = json::Value::object();
-  submit2.set("cmd", "SUBMIT");
-  submit2.set("spec", specToJson(tinySpec(37)));
-  const json::Value sr2 = json::parse(client.call(json::dump(submit2)));
-  ASSERT_TRUE(sr2.boolean("ok", false));
-  const std::uint64_t id2 = static_cast<std::uint64_t>(sr2.num("id", 0));
-  const json::Value rr2 = json::parse(client.call(
-      R"({"cmd":"RESULT","id":)" + std::to_string(id2) + R"(,"wait":true})"));
-  ASSERT_TRUE(rr2.boolean("ok", false));
-  EXPECT_TRUE(json::parse(client.call(R"({"cmd":"STATUS","id":)" +
-                                      std::to_string(id2) + "}"))
-                  .boolean("cached", false));
-  EXPECT_EQ(rr2.find("result")->find("record"), nullptr);
-  sched.drain();
-}
-
-TEST(ObsProtocolTest, DeltaVerbAcceptsAndEchoesATraceId) {
-  SchedulerOptions opts;
-  opts.workers = 1;
-  Scheduler sched(sharedTech(), sharedLut(), opts);
-  InProcessClient client(sched);
-
-  json::Value submit = json::Value::object();
-  submit.set("cmd", "SUBMIT");
-  submit.set("spec", specToJson(tinySpec(38)));
-  const json::Value sr = json::parse(client.call(json::dump(submit)));
-  ASSERT_TRUE(sr.boolean("ok", false));
-  const std::uint64_t base_id = static_cast<std::uint64_t>(sr.num("id", 0));
-  ASSERT_TRUE(json::parse(client.call(R"({"cmd":"RESULT","id":)" +
-                                      std::to_string(base_id) +
-                                      R"(,"wait":true})"))
-                  .boolean("ok", false));
-
-  const std::string hex = obs::traceIdHex(obs::traceIdFor(99, 99));
-  const json::Value dr = json::parse(client.call(
-      R"({"cmd":"DELTA","base":)" + std::to_string(base_id) +
-      R"(,"edits":{"u_sweep":[0.1]},"trace_id":")" + hex +
-      R"(","block":true})"));
-  ASSERT_TRUE(dr.boolean("ok", false)) << json::dump(dr);
-  EXPECT_EQ(dr.str("trace_id", ""), hex);  // echoed
-  const std::uint64_t delta_id = static_cast<std::uint64_t>(dr.num("id", 0));
-  EXPECT_EQ(sched.traceId(delta_id), obs::traceIdFor(99, 99));
-  EXPECT_EQ(sched.jobSpec(delta_id).trace_id, obs::traceIdFor(99, 99));
-
-  // A DELTA without trace_id inherits nothing to echo; the base job's
-  // derived fallback id exists (scheduler-side) but stays off the wire.
-  const json::Value dr2 = json::parse(client.call(
-      R"({"cmd":"DELTA","base":)" + std::to_string(base_id) +
-      R"(,"edits":{"u_sweep":[0.2]},"block":true})"));
-  ASSERT_TRUE(dr2.boolean("ok", false));
-  EXPECT_EQ(dr2.find("trace_id"), nullptr);
-  EXPECT_NE(sched.traceId(base_id), 0u);  // every job has an effective id
-  EXPECT_THROW(sched.traceId(424242), std::out_of_range);
-
-  // Malformed trace_id on the wire rejects the request.
-  EXPECT_FALSE(json::parse(client.call(
-                   R"({"cmd":"DELTA","base":)" + std::to_string(base_id) +
-                   R"(,"edits":{"u_sweep":[0.3]},"trace_id":"nope"})"))
-                   .boolean("ok", true));
-  sched.drain();
 }
 
 }  // namespace
