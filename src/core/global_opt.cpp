@@ -528,19 +528,23 @@ GlobalResult GlobalOptimizer::run(Design& d, const Objective& objective,
   // Pass 1: minimum achievable sum of variations over the selected pairs.
   BuiltLp min_lp;
   std::vector<GlobalWarmState::LatencyRow> latency_rows;
-  if (reuse_models) {
-    min_lp.model = warm_in->min_v_model;
-    latency_rows = warm_in->latency_rows;
-    for (const GlobalWarmState::LatencyRow& lr : latency_rows)
-      min_lp.model.setRowBounds(
-          lr.row, -lp::kInf,
-          derateOf(opts_.corner_dmax_derate, lr.ki) * lr.dmax - lr.lat);
-    res.reused_models = true;
-    model_reuses.add();
-  } else {
-    min_lp = buildLp(d, ctx, *lut_, objective, before, opts_.beta,
-                     opts_.corner_dmax_derate, /*min_sum_v=*/true, 0.0);
-    latency_rows = std::move(min_lp.latency_rows);
+  {
+    obs::Span build_span("global.lp_build");
+    build_span.arg("pass", std::int64_t{1});
+    if (reuse_models) {
+      min_lp.model = warm_in->min_v_model;
+      latency_rows = warm_in->latency_rows;
+      for (const GlobalWarmState::LatencyRow& lr : latency_rows)
+        min_lp.model.setRowBounds(
+            lr.row, -lp::kInf,
+            derateOf(opts_.corner_dmax_derate, lr.ki) * lr.dmax - lr.lat);
+      res.reused_models = true;
+      model_reuses.add();
+    } else {
+      min_lp = buildLp(d, ctx, *lut_, objective, before, opts_.beta,
+                       opts_.corner_dmax_derate, /*min_sum_v=*/true, 0.0);
+      latency_rows = std::move(min_lp.latency_rows);
+    }
   }
   res.lp_rows = static_cast<std::size_t>(min_lp.model.numRows());
   res.lp_vars = static_cast<std::size_t>(min_lp.model.numVars());
@@ -611,16 +615,20 @@ GlobalResult GlobalOptimizer::run(Design& d, const Objective& objective,
   bool improved = false;
 
   BuiltLp sweep_lp;
-  if (reuse_models) {
-    sweep_lp.model = warm_in->sweep_model;
-    for (const GlobalWarmState::LatencyRow& lr : latency_rows)
-      sweep_lp.model.setRowBounds(
-          lr.row, -lp::kInf,
-          derateOf(opts_.corner_dmax_derate, lr.ki) * lr.dmax - lr.lat);
-  } else {
-    sweep_lp = buildLp(d, ctx, *lut_, objective, before, opts_.beta,
-                       opts_.corner_dmax_derate, /*min_sum_v=*/false,
-                       res.lp_orig_sum_ps);
+  {
+    obs::Span build_span("global.lp_build");
+    build_span.arg("pass", std::int64_t{2});
+    if (reuse_models) {
+      sweep_lp.model = warm_in->sweep_model;
+      for (const GlobalWarmState::LatencyRow& lr : latency_rows)
+        sweep_lp.model.setRowBounds(
+            lr.row, -lp::kInf,
+            derateOf(opts_.corner_dmax_derate, lr.ki) * lr.dmax - lr.lat);
+    } else {
+      sweep_lp = buildLp(d, ctx, *lut_, objective, before, opts_.beta,
+                         opts_.corner_dmax_derate, /*min_sum_v=*/false,
+                         res.lp_orig_sum_ps);
+    }
   }
   const int budget_row = sweep_lp.model.numRows() - 1;
   gateLp(sweep_lp.model, budget_row, chk, "global:lp-sweep");

@@ -5,11 +5,13 @@
 // primal simplex with
 //   * ranged rows (lo <= a.x <= hi) handled through slack variables,
 //   * a phase-1 that drives the sum of bound infeasibilities to zero,
-//   * a sparse revised implementation (the default): CSC column storage,
-//     sparse LU basis factorization with Markowitz-style pivoting,
-//     product-form eta updates with drift-triggered refactorization,
-//     sparse ftran/btran, and Devex pricing with a Bland anti-cycling
-//     fallback,
+//   * a sparse revised implementation (the default): CSC column storage
+//     plus a CSR copy for row-wise pricing, sparse LU basis factorization
+//     with Markowitz-style pivoting, flat LU and product-form eta arrays
+//     with drift-triggered refactorization, sparse ftran/btran, and Devex
+//     pricing (its update deferred into the next iteration's btran, which
+//     then solves for the duals and the pivot row in one pass) with a
+//     Bland anti-cycling fallback,
 //   * a warm-start API: solve() accepts the Basis of a previous solve and
 //     re-enters from it — the U-sweep of the global optimizer changes one
 //     row bound per step, so each re-solve is a handful of iterations,

@@ -14,10 +14,23 @@
 //   * updates: product-form eta vectors per basis change, with
 //     refactorization triggered by primal-residual drift or an eta cap —
 //     never on a fixed schedule alone;
+//   * storage: L, U and the eta file live in flat index/value arrays with
+//     start offsets, in the order the solves walk them;
 //   * solves: sparse ftran (B w = a) and btran (B^T y = c) through the
 //     LU triangles plus the eta file;
 //   * pricing: Devex reference weights (approximate steepest edge) with
-//     the same Bland anti-cycling fallback as the dense path.
+//     the same Bland anti-cycling fallback as the dense path. Reduced
+//     costs and the Devex pivot row are accumulated row-wise over a CSR
+//     copy of [A | -I], skipping zero duals. A pivot's Devex update is
+//     deferred to the next iteration, whose one fused btran yields both
+//     the new duals and the old pivot row (two independent accumulation
+//     chains); a refactorization applies a pending update first.
+//
+// None of this reorders floating-point work: every column sees the same
+// operations in the same order as a column-wise dot product, minus exact
+// zero terms, and a btran result's zeros are only ever skipped, so their
+// sign is free. The pivot path and every solution bit are those of the
+// plain column-wise solver (global_opt_test's LpTrajectoryTest pins them).
 //
 // A warm start re-enters from a caller-supplied Basis: the basis is
 // refactorized directly (rank-deficient bases are repaired with slacks,
@@ -25,8 +38,9 @@
 // as the start point is infeasible. Re-solving after a single row-bound
 // change — the U-sweep — typically costs a handful of iterations.
 #include <algorithm>
-#include <cassert>
+#include <array>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -44,11 +58,36 @@ struct Entry {
   double val = 0.0;
 };
 
+// Numeric guards of the sparse path (the dense reference keeps its own).
+// Ratio test: basic rows whose |w_i| is below this cannot block.
+constexpr double kRatioPivotTol = 1e-10;
+// Exact-zero window: eta entries below it are dropped, ratio-test limits
+// within it of the best are ties, and smaller pivots get no Devex update.
+constexpr double kZeroTol = 1e-12;
+// Smallest pivot that gets an eta; a smaller one refactorizes instead.
+constexpr double kMinEtaPivot = 1e-8;
+// Primal residual max |A x - s| above which the factors are rebuilt.
+constexpr double kDriftResidual = 1e-7;
+// Basis changes between two primal-residual checks.
+constexpr int kDriftCheckPivots = 32;
+// Devex weights restart from 1 once the largest exceeds this.
+constexpr double kDevexReset = 1e8;
+// Phase-1 infeasibility left above this proves the LP infeasible.
+constexpr double kPhase1InfeasibleCut = 1e-6;
+// LU: entries below this cannot pivot.
+constexpr double kLuAbsTol = 1e-12;
+// LU: fill that cancels below this is removed.
+constexpr double kLuDropTol = 1e-13;
+// LU: a bump pivot must be at least this fraction of its column's largest.
+constexpr double kLuRelTol = 0.05;
+
 /// Sparse LU factorization of one basis matrix B (columns indexed by basis
 /// position, rows by constraint row), with the triangular solves. The
 /// factorization records the elimination itself: per pivot step k the
 /// pivot (row p_k, position q_k, value v_k), the L multipliers applied to
 /// later-pivoted rows, and the U row (entries in later-pivoted positions).
+/// Both factors live in flat index/value arrays with start offsets, in
+/// elimination order; L keeps only the steps that have multipliers.
 class BasisLu {
  public:
   /// Factorizes the m x m matrix whose position-j column is cols[j].
@@ -59,8 +98,10 @@ class BasisLu {
   /// Solves B w = b. In: b indexed by row. Out: w indexed by position.
   void ftran(std::vector<double>& v) const;
 
-  /// Solves B^T y = c. In: c indexed by position. Out: y indexed by row.
-  void btran(std::vector<double>& v) const;
+  /// Solves B^T y = c for each of the N vectors in one walk over the
+  /// factors. In: c indexed by position. Out: y indexed by row.
+  template <std::size_t N>
+  void btran(const std::array<std::vector<double>*, N>& v) const;
 
   const std::vector<int>& unpivotedRows() const { return unpivoted_rows_; }
 
@@ -70,28 +111,44 @@ class BasisLu {
     double val = 0.0;
   };
   int m_ = 0;
-  std::vector<Pivot> pivots_;               ///< in elimination order
-  std::vector<std::vector<Entry>> lcol_;    ///< per step: (row, multiplier)
-  std::vector<std::vector<Entry>> urow_;    ///< per step: (position, value)
+  std::vector<Pivot> pivots_;         ///< in elimination order
+  std::vector<std::size_t> u_start_;  ///< per step: its U row's offset
+  std::vector<int> u_idx_;            ///< U row entries: position
+  std::vector<double> u_val_;         ///<   and value
+  std::vector<int> l_row_;            ///< steps with multipliers: pivot row
+  std::vector<std::size_t> l_start_;  ///<   and offset into l_idx_/l_val_
+  std::vector<int> l_idx_;            ///< L entries: later-pivoted row
+  std::vector<double> l_val_;         ///<   and multiplier
   std::vector<int> unpivoted_rows_;
-  mutable std::vector<double> scratch_;
+  std::vector<std::vector<Entry>> arow_;  ///< factorize's active matrix
+  std::vector<std::vector<int>> colrows_;
+  mutable std::array<std::vector<double>, 2> scratch_;
 };
 
 std::vector<int> BasisLu::factorize(int m,
                                     const std::vector<std::vector<Entry>>& cols) {
   m_ = m;
   pivots_.clear();
-  lcol_.clear();
-  urow_.clear();
+  u_start_.assign(1, 0);
+  u_idx_.clear();
+  u_val_.clear();
+  l_row_.clear();
+  l_start_.assign(1, 0);
+  l_idx_.clear();
+  l_val_.clear();
   unpivoted_rows_.clear();
   pivots_.reserve(static_cast<std::size_t>(m));
 
   const std::size_t sm = static_cast<std::size_t>(m);
   // Active matrix, row-major; removed entries are marked val == 0 and the
   // counts track the live ones. colrows may hold stale row ids (validated
-  // against the row on use).
-  std::vector<std::vector<Entry>> arow(sm);
-  std::vector<std::vector<int>> colrows(sm);
+  // against the row on use). Their storage is reused across calls.
+  std::vector<std::vector<Entry>>& arow = arow_;
+  std::vector<std::vector<int>>& colrows = colrows_;
+  arow.resize(sm);
+  colrows.resize(sm);
+  for (std::vector<Entry>& row : arow) row.clear();
+  for (std::vector<int>& col : colrows) col.clear();
   std::vector<int> rcount(sm, 0), ccount(sm, 0);
   std::vector<char> rdone(sm, 0), cdone(sm, 0);
   for (int j = 0; j < m; ++j) {
@@ -112,9 +169,6 @@ std::vector<int> BasisLu::factorize(int m,
 
   // where[col] -> index of col's live entry in the row being updated.
   std::vector<int> where(sm, -1);
-  constexpr double kAbsTol = 1e-12;   // entries below this cannot pivot
-  constexpr double kDropTol = 1e-13;  // cancelled fill is removed
-  constexpr double kRelTol = 0.05;    // within-column stability threshold
 
   auto liveEntry = [&](int r, int c) -> Entry* {
     for (Entry& e : arow[static_cast<std::size_t>(r)])
@@ -134,7 +188,7 @@ std::vector<int> BasisLu::factorize(int m,
       for (const int r : colrows[static_cast<std::size_t>(c)]) {
         if (rdone[static_cast<std::size_t>(r)]) continue;
         const Entry* e = liveEntry(r, c);
-        if (e != nullptr && std::abs(e->val) >= kAbsTol) {
+        if (e != nullptr && std::abs(e->val) >= kLuAbsTol) {
           pr = r;
           pc = c;
           break;
@@ -150,7 +204,7 @@ std::vector<int> BasisLu::factorize(int m,
         continue;
       for (const Entry& e : arow[static_cast<std::size_t>(r)]) {
         if (e.val == 0.0 || cdone[static_cast<std::size_t>(e.idx)]) continue;
-        if (std::abs(e.val) >= kAbsTol) {
+        if (std::abs(e.val) >= kLuAbsTol) {
           pr = r;
           pc = e.idx;
         }
@@ -179,8 +233,8 @@ std::vector<int> BasisLu::factorize(int m,
           if (rdone[static_cast<std::size_t>(r)]) continue;
           const Entry* e = liveEntry(r, best_c);
           if (e == nullptr) continue;
-          if (std::abs(e->val) < kAbsTol ||
-              std::abs(e->val) < kRelTol * colmax)
+          if (std::abs(e->val) < kLuAbsTol ||
+              std::abs(e->val) < kLuRelTol * colmax)
             continue;
           if (best_r < 0 || rcount[static_cast<std::size_t>(r)] <
                                 rcount[static_cast<std::size_t>(best_r)])
@@ -208,42 +262,48 @@ std::vector<int> BasisLu::factorize(int m,
     const double pv = liveEntry(pr, pc)->val;
     pivots_.push_back({pr, pc, pv});
     // U row: the pivot row's live entries in not-yet-pivoted positions.
-    std::vector<Entry> prow;
+    const std::size_t u_begin = u_idx_.size();
     for (const Entry& e : arow[static_cast<std::size_t>(pr)])
-      if (e.val != 0.0 && e.idx != pc && !cdone[static_cast<std::size_t>(e.idx)])
-        prow.push_back(e);
+      if (e.val != 0.0 && e.idx != pc &&
+          !cdone[static_cast<std::size_t>(e.idx)]) {
+        u_idx_.push_back(e.idx);
+        u_val_.push_back(e.val);
+      }
+    const std::size_t u_end = u_idx_.size();
+    u_start_.push_back(u_end);
 
     // Eliminate pc from every other live row.
-    std::vector<Entry> lk;
+    const std::size_t l_begin = l_idx_.size();
     for (const int r : colrows[static_cast<std::size_t>(pc)]) {
       const std::size_t sr = static_cast<std::size_t>(r);
       if (r == pr || rdone[sr]) continue;
       Entry* e = liveEntry(r, pc);
       if (e == nullptr) continue;
       const double f = e->val / pv;
-      lk.push_back({r, f});
+      l_idx_.push_back(r);
+      l_val_.push_back(f);
       e->val = 0.0;
       --rcount[sr];
       for (std::size_t i = 0; i < arow[sr].size(); ++i)
         if (arow[sr][i].val != 0.0)
           where[static_cast<std::size_t>(arow[sr][i].idx)] =
               static_cast<int>(i);
-      for (const Entry& pe : prow) {
-        const std::size_t spc = static_cast<std::size_t>(pe.idx);
-        const double delta = -f * pe.val;
+      for (std::size_t ui = u_begin; ui < u_end; ++ui) {
+        const std::size_t spc = static_cast<std::size_t>(u_idx_[ui]);
+        const double delta = -f * u_val_[ui];
         const int at = where[spc];
         if (at >= 0) {
           Entry& tgt = arow[sr][static_cast<std::size_t>(at)];
           tgt.val += delta;
-          if (std::abs(tgt.val) < kDropTol) {
+          if (std::abs(tgt.val) < kLuDropTol) {
             tgt.val = 0.0;
             --rcount[sr];
             --ccount[spc];
             if (ccount[spc] == 1 && !cdone[spc])
-              col_single.push_back(pe.idx);
+              col_single.push_back(u_idx_[ui]);
           }
         } else {
-          arow[sr].push_back({pe.idx, delta});
+          arow[sr].push_back({u_idx_[ui], delta});
           colrows[spc].push_back(r);
           ++rcount[sr];
           ++ccount[spc];
@@ -253,8 +313,10 @@ std::vector<int> BasisLu::factorize(int m,
         where[static_cast<std::size_t>(re.idx)] = -1;
       if (rcount[sr] == 1) row_single.push_back(r);
     }
-    lcol_.push_back(std::move(lk));
-    urow_.push_back(std::move(prow));
+    if (l_idx_.size() > l_begin) {
+      l_row_.push_back(pr);
+      l_start_.push_back(l_idx_.size());
+    }
 
     // Retire the pivot row and column; surviving columns of the pivot row
     // lose one live entry each.
@@ -288,42 +350,61 @@ std::vector<int> BasisLu::factorize(int m,
 
 void BasisLu::ftran(std::vector<double>& v) const {
   // L solve in row space: forward through the elimination.
-  for (std::size_t k = 0; k < pivots_.size(); ++k) {
-    const double t = v[static_cast<std::size_t>(pivots_[k].row)];
+  for (std::size_t i = 0; i < l_row_.size(); ++i) {
+    const double t = v[static_cast<std::size_t>(l_row_[i])];
     if (t == 0.0) continue;
-    for (const Entry& e : lcol_[k])
-      v[static_cast<std::size_t>(e.idx)] -= e.val * t;
+    for (std::size_t at = l_start_[i]; at < l_start_[i + 1]; ++at)
+      v[static_cast<std::size_t>(l_idx_[at])] -= l_val_[at] * t;
   }
   // U backward solve into position space.
-  scratch_.assign(static_cast<std::size_t>(m_), 0.0);
+  std::vector<double>& out = scratch_[0];
+  out.assign(static_cast<std::size_t>(m_), 0.0);
   for (std::size_t k = pivots_.size(); k-- > 0;) {
     double s = v[static_cast<std::size_t>(pivots_[k].row)];
-    for (const Entry& e : urow_[k])
-      s -= e.val * scratch_[static_cast<std::size_t>(e.idx)];
-    scratch_[static_cast<std::size_t>(pivots_[k].col)] = s / pivots_[k].val;
+    for (std::size_t at = u_start_[k]; at < u_start_[k + 1]; ++at)
+      s -= u_val_[at] * out[static_cast<std::size_t>(u_idx_[at])];
+    out[static_cast<std::size_t>(pivots_[k].col)] = s / pivots_[k].val;
   }
-  v.swap(scratch_);
+  v.swap(out);
 }
 
-void BasisLu::btran(std::vector<double>& v) const {
+template <std::size_t N>
+void BasisLu::btran(const std::array<std::vector<double>*, N>& v) const {
   // U^T forward solve with scatter: v holds position-space costs.
-  scratch_.assign(static_cast<std::size_t>(m_), 0.0);
+  std::array<double*, N> c{}, out{};
+  for (std::size_t q = 0; q < N; ++q) {
+    scratch_[q].assign(static_cast<std::size_t>(m_), 0.0);
+    c[q] = v[q]->data();
+    out[q] = scratch_[q].data();
+  }
   for (std::size_t k = 0; k < pivots_.size(); ++k) {
-    const double zk =
-        v[static_cast<std::size_t>(pivots_[k].col)] / pivots_[k].val;
-    scratch_[static_cast<std::size_t>(pivots_[k].row)] = zk;
-    if (zk == 0.0) continue;
-    for (const Entry& e : urow_[k])
-      v[static_cast<std::size_t>(e.idx)] -= e.val * zk;
+    const Pivot& p = pivots_[k];
+    for (std::size_t q = 0; q < N; ++q) {
+      // A zero stays the +0 it was cleared to: the sign of a zero in a
+      // btran result reaches nothing, since every consumer skips zeros.
+      const double ck = c[q][static_cast<std::size_t>(p.col)];
+      if (ck == 0.0) continue;
+      const double zk = ck / p.val;
+      out[q][static_cast<std::size_t>(p.row)] = zk;
+      if (zk == 0.0) continue;
+      for (std::size_t at = u_start_[k]; at < u_start_[k + 1]; ++at)
+        c[q][static_cast<std::size_t>(u_idx_[at])] -= u_val_[at] * zk;
+    }
   }
-  // L^T backward solve in row space.
-  for (std::size_t k = pivots_.size(); k-- > 0;) {
-    double t = scratch_[static_cast<std::size_t>(pivots_[k].row)];
-    for (const Entry& e : lcol_[k])
-      t -= e.val * scratch_[static_cast<std::size_t>(e.idx)];
-    scratch_[static_cast<std::size_t>(pivots_[k].row)] = t;
+  // L^T backward solve in row space: one independent gather chain per
+  // vector, interleaved.
+  for (std::size_t i = l_row_.size(); i-- > 0;) {
+    const std::size_t r = static_cast<std::size_t>(l_row_[i]);
+    std::array<double, N> t{};
+    for (std::size_t q = 0; q < N; ++q) t[q] = out[q][r];
+    for (std::size_t at = l_start_[i]; at < l_start_[i + 1]; ++at) {
+      const double lv = l_val_[at];
+      const std::size_t li = static_cast<std::size_t>(l_idx_[at]);
+      for (std::size_t q = 0; q < N; ++q) t[q] -= lv * out[q][li];
+    }
+    for (std::size_t q = 0; q < N; ++q) out[q][r] = t[q];
   }
-  v.swap(scratch_);
+  for (std::size_t q = 0; q < N; ++q) v[q]->swap(scratch_[q]);
 }
 
 /// The revised simplex itself: phase structure, pricing, ratio test and
@@ -344,7 +425,7 @@ class SparseSimplex {
     computeBasics();
     if (!iterate(/*phase1=*/true, sol)) return finish(sol);
     sol.phase1_iterations = sol.iterations;
-    if (infeasibility() > 1e-6) {
+    if (infeasibility() > kPhase1InfeasibleCut) {
       sol.status = Status::Infeasible;
       extract(sol);
       return finish(sol);
@@ -359,7 +440,8 @@ class SparseSimplex {
   // ---- setup -------------------------------------------------------------
 
   /// Compressed sparse columns of [A | -I] (structurals, then one slack
-  /// per row), plus the merged bound/cost arrays.
+  /// per row), a compressed sparse row copy of the same matrix for
+  /// row-wise pricing, and the merged bound/cost arrays.
   void buildCsc() {
     const std::size_t st = static_cast<std::size_t>(total_);
     col_start_.assign(st + 1, 0);
@@ -386,6 +468,19 @@ class SparseSimplex {
       a_val_[at] = -1.0;
     }
 
+    row_start_.assign(1, 0);
+    col_ix_.reserve(col_start_[st]);
+    r_val_.reserve(col_start_[st]);
+    for (int r = 0; r < m_; ++r) {
+      for (const Term& t : model_.rowTerms(r)) {
+        col_ix_.push_back(t.var);
+        r_val_.push_back(t.coef);
+      }
+      col_ix_.push_back(n_ + r);
+      r_val_.push_back(-1.0);
+      row_start_.push_back(col_ix_.size());
+    }
+
     lb_.resize(st);
     ub_.resize(st);
     cost_.assign(st, 0.0);
@@ -393,11 +488,14 @@ class SparseSimplex {
       lb_[static_cast<std::size_t>(j)] = model_.varLb(j);
       ub_[static_cast<std::size_t>(j)] = model_.varUb(j);
       cost_[static_cast<std::size_t>(j)] = model_.objCoef(j);
+      if (model_.objCoef(j) != 0.0) cost_cols_.push_back(j);
     }
     for (int r = 0; r < m_; ++r) {
       lb_[static_cast<std::size_t>(n_ + r)] = model_.rowLo(r);
       ub_[static_cast<std::size_t>(n_ + r)] = model_.rowHi(r);
     }
+    alpha_.resize(st);
+    touched_mark_.assign(st, 0);
   }
 
   void setNonbasicAtBound(int j) {
@@ -480,14 +578,19 @@ class SparseSimplex {
   /// swapping dependent basic columns for the slacks of the unpivoted
   /// rows. Returns false only when repair is impossible.
   bool factorizeBasis() {
-    std::vector<std::vector<Entry>> cols(static_cast<std::size_t>(m_));
-    for (int i = 0; i < m_; ++i) {
-      const int j = basic_[static_cast<std::size_t>(i)];
-      auto& col = cols[static_cast<std::size_t>(i)];
-      for (std::size_t at = col_start_[static_cast<std::size_t>(j)];
-           at < col_start_[static_cast<std::size_t>(j) + 1]; ++at)
-        col.push_back({row_ix_[at], a_val_[at]});
-    }
+    std::vector<std::vector<Entry>>& cols = basis_cols_;
+    auto loadColumns = [&] {
+      cols.resize(static_cast<std::size_t>(m_));
+      for (int i = 0; i < m_; ++i) {
+        const int j = basic_[static_cast<std::size_t>(i)];
+        auto& col = cols[static_cast<std::size_t>(i)];
+        col.clear();
+        for (std::size_t at = col_start_[static_cast<std::size_t>(j)];
+             at < col_start_[static_cast<std::size_t>(j) + 1]; ++at)
+          col.push_back({row_ix_[at], a_val_[at]});
+      }
+    };
+    loadColumns();
     std::vector<int> bad = lu_.factorize(m_, cols);
     if (!bad.empty()) {
       const std::vector<int>& rows = lu_.unpivotedRows();
@@ -504,17 +607,14 @@ class SparseSimplex {
         pos_[sslack] = position;
         state_[sslack] = VarState::Basic;
       }
-      for (int i = 0; i < m_; ++i) {
-        const int j = basic_[static_cast<std::size_t>(i)];
-        auto& col = cols[static_cast<std::size_t>(i)];
-        col.clear();
-        for (std::size_t at = col_start_[static_cast<std::size_t>(j)];
-             at < col_start_[static_cast<std::size_t>(j) + 1]; ++at)
-          col.push_back({row_ix_[at], a_val_[at]});
-      }
+      loadColumns();
       if (!lu_.factorize(m_, cols).empty()) return false;
     }
-    etas_.clear();
+    eta_row_.clear();
+    eta_diag_.clear();
+    eta_start_.assign(1, 0);
+    eta_idx_.clear();
+    eta_val_.clear();
     ++refactorizations_;
     return true;
   }
@@ -523,24 +623,40 @@ class SparseSimplex {
 
   void ftranFull(std::vector<double>& v) const {
     lu_.ftran(v);
-    for (const Eta& e : etas_) {
-      const double t = v[static_cast<std::size_t>(e.r)];
+    for (std::size_t k = 0; k < eta_row_.size(); ++k) {
+      const std::size_t r = static_cast<std::size_t>(eta_row_[k]);
+      const double t = v[r];
       if (t == 0.0) continue;
-      v[static_cast<std::size_t>(e.r)] = t * e.diag;
-      for (const Entry& c : e.col)
-        v[static_cast<std::size_t>(c.idx)] += c.val * t;
+      v[r] = t * eta_diag_[k];
+      for (std::size_t at = eta_start_[k]; at < eta_start_[k + 1]; ++at)
+        v[static_cast<std::size_t>(eta_idx_[at])] += eta_val_[at] * t;
     }
   }
 
-  void btranFull(std::vector<double>& v) const {
-    for (std::size_t k = etas_.size(); k-- > 0;) {
-      const Eta& e = etas_[k];
-      double s = v[static_cast<std::size_t>(e.r)] * e.diag;
-      for (const Entry& c : e.col)
-        s += c.val * v[static_cast<std::size_t>(c.idx)];
-      v[static_cast<std::size_t>(e.r)] = s;
+  /// Applies etas [begin, end) transposed, newest first, to each of the
+  /// N vectors: one independent accumulation chain per vector, interleaved.
+  template <std::size_t N>
+  void btranEtas(const std::array<std::vector<double>*, N>& v,
+                 std::size_t begin, std::size_t end) const {
+    std::array<double*, N> p{};
+    for (std::size_t q = 0; q < N; ++q) p[q] = v[q]->data();
+    for (std::size_t k = end; k-- > begin;) {
+      const std::size_t r = static_cast<std::size_t>(eta_row_[k]);
+      std::array<double, N> s{};
+      for (std::size_t q = 0; q < N; ++q) s[q] = p[q][r] * eta_diag_[k];
+      for (std::size_t at = eta_start_[k]; at < eta_start_[k + 1]; ++at) {
+        const double c = eta_val_[at];
+        const std::size_t i = static_cast<std::size_t>(eta_idx_[at]);
+        for (std::size_t q = 0; q < N; ++q) s[q] += c * p[q][i];
+      }
+      for (std::size_t q = 0; q < N; ++q) p[q][r] = s[q];
     }
-    lu_.btran(v);
+  }
+
+  /// Solves B^T v = c through the oldest `netas` etas and the LU.
+  void btranFull(std::vector<double>& v, std::size_t netas) const {
+    btranEtas<1>({&v}, 0, netas);
+    lu_.btran<1>({&v});
   }
 
   /// x_B = B^-1 * (-(A_N x_N)) from the current nonbasic values.
@@ -571,36 +687,54 @@ class SparseSimplex {
     return s;
   }
 
+  /// Loads y_ with the basic costs: the phase-1 infeasibility gradient or
+  /// the phase-2 objective.
   void basicCosts(bool phase1) {
-    cb_.assign(static_cast<std::size_t>(m_), 0.0);
+    y_.assign(static_cast<std::size_t>(m_), 0.0);
+    if (!phase1) {
+      for (const int j : cost_cols_) {
+        const int i = pos_[static_cast<std::size_t>(j)];
+        if (i >= 0)
+          y_[static_cast<std::size_t>(i)] = cost_[static_cast<std::size_t>(j)];
+      }
+      return;
+    }
     for (int i = 0; i < m_; ++i) {
       const std::size_t b =
           static_cast<std::size_t>(basic_[static_cast<std::size_t>(i)]);
-      if (phase1) {
-        if (x_[b] < lb_[b] - opts_.tolerance)
-          cb_[static_cast<std::size_t>(i)] = -1.0;
-        else if (x_[b] > ub_[b] + opts_.tolerance)
-          cb_[static_cast<std::size_t>(i)] = 1.0;
-      } else {
-        cb_[static_cast<std::size_t>(i)] = cost_[b];
-      }
+      if (x_[b] < lb_[b] - opts_.tolerance)
+        y_[static_cast<std::size_t>(i)] = -1.0;
+      else if (x_[b] > ub_[b] + opts_.tolerance)
+        y_[static_cast<std::size_t>(i)] = 1.0;
     }
   }
 
-  double reducedCost(int j, bool phase1) const {
-    const std::size_t sj = static_cast<std::size_t>(j);
-    double d = phase1 ? 0.0 : cost_[sj];
-    for (std::size_t at = col_start_[sj]; at < col_start_[sj + 1]; ++at)
-      d -= y_[static_cast<std::size_t>(row_ix_[at])] * a_val_[at];
-    return d;
+  /// d_j = c_j - y . a_j for every column, row by row over the CSR copy:
+  /// each column sees the same subtractions in the same (ascending row)
+  /// order as a column-wise dot product; rows with y_r == 0 would only
+  /// subtract exact zeros and are skipped.
+  void reducedCosts(bool phase1) {
+    if (phase1)
+      d_.assign(static_cast<std::size_t>(total_), 0.0);
+    else
+      d_ = cost_;
+    for (int r = 0; r < m_; ++r) {
+      const double yr = y_[static_cast<std::size_t>(r)];
+      if (yr == 0.0) continue;
+      for (std::size_t at = row_start_[static_cast<std::size_t>(r)];
+           at < row_start_[static_cast<std::size_t>(r) + 1]; ++at)
+        d_[static_cast<std::size_t>(col_ix_[at])] -= yr * r_val_[at];
+    }
   }
 
   // ---- main loop ---------------------------------------------------------
 
+  /// Phase 1: the infeasibility. Phase 2: c . x over the nonzero-cost
+  /// columns (the others add exact zeros to the sum).
   double currentObjective(bool phase1) const {
     if (phase1) return infeasibility();
     double o = 0.0;
-    for (int j = 0; j < total_; ++j)
+    for (const int j : cost_cols_)
       o += cost_[static_cast<std::size_t>(j)] * x_[static_cast<std::size_t>(j)];
     return o;
   }
@@ -625,9 +759,13 @@ class SparseSimplex {
     const double tol = opts_.tolerance;
     int stall = 0;
     bool bland = false;
-    double last_obj = currentObjective(phase1);
+    // The phase objective of the current point; in phase 1 it is also the
+    // infeasibility the loop-top test reads.
+    double obj = currentObjective(phase1);
+    double last_obj = obj;
     int pivots_since_check = 0;
     devex_.assign(static_cast<std::size_t>(total_), 1.0);
+    pending_.reset();
 
     while (true) {
       if (sol.iterations >= opts_.max_iterations) {
@@ -635,22 +773,32 @@ class SparseSimplex {
         extract(sol);
         return false;
       }
-      if (phase1 && infeasibility() <= tol) return true;
+      if (phase1 && obj <= tol) return true;
 
       basicCosts(phase1);
-      y_ = cb_;
-      btranFull(y_);
+      if (pending_) {
+        // The previous pivot's pivot row (through the etas before its own)
+        // and this iteration's duals, in one walk over the factors.
+        startPivotRow();
+        btranEtas<1>({&y_}, pending_->etas, eta_row_.size());
+        btranEtas<2>({&y_, &rho_}, 0, pending_->etas);
+        lu_.btran<2>({&y_, &rho_});
+        updateDevex();
+      } else {
+        btranFull(y_, eta_row_.size());
+      }
+      reducedCosts(phase1);
 
       // --- entering variable: Devex-weighted (or Bland) pricing ---
       const bool devex = opts_.pricing == SolverOptions::Pricing::kDevex;
       int enter = -1;
-      double enter_dir = 0.0, enter_d = 0.0;
+      double enter_dir = 0.0;
       double best_score = 0.0;
       for (int j = 0; j < total_; ++j) {
         const std::size_t sj = static_cast<std::size_t>(j);
         if (state_[sj] == VarState::Basic) continue;
         if (lb_[sj] == ub_[sj]) continue;  // fixed variable
-        const double d = reducedCost(j, phase1);
+        const double d = d_[sj];
         double dir = 0.0;
         if ((state_[sj] == VarState::AtLower ||
              state_[sj] == VarState::FreeZero) &&
@@ -665,14 +813,13 @@ class SparseSimplex {
         if (enter < 0 || score > best_score) {
           enter = j;
           enter_dir = dir;
-          enter_d = d;
           best_score = score;
           if (bland) break;  // Bland: first eligible index
         }
       }
       if (enter < 0) {
         if (phase1)
-          return infeasibility() <= tol
+          return obj <= tol
                      ? true
                      : (sol.status = Status::Infeasible, extract(sol), false);
         return true;  // phase-2 optimal
@@ -694,7 +841,7 @@ class SparseSimplex {
 
       for (int i = 0; i < m_; ++i) {
         const double wi = w_[static_cast<std::size_t>(i)];
-        if (std::abs(wi) < 1e-10) continue;
+        if (std::abs(wi) < kRatioPivotTol) continue;
         const std::size_t b =
             static_cast<std::size_t>(basic_[static_cast<std::size_t>(i)]);
         const double rate = -enter_dir * wi;  // d x_b / d t
@@ -722,8 +869,8 @@ class SparseSimplex {
         }
         if (limit == kInf) continue;
         limit = std::max(limit, 0.0);  // tiny negative from roundoff
-        bool take = limit < t_max - 1e-12;
-        if (!take && limit < t_max + 1e-12 && leave_pos >= 0) {
+        bool take = limit < t_max - kZeroTol;
+        if (!take && limit < t_max + kZeroTol && leave_pos >= 0) {
           // Tie-break: Bland favors the smallest basic index; otherwise
           // prefer the larger pivot magnitude for stability.
           take = bland
@@ -771,36 +918,43 @@ class SparseSimplex {
         pos_[se] = leave_pos;
         state_[se] = VarState::Basic;
 
-        if (devex && !bland)
-          updateDevex(enter, enter_d, leave, leave_pos, phase1);
+        // The Devex update needs this pivot's row of the old basis. It is
+        // deferred to the next iteration's btran; nothing reads the
+        // weights before then except a refactorization, which flushes it.
+        const double wr = w_[static_cast<std::size_t>(leave_pos)];
+        if (devex && !bland && std::abs(wr) >= kZeroTol) {
+          pending_ = PendingDevex{enter, leave, leave_pos, wr,
+                                  eta_row_.size()};
+        }
 
         // Product-form update, or a refactorization when the pivot is too
         // small for a stable eta.
-        const double wr = w_[static_cast<std::size_t>(leave_pos)];
-        if (std::abs(wr) < 1e-8 ||
-            static_cast<int>(etas_.size()) + 1 >= opts_.refactor_every) {
-          refactorAndRecompute(sol);
+        if (std::abs(wr) < kMinEtaPivot ||
+            static_cast<int>(eta_row_.size()) + 1 >= opts_.refactor_every) {
+          refactorAndRecompute();
         } else {
-          Eta e;
-          e.r = leave_pos;
-          e.diag = 1.0 / wr;
+          eta_row_.push_back(leave_pos);
+          eta_diag_.push_back(1.0 / wr);
           for (int i = 0; i < m_; ++i) {
             if (i == leave_pos) continue;
             const double wi = w_[static_cast<std::size_t>(i)];
-            if (std::abs(wi) > 1e-12) e.col.push_back({i, -wi / wr});
+            if (std::abs(wi) > kZeroTol) {
+              eta_idx_.push_back(i);
+              eta_val_.push_back(-wi / wr);
+            }
           }
-          etas_.push_back(std::move(e));
+          eta_start_.push_back(eta_idx_.size());
         }
         // Drift-triggered refactorization: check the cheap O(nnz) primal
         // residual periodically instead of refactorizing on a schedule.
-        if (++pivots_since_check >= 32) {
+        if (++pivots_since_check >= kDriftCheckPivots) {
           pivots_since_check = 0;
-          if (!etas_.empty() && primalResidual() > 1e-7)
-            refactorAndRecompute(sol);
+          if (!eta_row_.empty() && primalResidual() > kDriftResidual)
+            refactorAndRecompute();
         }
       }
 
-      const double obj = currentObjective(phase1);
+      obj = currentObjective(phase1);
       if (obj < last_obj - tol) {
         stall = 0;
         bland = false;
@@ -811,43 +965,69 @@ class SparseSimplex {
     }
   }
 
-  void refactorAndRecompute(Solution& sol) {
+  /// Applies a pending Devex update against the factors it was taken on,
+  /// then refactorizes and recomputes the basic values.
+  void refactorAndRecompute() {
+    if (pending_) {
+      startPivotRow();
+      btranFull(rho_, pending_->etas);
+      updateDevex();
+    }
     if (!factorizeBasis())
       throw std::runtime_error("simplex: singular basis during refactor");
     computeBasics();
-    (void)sol;
   }
 
-  /// Devex reference-weight update after a basis change: every nonbasic
-  /// weight absorbs its pivot-row tableau entry alpha_rj = rho . a_j, and
-  /// the leaving variable re-enters the nonbasic set with the transformed
-  /// entering weight.
-  void updateDevex(int enter, double enter_d, int leave, int leave_pos,
-                   bool phase1) {
-    (void)enter_d;
-    (void)phase1;
-    const double alpha_e = w_[static_cast<std::size_t>(leave_pos)];
-    if (std::abs(alpha_e) < 1e-12) return;
+  /// Seeds rho_ with the unit vector of the pending pivot's position.
+  void startPivotRow() {
     rho_.assign(static_cast<std::size_t>(m_), 0.0);
-    rho_[static_cast<std::size_t>(leave_pos)] = 1.0;
-    btranFull(rho_);
-    const double we = devex_[static_cast<std::size_t>(enter)];
+    rho_[static_cast<std::size_t>(pending_->leave_pos)] = 1.0;
+  }
+
+  /// Devex reference-weight update after a basis change, given the pivot
+  /// row rho_ = e_r^T B^-1 of the basis before it: every nonbasic weight
+  /// absorbs its pivot-row tableau entry alpha_rj = rho . a_j, and the
+  /// leaving variable re-enters the nonbasic set with the transformed
+  /// entering weight. alpha is accumulated row by row over the nonzeros of
+  /// rho (the same additions per column as a column-wise dot product,
+  /// minus exact zeros); the touched columns are updated independently, so
+  /// their order does not matter.
+  void updateDevex() {
+    const PendingDevex p = *pending_;
+    pending_.reset();
+    for (int r = 0; r < m_; ++r) {
+      const double pr = rho_[static_cast<std::size_t>(r)];
+      if (pr == 0.0) continue;
+      for (std::size_t at = row_start_[static_cast<std::size_t>(r)];
+           at < row_start_[static_cast<std::size_t>(r) + 1]; ++at) {
+        const std::size_t j = static_cast<std::size_t>(col_ix_[at]);
+        if (!touched_mark_[j]) {
+          touched_mark_[j] = 1;
+          alpha_[j] = 0.0;
+          touched_.push_back(col_ix_[at]);
+        }
+        alpha_[j] += pr * r_val_[at];
+      }
+    }
+    const double alpha_e = p.alpha_e;
+    const double we = devex_[static_cast<std::size_t>(p.enter)];
     double maxw = 0.0;
-    for (int j = 0; j < total_; ++j) {
+    for (const int j : touched_) {
       const std::size_t sj = static_cast<std::size_t>(j);
-      if (state_[sj] == VarState::Basic || j == leave) continue;
-      double alpha = 0.0;
-      for (std::size_t at = col_start_[sj]; at < col_start_[sj + 1]; ++at)
-        alpha += rho_[static_cast<std::size_t>(row_ix_[at])] * a_val_[at];
+      touched_mark_[sj] = 0;
+      if (state_[sj] == VarState::Basic || j == p.leave) continue;
+      const double alpha = alpha_[sj];
       if (alpha == 0.0) continue;
       const double cand = (alpha / alpha_e) * (alpha / alpha_e) * we;
       if (cand > devex_[sj]) devex_[sj] = cand;
       maxw = std::max(maxw, devex_[sj]);
     }
-    devex_[static_cast<std::size_t>(leave)] =
+    touched_.clear();
+    devex_[static_cast<std::size_t>(p.leave)] =
         std::max(we / (alpha_e * alpha_e), 1.0);
     // Reference framework reset once the weights have grown stale.
-    if (maxw > 1e8) devex_.assign(static_cast<std::size_t>(total_), 1.0);
+    if (maxw > kDevexReset)
+      devex_.assign(static_cast<std::size_t>(total_), 1.0);
   }
 
   void extract(Solution& sol) const {
@@ -882,20 +1062,37 @@ class SparseSimplex {
   std::vector<std::size_t> col_start_;  // CSC of [A | -I]
   std::vector<int> row_ix_;
   std::vector<double> a_val_;
+  std::vector<std::size_t> row_start_;  // CSR of [A | -I]
+  std::vector<int> col_ix_;
+  std::vector<double> r_val_;
   std::vector<double> lb_, ub_, cost_;
+  std::vector<int> cost_cols_;  // columns with a nonzero cost, ascending
   std::vector<double> x_;
   std::vector<VarState> state_;
   std::vector<int> basic_, pos_;
   BasisLu lu_;
-  struct Eta {
-    int r = -1;
-    double diag = 0.0;
-    std::vector<Entry> col;
-  };
-  std::vector<Eta> etas_;
+  std::vector<std::vector<Entry>> basis_cols_;  // factorizeBasis's input
+  // Eta file, oldest first: per eta its pivot position, 1/pivot and the
+  // offset of its (position, -w_i/pivot) entries.
+  std::vector<int> eta_row_;
+  std::vector<double> eta_diag_;
+  std::vector<std::size_t> eta_start_;
+  std::vector<int> eta_idx_;
+  std::vector<double> eta_val_;
   int refactorizations_ = 0;
   std::vector<double> devex_;
-  std::vector<double> cb_, y_, w_, rho_;
+  // The last pivot's deferred Devex update: entering and leaving
+  // variables, pivot position and value, and the eta count of its basis.
+  struct PendingDevex {
+    int enter = -1, leave = -1, leave_pos = -1;
+    double alpha_e = 0.0;
+    std::size_t etas = 0;
+  };
+  std::optional<PendingDevex> pending_;
+  std::vector<double> alpha_;      // pivot-row entries of touched columns
+  std::vector<char> touched_mark_;
+  std::vector<int> touched_;
+  std::vector<double> d_, y_, w_, rho_;
   mutable std::vector<double> rhs_;
 };
 

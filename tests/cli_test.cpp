@@ -93,15 +93,18 @@ TEST(CliObsTest, OptimizeTraceContainsFlowAndPerUSpans) {
   ASSERT_NE(events, nullptr);
   std::size_t flow_runs = 0;
   std::size_t u_points = 0;
+  std::size_t lp_builds = 0;
   std::size_t local_rounds = 0;
   for (std::size_t i = 0; i < events->size(); ++i) {
     const std::string name = events->at(i).str("name", "");
     if (name == "flow.run") ++flow_runs;
     if (name == "global.u_point") ++u_points;
+    if (name == "global.lp_build") ++lp_builds;
     if (name == "local.round") ++local_rounds;
   }
   EXPECT_EQ(flow_runs, 1u);
   EXPECT_GT(u_points, 0u);   // one span per U-sweep point
+  EXPECT_EQ(lp_builds, 2u);  // the pass-1 model and the sweep model
   EXPECT_GT(local_rounds, 0u);
 }
 

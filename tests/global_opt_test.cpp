@@ -4,6 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include "testgen/testgen.h"
 
@@ -231,6 +235,144 @@ TEST_F(GlobalOptTest, EmptyPairsIsNoOp) {
   const GlobalResult r = opt.run(d, objective);
   EXPECT_FALSE(r.improved);
   EXPECT_EQ(d.tree.numNodes(), snapshot.tree.numNodes());
+}
+
+// Pins the sparse simplex's trajectory on the three bench-scale CLS LP
+// chains (pass 1 cold, then the warm {0.05, 0.2, 0.4} sweep, as
+// BM_USweepWarmStart runs it): per solve the iteration, phase-1 and
+// refactorization counts, the warm-start flag and an FNV-1a-64 over the x
+// bits, the objective bits and the final basis. Solver speedups must keep
+// the pivot path, so these literals only change with a deliberate change
+// of the algorithm.
+struct LpTrajectory {
+  int iterations, phase1_iterations, refactorizations;
+  bool warm_started;
+  std::uint64_t digest;
+};
+
+std::uint64_t fnv1a64(std::uint64_t h, const void* data, std::size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+LpTrajectory trajectoryOf(const lp::Solution& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const double v : s.x) h = fnv1a64(h, &v, sizeof v);
+  h = fnv1a64(h, &s.objective, sizeof s.objective);
+  for (const lp::BasisStatus b : s.basis.status) {
+    const auto byte = static_cast<unsigned char>(b);
+    h = fnv1a64(h, &byte, 1);
+  }
+  return {s.iterations, s.phase1_iterations, s.refactorizations,
+          s.warm_started, h};
+}
+
+std::vector<LpTrajectory> solveSweepChain(const std::string& name,
+                                          const lp::SolverOptions& o) {
+  testgen::TestcaseOptions to;
+  to.sinks = name == "CLS2v1" ? 160 : 120;
+  to.max_pairs = 120;
+  to.seed = 1;
+  const network::Design d = testgen::makeTestcase(sharedTech(), name, to);
+  const sta::Timer timer(sharedTech());
+  const Objective objective(d, timer);
+  const GlobalOptimizer opt(sharedTech(), sharedLut());
+  GlobalLpProbe probe = opt.extractGlobalLp(d, objective);
+  std::vector<LpTrajectory> out;
+  const lp::Solution vsol = lp::solve(probe.min_v, o);
+  out.push_back(trajectoryOf(vsol));
+  lp::Basis chain = vsol.basis;
+  chain.status.push_back(lp::BasisStatus::Basic);
+  for (const double t : {0.05, 0.2, 0.4}) {
+    const double u = vsol.objective + t * (probe.orig_sum_ps - vsol.objective);
+    probe.sweep.setRowBounds(probe.budget_row, -lp::kInf, u);
+    const lp::Solution s = lp::solve(probe.sweep, o, &chain);
+    out.push_back(trajectoryOf(s));
+    chain = s.basis;
+  }
+  return out;
+}
+
+// The literal form of a trajectory, printed on mismatch so a deliberate
+// algorithm change can re-pin it.
+std::string literalOf(const LpTrajectory& t) {
+  char buf[96];
+  std::snprintf(buf, sizeof buf, "{%d, %d, %d, %s, 0x%016llxULL}",
+                t.iterations, t.phase1_iterations, t.refactorizations,
+                t.warm_started ? "true" : "false",
+                static_cast<unsigned long long>(t.digest));
+  return buf;
+}
+
+void expectTrajectory(const std::string& label,
+                      const std::vector<LpTrajectory>& got,
+                      const std::vector<LpTrajectory>& want) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const LpTrajectory& g = got[i];
+    const LpTrajectory& w = want[i];
+    const std::string at =
+        label + " solve " + std::to_string(i) + ": " + literalOf(g);
+    EXPECT_EQ(g.iterations, w.iterations) << at;
+    EXPECT_EQ(g.phase1_iterations, w.phase1_iterations) << at;
+    EXPECT_EQ(g.refactorizations, w.refactorizations) << at;
+    EXPECT_EQ(g.warm_started, w.warm_started) << at;
+    EXPECT_EQ(g.digest, w.digest) << at;
+  }
+}
+
+TEST(LpTrajectoryTest, PinnedOnBenchScaleClsChains) {
+  const std::vector<LpTrajectory> cls1v1 = {
+      {765, 575, 7, false, 0x18fa6f1f8493db6dULL},
+      {259, 0, 3, true, 0x4a259136600b5cb3ULL},
+      {309, 101, 3, true, 0xa69b2529407affadULL},
+      {304, 124, 3, true, 0x97fda5914da3bc7dULL},
+  };
+  const std::vector<LpTrajectory> cls1v2 = {
+      {832, 587, 7, false, 0x2f3b1c984486fc8eULL},
+      {403, 0, 4, true, 0x58262af835f5d62dULL},
+      {314, 83, 3, true, 0x8011998d16cf42adULL},
+      {532, 220, 5, true, 0xc5b4871594703b26ULL},
+  };
+  const std::vector<LpTrajectory> cls2v1 = {
+      {906, 718, 8, false, 0x980b8ee116eec03bULL},
+      {231, 0, 2, true, 0x48118421e8c12fbaULL},
+      {375, 134, 4, true, 0x9794eff0920efd98ULL},
+      {444, 224, 4, true, 0x9e03e1941391cb4bULL},
+  };
+  expectTrajectory("CLS1v1", solveSweepChain("CLS1v1", {}), cls1v1);
+  expectTrajectory("CLS1v2", solveSweepChain("CLS1v2", {}), cls1v2);
+  expectTrajectory("CLS2v1", solveSweepChain("CLS2v1", {}), cls2v1);
+}
+
+TEST(LpTrajectoryTest, PinnedUnderDantzigPricing) {
+  lp::SolverOptions o;
+  o.pricing = lp::SolverOptions::Pricing::kDantzig;
+  expectTrajectory("CLS1v2 Dantzig", solveSweepChain("CLS1v2", o),
+                   {
+                       {924, 765, 8, false, 0x50ea7e3d2b0a6485ULL},
+                       {763, 0, 7, true, 0x4fc5d6d2802ceb52ULL},
+                       {640, 198, 6, true, 0xccaa9dfa2c8a4107ULL},
+                       {599, 315, 5, true, 0xcdc758bb48f74f2dULL},
+                   });
+}
+
+TEST(LpTrajectoryTest, PinnedUnderFrequentRefactorization) {
+  // A small eta cap refactorizes every few pivots, so the Devex update
+  // that precedes a refactorization runs many times.
+  lp::SolverOptions o;
+  o.refactor_every = 8;
+  expectTrajectory("CLS1v2 refactor_every=8", solveSweepChain("CLS1v2", o),
+                   {
+                       {841, 581, 105, false, 0x7ade3197174fb3aeULL},
+                       {437, 0, 54, true, 0x35ccbe5e96878ce3ULL},
+                       {297, 98, 37, true, 0x130f026e99135edfULL},
+                       {475, 190, 59, true, 0x85f71bd3302e7fb0ULL},
+                   });
 }
 
 }  // namespace
