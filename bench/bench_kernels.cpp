@@ -241,8 +241,7 @@ void BM_SimplexTransport(benchmark::State& state) {
 BENCHMARK(BM_SimplexTransport)->Arg(20)->Arg(60);
 
 // The global optimizer's pass-1 LP (Eqs. 4-11) on the largest seeded
-// testcase: Arg(0) solves with the legacy dense-inverse simplex, Arg(1)
-// with the sparse revised simplex.
+// testcase, solved cold. Arg(1) names the case as it always has.
 void BM_GlobalLpSolve(benchmark::State& state) {
   const network::Design& d = sharedDesign();
   const sta::Timer timer(sharedTech());
@@ -250,21 +249,17 @@ void BM_GlobalLpSolve(benchmark::State& state) {
   static eco::StageDelayLut lut(sharedTech());
   const core::GlobalOptimizer gopt(sharedTech(), lut);
   const core::GlobalLpProbe probe = gopt.extractGlobalLp(d, objective);
-  lp::SolverOptions o;
-  o.algorithm = state.range(0) == 0 ? lp::SolverOptions::Algorithm::kDense
-                                    : lp::SolverOptions::Algorithm::kSparse;
   for (auto _ : state) {
-    const lp::Solution s = lp::solve(probe.min_v, o);
+    const lp::Solution s = lp::solve(probe.min_v);
     benchmark::DoNotOptimize(s.objective);
   }
-  state.SetLabel(state.range(0) == 0 ? "dense" : "sparse");
+  state.SetLabel("sparse");
 }
-BENCHMARK(BM_GlobalLpSolve)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GlobalLpSolve)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // The full U-sweep LP sequence (pass 1 + one re-bounded solve per sweep
-// point) as GlobalOptimizer::run issues it: Arg(0) is the pre-PR path —
-// every LP cold on the dense solver — and Arg(1) the warm-started sparse
-// path, each sweep point re-entering from the previous optimal basis.
+// point) as GlobalOptimizer::run issues it: Arg(0) solves every LP cold,
+// Arg(1) re-enters each sweep point from the previous optimal basis.
 void BM_USweepWarmStart(benchmark::State& state) {
   const network::Design& d = sharedDesign();
   const sta::Timer timer(sharedTech());
@@ -273,14 +268,11 @@ void BM_USweepWarmStart(benchmark::State& state) {
   const core::GlobalOptimizer gopt(sharedTech(), lut);
   core::GlobalLpProbe probe = gopt.extractGlobalLp(d, objective);
   const std::vector<double> sweep = {0.05, 0.2, 0.4};
-  const bool warm_sparse = state.range(0) != 0;
-  lp::SolverOptions o;
-  o.algorithm = warm_sparse ? lp::SolverOptions::Algorithm::kSparse
-                            : lp::SolverOptions::Algorithm::kDense;
+  const bool warm = state.range(0) != 0;
   for (auto _ : state) {
-    const lp::Solution vsol = lp::solve(probe.min_v, o);
+    const lp::Solution vsol = lp::solve(probe.min_v);
     lp::Basis chain;
-    if (warm_sparse) {
+    if (warm) {
       chain = vsol.basis;
       chain.status.push_back(lp::BasisStatus::Basic);
     }
@@ -290,13 +282,13 @@ void BM_USweepWarmStart(benchmark::State& state) {
           vsol.objective + t * (probe.orig_sum_ps - vsol.objective);
       probe.sweep.setRowBounds(probe.budget_row, -lp::kInf, u);
       const lp::Solution s =
-          lp::solve(probe.sweep, o, chain.empty() ? nullptr : &chain);
-      if (warm_sparse) chain = s.basis;
+          lp::solve(probe.sweep, {}, chain.empty() ? nullptr : &chain);
+      if (warm) chain = s.basis;
       acc += s.objective;
     }
     benchmark::DoNotOptimize(acc);
   }
-  state.SetLabel(warm_sparse ? "warm-sparse" : "cold-dense");
+  state.SetLabel(warm ? "warm-sparse" : "cold-sparse");
 }
 BENCHMARK(BM_USweepWarmStart)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 

@@ -495,6 +495,162 @@ void checkBudgetRow(const lp::Model& model, int budget_row,
   }
 }
 
+namespace {
+
+/// The worst offender of one certificate condition, and how many entries
+/// exceed its tolerance.
+struct Worst {
+  double tol;
+  double residual = 0.0;  ///< scaled, compared against tol
+  double amount = 0.0;    ///< unscaled
+  int index = -1;
+  bool row = false;
+  std::size_t count = 0;
+
+  void track(double res, double amt, int at, bool is_row) {
+    if (res > tol) ++count;
+    if (res > residual) {
+      residual = res;
+      amount = amt;
+      index = at;
+      row = is_row;
+    }
+  }
+};
+
+struct Certificate {
+  Worst primal{kLpPrimalTol}, dual{kLpDualTol},
+      complementarity{kLpComplementarityTol};
+  double dual_objective = 0.0;
+  double gap = 0.0;
+};
+
+bool allFinite(const std::vector<double>& v) {
+  return std::all_of(v.begin(), v.end(),
+                     [](double e) { return std::isfinite(e); });
+}
+
+/// The code a solution the certificate cannot read is reported under: x
+/// (SKW230) or duals (SKW231) missing, mis-sized or non-finite, or a
+/// non-finite objective (SKW233). 0 for a well-shaped solution.
+int shapeDefect(const lp::Model& model, const lp::Solution& sol) {
+  if (sol.x.size() != static_cast<std::size_t>(model.numVars()) ||
+      !allFinite(sol.x))
+    return 230;
+  if (sol.duals.size() != static_cast<std::size_t>(model.numRows()) ||
+      !allFinite(sol.duals))
+    return 231;
+  return std::isfinite(sol.objective) ? 0 : 233;
+}
+
+/// Certifies one variable or row: the multiplier `m` (a reduced cost or a
+/// row dual) prices the bound range [lo, hi] of a quantity at value `v`. A
+/// positive multiplier holds v at lo, a negative one at hi.
+void certifyEntry(double m, double v, double lo, double hi, int index,
+                  bool row, double cost_scale, double obj_scale,
+                  Certificate& c) {
+  const double bound = v < lo ? lo : (v > hi ? hi : v);
+  const double violation = std::abs(v - bound);
+  c.primal.track(violation / std::max(1.0, std::abs(bound)), violation,
+                 index, row);
+  if (m == 0.0) return;
+  const double side = m > 0.0 ? lo : hi;
+  if (!std::isfinite(side)) {
+    // No finite bound supports this sign. Price it at the point itself,
+    // so the gap stays finite.
+    c.dual.track(std::abs(m) / cost_scale, std::abs(m), index, row);
+    c.dual_objective += m * v;
+    return;
+  }
+  const double product = std::abs(m) * std::max(0.0, m > 0.0 ? v - lo : hi - v);
+  c.complementarity.track(product / obj_scale, product, index, row);
+  c.dual_objective += m * side;
+}
+
+/// The certificate of a well-shaped solution: reduced costs recomputed
+/// from the model's rows, then one pass over rows and one over variables.
+Certificate certify(const lp::Model& model, const lp::Solution& sol) {
+  Certificate c;
+  const int nv = model.numVars();
+  std::vector<double> d(static_cast<std::size_t>(nv));
+  double cost_max = 0.0;
+  for (int j = 0; j < nv; ++j) {
+    d[static_cast<std::size_t>(j)] = model.objCoef(j);
+    cost_max = std::max(cost_max, std::abs(model.objCoef(j)));
+  }
+  const double cost_scale = std::max(1.0, cost_max);
+  const double obj_scale = std::max(1.0, std::abs(sol.objective));
+  for (int r = 0; r < model.numRows(); ++r) {
+    const double y = sol.duals[static_cast<std::size_t>(r)];
+    double activity = 0.0;
+    for (const lp::Term& t : model.rowTerms(r)) {
+      activity += t.coef * sol.x[static_cast<std::size_t>(t.var)];
+      d[static_cast<std::size_t>(t.var)] -= y * t.coef;
+    }
+    certifyEntry(y, activity, model.rowLo(r), model.rowHi(r), r,
+                 /*row=*/true, cost_scale, obj_scale, c);
+  }
+  for (int j = 0; j < nv; ++j)
+    certifyEntry(d[static_cast<std::size_t>(j)],
+                 sol.x[static_cast<std::size_t>(j)], model.varLb(j),
+                 model.varUb(j), j, /*row=*/false, cost_scale, obj_scale, c);
+  c.gap = std::abs(sol.objective - c.dual_objective) / obj_scale;
+  return c;
+}
+
+void reportWorst(DiagnosticEngine& engine, int code, const Worst& w,
+                 const char* what, const lp::Model& model) {
+  if (w.count == 0) return;
+  std::ostringstream os;
+  os.precision(4);
+  os << w.count << ' ' << what << "; worst ";
+  if (w.row)
+    os << "row " << w.index;
+  else
+    os << "variable " << w.index << " (" << model.varName(w.index) << ')';
+  os << " by " << w.amount << " (relative " << w.residual << " > " << w.tol
+     << ')';
+  engine.report(code, Severity::kError, "lp-certificate", os.str());
+}
+
+}  // namespace
+
+LpResiduals lpResiduals(const lp::Model& model, const lp::Solution& solution) {
+  if (shapeDefect(model, solution) != 0)
+    return {lp::kInf, lp::kInf, lp::kInf, lp::kInf};
+  const Certificate c = certify(model, solution);
+  return {c.primal.residual, c.dual.residual, c.complementarity.residual,
+          c.gap};
+}
+
+void checkLpOptimality(const lp::Model& model, const lp::Solution& solution,
+                       DiagnosticEngine& engine) {
+  if (solution.status != lp::Status::Optimal) return;
+  if (const int code = shapeDefect(model, solution); code != 0) {
+    engine.report(code, Severity::kError, "lp-certificate",
+                  code == 230   ? "solution x is missing, mis-sized or "
+                                  "non-finite"
+                  : code == 231 ? "solution duals are missing, mis-sized "
+                                  "or non-finite"
+                                : "solution objective is non-finite");
+    return;
+  }
+  const Certificate c = certify(model, solution);
+  reportWorst(engine, 230, c.primal, "bound(s) violated", model);
+  reportWorst(engine, 231, c.dual,
+              "multiplier(s) of a sign no finite bound supports", model);
+  reportWorst(engine, 232, c.complementarity,
+              "multiplier(s) pricing a bound the point does not hold", model);
+  if (c.gap > kLpGapTol) {
+    std::ostringstream os;
+    os.precision(10);
+    os << "reported objective " << solution.objective
+       << " differs from the dual objective " << c.dual_objective
+       << " (relative gap " << c.gap << " > " << kLpGapTol << ')';
+    engine.report(233, Severity::kError, "lp-certificate", os.str());
+  }
+}
+
 void checkRatioEnvelope(const eco::StageDelayLut& lut,
                         const network::Design& d, DiagnosticEngine& engine) {
   const char* kCheck = "ratio-envelope";

@@ -11,7 +11,8 @@
 // them and throw check::CheckFailure on any error.
 //
 // Code blocks: SKW1xx design (tree/routing/placement/pairs), SKW16x
-// timing, SKW2xx LP model / budget row / LUT ratio envelope, SKW3xx serve
+// timing, SKW2xx LP model / budget row / LUT ratio envelope / optimality
+// certificate, SKW3xx serve
 // JobSpec records (implemented in serve/spec_check.h — the serve module
 // sits above this one).
 #pragma once
@@ -85,6 +86,45 @@ void checkBudgetRow(const lp::Model& model, int budget_row,
 /// and finite over each active corner pair's fitted range. SKW220-221.
 void checkRatioEnvelope(const eco::StageDelayLut& lut,
                         const network::Design& d, DiagnosticEngine& engine);
+
+/// Relative tolerances of the LP optimality certificate, one per residual
+/// of LpResiduals (scaled as documented there). The solver's own pricing
+/// and feasibility tolerances (SolverOptions::tolerance, 1e-7 absolute)
+/// sit below them, so an answer the solver may legitimately return always
+/// passes.
+inline constexpr double kLpPrimalTol = 1e-6;
+inline constexpr double kLpDualTol = 1e-6;
+inline constexpr double kLpComplementarityTol = 1e-6;
+inline constexpr double kLpGapTol = 1e-6;
+
+/// Worst scaled residual of each optimality condition of an LP solution,
+/// with the reduced costs d = c - A^T y recomputed from Model::rowTerms:
+///   primal          — bound or row violation / max(1, |bound|);
+///   dual            — a reduced cost or row dual whose sign no finite
+///                     bound supports / max(1, max_j |c_j|);
+///   complementarity — |multiplier| x distance to the bound it prices /
+///                     max(1, |objective|);
+///   gap             — |objective - dual objective| / max(1, |objective|),
+///                     the objective being the one the solution reports.
+struct LpResiduals {
+  double primal = 0.0;
+  double dual = 0.0;
+  double complementarity = 0.0;
+  double gap = 0.0;
+};
+
+/// The residuals of `solution` (which must carry finite x and duals sized
+/// to the model; every field is +inf otherwise). O(nnz).
+LpResiduals lpResiduals(const lp::Model& model, const lp::Solution& solution);
+
+/// LP optimality certificate for an Optimal solution: primal feasibility
+/// (SKW230), dual sign feasibility (SKW231), complementary slackness
+/// (SKW232) and the duality gap against the reported objective (SKW233),
+/// each against its kLp*Tol above, one diagnostic per violated condition
+/// naming the worst offender. A solution of any other status claims no
+/// optimum and is not checked. O(nnz).
+void checkLpOptimality(const lp::Model& model, const lp::Solution& solution,
+                       DiagnosticEngine& engine);
 
 // --- composition ---
 

@@ -450,6 +450,19 @@ void gateLp(const lp::Model& model, int budget_row, check::Level level,
   if (engine.hasErrors()) throw check::CheckFailure(engine, stage);
 }
 
+/// LP certificate gate: certifies a live Optimal solve against its model
+/// before its x is used. Replayed solutions skip it — they carry no duals
+/// and are bit-copies of an earlier live solve that passed it.
+void gateLpCertificate(const lp::Model& model, const lp::Solution& sol,
+                       check::Level level) {
+  if (level == check::Level::kOff || sol.status != lp::Status::Optimal) return;
+  const char* stage = "global:lp-cert";
+  check::DiagnosticEngine engine;
+  engine.setContext(stage);
+  check::checkLpOptimality(model, sol, engine);
+  if (engine.hasErrors()) throw check::CheckFailure(engine, stage);
+}
+
 }  // namespace
 
 namespace {
@@ -589,6 +602,7 @@ GlobalResult GlobalOptimizer::run(Design& d, const Objective& objective,
     lpo.solve_ms.observe(lp_sw.ms());
   }
   const double pass1_ms = lp_sw.ms();
+  if (!pass1_replay) gateLpCertificate(min_lp.model, vsol, chk);
   res.lp_solves.push_back({0.0, vsol.iterations, vsol.refactorizations,
                            pass1_replay,
                            vsol.status == lp::Status::Optimal, pass1_ms,
@@ -715,6 +729,7 @@ GlobalResult GlobalOptimizer::run(Design& d, const Objective& objective,
                       chain.empty() ? nullptr : &chain);
     }
     const double sweep_ms = lp_sw.ms();
+    gateLpCertificate(sweep_lp.model, sol, chk);
     lpo.solves.add();
     lpo.iterations.add(static_cast<std::uint64_t>(sol.iterations));
     lpo.solve_ms.observe(sweep_ms);

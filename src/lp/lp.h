@@ -1,23 +1,21 @@
 // Linear programming for the global skew-variation optimization.
 //
 // The paper solves the LP of its Eqs. (4)-(11) with a commercial-grade
-// solver; this module is a from-scratch replacement: a bounded-variable
-// primal simplex with
+// solver; this module is a from-scratch replacement, one bounded-variable
+// two-phase primal simplex (revised_simplex.cpp) with
 //   * ranged rows (lo <= a.x <= hi) handled through slack variables,
-//   * a phase-1 that drives the sum of bound infeasibilities to zero,
-//   * a sparse revised implementation (the default): CSC column storage
-//     plus a CSR copy for row-wise pricing, sparse LU basis factorization
-//     with Markowitz-style pivoting, flat LU and product-form eta arrays
-//     with drift-triggered refactorization, sparse ftran/btran, and Devex
-//     pricing (its update deferred into the next iteration's btran, which
-//     then solves for the duals and the pivot row in one pass) with a
-//     Bland anti-cycling fallback,
+//   * a phase 1 that drives the sum of bound infeasibilities to zero and
+//     is re-entered if phase 2 drifts out of the feasible region,
+//   * CSC column storage plus a CSR copy for row-wise pricing, a sparse LU
+//     basis factorization with Markowitz-style pivoting, product-form eta
+//     updates with drift-triggered refactorization, and Devex pricing with
+//     a Bland anti-cycling fallback,
 //   * a warm-start API: solve() accepts the Basis of a previous solve and
 //     re-enters from it — the U-sweep of the global optimizer changes one
 //     row bound per step, so each re-solve is a handful of iterations,
-//   * the original dense-inverse simplex kept as a reference
-//     implementation (Algorithm::kDense) for differential tests and the
-//     cold-dense-vs-warm-sparse benchmarks.
+//   * the row duals of every optimal solve (Solution::duals), from which
+//     check::checkLpOptimality certifies the answer in O(nnz) without
+//     sharing the solver's arithmetic.
 //
 // The Model API is deliberately close to what callers of a commercial LP
 // library would write, so the global optimizer reads like the paper.
@@ -88,7 +86,7 @@ const char* statusName(Status s);
 enum class BasisStatus : unsigned char { Basic, AtLower, AtUpper, FreeZero };
 
 /// A basis snapshot: one status per structural variable and row slack.
-/// Returned by the sparse solver in Solution::basis and accepted back as a
+/// Returned by the solver in Solution::basis and accepted back as a
 /// warm start. A basis from a model with one fewer row can be extended by
 /// appending a Basic entry for the new row's slack (the slack column is a
 /// unit column, so the extended basis stays nonsingular) — this is how the
@@ -120,31 +118,29 @@ struct Solution {
   /// factorizable, possibly after slack repair); false on cold starts and
   /// on fallbacks from an unusable warm basis.
   bool warm_started = false;
-  /// Final basis (sparse solver only) — feed to the next solve's
-  /// `warm_start` to re-enter from this vertex.
+  /// Final basis (empty for a model without rows) — feed to the next
+  /// solve's `warm_start` to re-enter from this vertex.
   Basis basis;
+  /// Row duals y of the final pricing pass, one per row; filled only when
+  /// the status is Optimal. The reduced cost of variable j is
+  /// d_j = c_j - sum_r y_r a_rj; y_r > 0 prices a row held at its lower
+  /// bound, y_r < 0 one held at its upper bound.
+  std::vector<double> duals;
 };
 
 struct SolverOptions {
-  /// kSparse: the revised simplex (default). kDense: the legacy explicit
-  /// dense-inverse simplex, kept for differential testing and benchmarks;
-  /// it ignores warm starts and returns no basis.
-  enum class Algorithm : unsigned char { kSparse, kDense };
-  /// Entering-variable rule of the sparse path. Devex approximates
-  /// steepest-edge with reference weights; Dantzig is the classic
-  /// most-negative reduced cost.
+  /// Entering-variable rule. Devex approximates steepest-edge with
+  /// reference weights; Dantzig is the classic most-negative reduced cost.
   enum class Pricing : unsigned char { kDevex, kDantzig };
 
   int max_iterations = 200000;
   double tolerance = 1e-7;
-  /// Dense path: eta-update count between drift checks. Sparse path: hard
-  /// cap on accumulated eta vectors before a forced refactorization
+  /// Hard cap on accumulated eta vectors before a forced refactorization
   /// (drift-triggered refactorizations can come earlier).
   int refactor_every = 120;
   /// Switch to Bland's rule after this many consecutive non-improving
   /// iterations (degeneracy guard).
   int stall_limit = 500;
-  Algorithm algorithm = Algorithm::kSparse;
   Pricing pricing = Pricing::kDevex;
 };
 
@@ -154,14 +150,5 @@ struct SolverOptions {
 /// falls back to a cold start (see Solution::warm_started).
 Solution solve(const Model& model, const SolverOptions& opts = {},
                const Basis* warm_start = nullptr);
-
-namespace detail {
-/// The two implementations behind solve(); exposed for differential tests.
-Solution solveDense(const Model& model, const SolverOptions& opts);
-Solution solveSparse(const Model& model, const SolverOptions& opts,
-                     const Basis* warm_start);
-/// Row-free fast path shared by both; true if it produced the solution.
-bool solveBoundsOnly(const Model& model, Solution* out);
-}  // namespace detail
 
 }  // namespace skewopt::lp

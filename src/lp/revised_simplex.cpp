@@ -1,9 +1,7 @@
-// Sparse revised simplex — the default implementation behind lp::solve().
+// Sparse revised simplex — the LP solver behind lp::solve().
 //
 // The global optimizer's LPs (Eqs. 4-11) are extremely sparse: a few terms
-// per row, thousands of rows. The legacy solver (simplex.cpp) keeps an
-// explicit dense m x m basis inverse with O(m^2) eta updates and O(m^3)
-// Gauss-Jordan refactorization; this one keeps the constraint matrix in
+// per row, thousands of rows. The solver keeps the constraint matrix in
 // CSC form and the basis as a sparse LU factorization:
 //
 //   * factorization: right-looking Gaussian elimination with
@@ -18,19 +16,27 @@
 //     start offsets, in the order the solves walk them;
 //   * solves: sparse ftran (B w = a) and btran (B^T y = c) through the
 //     LU triangles plus the eta file;
-//   * pricing: Devex reference weights (approximate steepest edge) with
-//     the same Bland anti-cycling fallback as the dense path. Reduced
-//     costs and the Devex pivot row are accumulated row-wise over a CSR
-//     copy of [A | -I], skipping zero duals. A pivot's Devex update is
-//     deferred to the next iteration, whose one fused btran yields both
-//     the new duals and the old pivot row (two independent accumulation
-//     chains); a refactorization applies a pending update first.
+//   * pricing: Devex reference weights (approximate steepest edge) with a
+//     Bland anti-cycling fallback. Reduced costs and the Devex pivot row
+//     are accumulated row-wise over a CSR copy of [A | -I], skipping zero
+//     duals. A pivot's Devex update is deferred to the next iteration,
+//     whose one fused btran yields both the new duals and the old pivot
+//     row (two independent accumulation chains); a refactorization
+//     applies a pending update first.
 //
 // None of this reorders floating-point work: every column sees the same
 // operations in the same order as a column-wise dot product, minus exact
 // zero terms, and a btran result's zeros are only ever skipped, so their
-// sign is free. The pivot path and every solution bit are those of the
-// plain column-wise solver (global_opt_test's LpTrajectoryTest pins them).
+// sign is free. global_opt_test's LpTrajectoryTest pins the pivot path and
+// every solution bit on the bench-scale CLS chains.
+//
+// Phase 2 only moves between feasible vertices in exact arithmetic; in
+// floating point a long degenerate run can carry the basic values out of
+// their bounds. When phase 2 stops (optimal or unbounded) with the point
+// infeasible, the solver refactorizes and re-enters phase 1 from the
+// current basis instead of reporting a point that is not feasible. The
+// duals of the final pricing pass are returned with every optimal
+// solution, so check::checkLpOptimality can certify it independently.
 //
 // A warm start re-enters from a caller-supplied Basis: the basis is
 // refactorized directly (rank-deficient bases are repaired with slacks,
@@ -48,17 +54,14 @@
 #include "lp/lp.h"
 
 namespace skewopt::lp {
-namespace detail {
 namespace {
-
-enum class VarState : unsigned char { Basic, AtLower, AtUpper, FreeZero };
 
 struct Entry {
   int idx = -1;
   double val = 0.0;
 };
 
-// Numeric guards of the sparse path (the dense reference keeps its own).
+// Numeric guards of the solver.
 // Ratio test: basic rows whose |w_i| is below this cannot block.
 constexpr double kRatioPivotTol = 1e-10;
 // Exact-zero window: eta entries below it are dropped, ratio-test limits
@@ -407,9 +410,8 @@ void BasisLu::btran(const std::array<std::vector<double>*, N>& v) const {
   for (std::size_t q = 0; q < N; ++q) v[q]->swap(scratch_[q]);
 }
 
-/// The revised simplex itself: phase structure, pricing, ratio test and
-/// bound handling mirror the dense reference implementation, so the two
-/// paths are differential-testable against each other.
+/// The revised simplex itself: the two-phase driver, pricing, ratio test
+/// and bound handling over the factorized basis.
 class SparseSimplex {
  public:
   SparseSimplex(const Model& model, const SolverOptions& opts)
@@ -423,16 +425,29 @@ class SparseSimplex {
     sol.warm_started = warm != nullptr && tryWarmStart(*warm);
     if (!sol.warm_started) coldStart();
     computeBasics();
-    if (!iterate(/*phase1=*/true, sol)) return finish(sol);
-    sol.phase1_iterations = sol.iterations;
-    if (infeasibility() > kPhase1InfeasibleCut) {
-      sol.status = Status::Infeasible;
-      extract(sol);
-      return finish(sol);
+    while (true) {
+      const int phase1_start = sol.iterations;
+      if (!iterate(/*phase1=*/true, sol)) return finish(sol);
+      sol.phase1_iterations += sol.iterations - phase1_start;
+      if (infeasibility() > kPhase1InfeasibleCut) {
+        sol.status = Status::Infeasible;
+        extract(sol);
+        return finish(sol);
+      }
+      const bool optimal = iterate(/*phase1=*/false, sol);
+      if (infeasibility() <= opts_.tolerance) {
+        if (optimal) break;
+        return finish(sol);
+      }
+      if (!optimal && sol.status != Status::Unbounded) return finish(sol);
+      // Phase 2 stopped on a point outside the bounds: rebuild the factors
+      // and restore feasibility from the current basis. A round only ends
+      // here after phase-2 pivots, so max_iterations bounds the loop.
+      refactorAndRecompute();
     }
-    if (!iterate(/*phase1=*/false, sol)) return finish(sol);
     sol.status = Status::Optimal;
     extract(sol);
+    sol.duals = y_;
     return finish(sol);
   }
 
@@ -501,27 +516,27 @@ class SparseSimplex {
   void setNonbasicAtBound(int j) {
     const std::size_t sj = static_cast<std::size_t>(j);
     if (lb_[sj] > -kInf) {
-      state_[sj] = VarState::AtLower;
+      state_[sj] = BasisStatus::AtLower;
       x_[sj] = lb_[sj];
     } else if (ub_[sj] < kInf) {
-      state_[sj] = VarState::AtUpper;
+      state_[sj] = BasisStatus::AtUpper;
       x_[sj] = ub_[sj];
     } else {
-      state_[sj] = VarState::FreeZero;
+      state_[sj] = BasisStatus::FreeZero;
       x_[sj] = 0.0;
     }
   }
 
   void coldStart() {
     x_.assign(static_cast<std::size_t>(total_), 0.0);
-    state_.assign(static_cast<std::size_t>(total_), VarState::AtLower);
+    state_.assign(static_cast<std::size_t>(total_), BasisStatus::AtLower);
     basic_.resize(static_cast<std::size_t>(m_));
     pos_.assign(static_cast<std::size_t>(total_), -1);
     for (int j = 0; j < total_; ++j) setNonbasicAtBound(j);
     for (int r = 0; r < m_; ++r) {
       basic_[static_cast<std::size_t>(r)] = n_ + r;
       pos_[static_cast<std::size_t>(n_ + r)] = r;
-      state_[static_cast<std::size_t>(n_ + r)] = VarState::Basic;
+      state_[static_cast<std::size_t>(n_ + r)] = BasisStatus::Basic;
     }
     factorizeBasis();
   }
@@ -537,38 +552,29 @@ class SparseSimplex {
     if (nbasic != m_) return false;
 
     x_.assign(static_cast<std::size_t>(total_), 0.0);
-    state_.assign(static_cast<std::size_t>(total_), VarState::AtLower);
+    state_.assign(static_cast<std::size_t>(total_), BasisStatus::AtLower);
     basic_.clear();
     basic_.reserve(static_cast<std::size_t>(m_));
     pos_.assign(static_cast<std::size_t>(total_), -1);
     for (int j = 0; j < total_; ++j) {
       const std::size_t sj = static_cast<std::size_t>(j);
-      switch (warm.status[sj]) {
-        case BasisStatus::Basic:
-          state_[sj] = VarState::Basic;
-          pos_[sj] = static_cast<int>(basic_.size());
-          basic_.push_back(j);
-          break;
-        case BasisStatus::AtUpper:
-          if (ub_[sj] < kInf) {
-            state_[sj] = VarState::AtUpper;
-            x_[sj] = ub_[sj];
-          } else {
-            setNonbasicAtBound(j);
-          }
-          break;
-        case BasisStatus::AtLower:
-          if (lb_[sj] > -kInf) {
-            state_[sj] = VarState::AtLower;
-            x_[sj] = lb_[sj];
-          } else {
-            setNonbasicAtBound(j);
-          }
-          break;
-        case BasisStatus::FreeZero:
-          state_[sj] = VarState::FreeZero;
-          x_[sj] = 0.0;
-          break;
+      const BasisStatus st = warm.status[sj];
+      if (st == BasisStatus::Basic) {
+        state_[sj] = st;
+        pos_[sj] = static_cast<int>(basic_.size());
+        basic_.push_back(j);
+        continue;
+      }
+      // A nonbasic status whose bound is infinite falls back to the
+      // variable's default bound.
+      const double at = st == BasisStatus::AtUpper   ? ub_[sj]
+                        : st == BasisStatus::AtLower ? lb_[sj]
+                                                     : 0.0;
+      if (std::isfinite(at)) {
+        state_[sj] = st;
+        x_[sj] = at;
+      } else {
+        setNonbasicAtBound(j);
       }
     }
     return factorizeBasis();
@@ -599,13 +605,14 @@ class SparseSimplex {
         const int position = bad[i];
         const int slack = n_ + rows[i];
         const std::size_t sslack = static_cast<std::size_t>(slack);
-        if (state_[sslack] == VarState::Basic) return false;  // pathological
+        if (state_[sslack] == BasisStatus::Basic)
+          return false;  // pathological
         const int out = basic_[static_cast<std::size_t>(position)];
         pos_[static_cast<std::size_t>(out)] = -1;
         setNonbasicAtBound(out);
         basic_[static_cast<std::size_t>(position)] = slack;
         pos_[sslack] = position;
-        state_[sslack] = VarState::Basic;
+        state_[sslack] = BasisStatus::Basic;
       }
       loadColumns();
       if (!lu_.factorize(m_, cols).empty()) return false;
@@ -664,7 +671,7 @@ class SparseSimplex {
     rhs_.assign(static_cast<std::size_t>(m_), 0.0);
     for (int j = 0; j < total_; ++j) {
       const std::size_t sj = static_cast<std::size_t>(j);
-      if (state_[sj] == VarState::Basic || x_[sj] == 0.0) continue;
+      if (state_[sj] == BasisStatus::Basic || x_[sj] == 0.0) continue;
       for (std::size_t at = col_start_[sj]; at < col_start_[sj + 1]; ++at)
         rhs_[static_cast<std::size_t>(row_ix_[at])] -= a_val_[at] * x_[sj];
     }
@@ -796,16 +803,16 @@ class SparseSimplex {
       double best_score = 0.0;
       for (int j = 0; j < total_; ++j) {
         const std::size_t sj = static_cast<std::size_t>(j);
-        if (state_[sj] == VarState::Basic) continue;
+        if (state_[sj] == BasisStatus::Basic) continue;
         if (lb_[sj] == ub_[sj]) continue;  // fixed variable
         const double d = d_[sj];
         double dir = 0.0;
-        if ((state_[sj] == VarState::AtLower ||
-             state_[sj] == VarState::FreeZero) &&
+        if ((state_[sj] == BasisStatus::AtLower ||
+             state_[sj] == BasisStatus::FreeZero) &&
             d < -tol)
           dir = 1.0;
-        else if ((state_[sj] == VarState::AtUpper ||
-                  state_[sj] == VarState::FreeZero) &&
+        else if ((state_[sj] == BasisStatus::AtUpper ||
+                  state_[sj] == BasisStatus::FreeZero) &&
                  d > tol)
           dir = -1.0;
         if (dir == 0.0) continue;
@@ -901,7 +908,8 @@ class SparseSimplex {
         for (int i = 0; i < m_; ++i)
           x_[static_cast<std::size_t>(basic_[static_cast<std::size_t>(i)])] -=
               enter_dir * t_max * w_[static_cast<std::size_t>(i)];
-        state_[se] = (enter_dir > 0.0) ? VarState::AtUpper : VarState::AtLower;
+        state_[se] =
+            (enter_dir > 0.0) ? BasisStatus::AtUpper : BasisStatus::AtLower;
       } else {
         const int leave = basic_[static_cast<std::size_t>(leave_pos)];
         const std::size_t bl = static_cast<std::size_t>(leave);
@@ -911,12 +919,12 @@ class SparseSimplex {
               enter_dir * t_max * w_[static_cast<std::size_t>(i)];
         x_[bl] = leave_to;  // land exactly on its bound
         state_[bl] = (lb_[bl] > -kInf && leave_to <= lb_[bl] + tol)
-                         ? VarState::AtLower
-                         : VarState::AtUpper;
+                         ? BasisStatus::AtLower
+                         : BasisStatus::AtUpper;
         pos_[bl] = -1;
         basic_[static_cast<std::size_t>(leave_pos)] = enter;
         pos_[se] = leave_pos;
-        state_[se] = VarState::Basic;
+        state_[se] = BasisStatus::Basic;
 
         // The Devex update needs this pivot's row of the old basis. It is
         // deferred to the next iteration's btran; nothing reads the
@@ -1015,7 +1023,7 @@ class SparseSimplex {
     for (const int j : touched_) {
       const std::size_t sj = static_cast<std::size_t>(j);
       touched_mark_[sj] = 0;
-      if (state_[sj] == VarState::Basic || j == p.leave) continue;
+      if (state_[sj] == BasisStatus::Basic || j == p.leave) continue;
       const double alpha = alpha_[sj];
       if (alpha == 0.0) continue;
       const double cand = (alpha / alpha_e) * (alpha / alpha_e) * we;
@@ -1037,22 +1045,7 @@ class SparseSimplex {
 
   Solution& finish(Solution& sol) const {
     sol.refactorizations = refactorizations_;
-    sol.basis.status.resize(static_cast<std::size_t>(total_));
-    for (int j = 0; j < total_; ++j) {
-      const std::size_t sj = static_cast<std::size_t>(j);
-      switch (state_[sj]) {
-        case VarState::Basic: sol.basis.status[sj] = BasisStatus::Basic; break;
-        case VarState::AtLower:
-          sol.basis.status[sj] = BasisStatus::AtLower;
-          break;
-        case VarState::AtUpper:
-          sol.basis.status[sj] = BasisStatus::AtUpper;
-          break;
-        case VarState::FreeZero:
-          sol.basis.status[sj] = BasisStatus::FreeZero;
-          break;
-      }
-    }
+    sol.basis.status = state_;
     return sol;
   }
 
@@ -1068,7 +1061,7 @@ class SparseSimplex {
   std::vector<double> lb_, ub_, cost_;
   std::vector<int> cost_cols_;  // columns with a nonzero cost, ascending
   std::vector<double> x_;
-  std::vector<VarState> state_;
+  std::vector<BasisStatus> state_;
   std::vector<int> basic_, pos_;
   BasisLu lu_;
   std::vector<std::vector<Entry>> basis_cols_;  // factorizeBasis's input
@@ -1096,15 +1089,38 @@ class SparseSimplex {
   mutable std::vector<double> rhs_;
 };
 
-}  // namespace
-
-Solution solveSparse(const Model& model, const SolverOptions& opts,
-                     const Basis* warm_start) {
+/// A model with no rows is a pure bound problem: each variable sits on its
+/// cheaper bound.
+Solution solveBoundsOnly(const Model& model) {
   Solution sol;
-  if (solveBoundsOnly(model, &sol)) return sol;
-  SparseSimplex s(model, opts);
-  return s.run(warm_start);
+  sol.status = Status::Optimal;
+  sol.x.resize(static_cast<std::size_t>(model.numVars()));
+  for (int j = 0; j < model.numVars(); ++j) {
+    const double c = model.objCoef(j);
+    const double lb = model.varLb(j), ub = model.varUb(j);
+    double v;
+    if (c > 0.0)
+      v = lb;
+    else if (c < 0.0)
+      v = ub;
+    else
+      v = (lb > -kInf) ? lb : (ub < kInf ? ub : 0.0);
+    if (v == -kInf || v == kInf) {
+      sol.status = Status::Unbounded;
+      v = 0.0;
+    }
+    sol.x[static_cast<std::size_t>(j)] = v;
+  }
+  sol.objective = model.objective(sol.x);
+  return sol;
 }
 
-}  // namespace detail
+}  // namespace
+
+Solution solve(const Model& model, const SolverOptions& opts,
+               const Basis* warm_start) {
+  if (model.numRows() == 0) return solveBoundsOnly(model);
+  return SparseSimplex(model, opts).run(warm_start);
+}
+
 }  // namespace skewopt::lp

@@ -109,7 +109,10 @@ void writeSpecKey(KeyWriter& w, const JobSpec& spec, bool topology) {
   w.add("g.lp.tolerance", g.lp.tolerance);
   w.add("g.lp.refactor_every", g.lp.refactor_every);
   w.add("g.lp.stall_limit", g.lp.stall_limit);
-  w.add("g.lp.algorithm", static_cast<int>(g.lp.algorithm));
+  // Retired solver-choice slot (there is one LP solver). It keeps the
+  // value 0 every spec wrote, so content hashes, shard routing and derived
+  // trace ids of existing specs do not move.
+  w.add("g.lp.algorithm", 0);
   w.add("g.lp.pricing", static_cast<int>(g.lp.pricing));
 
   const core::LocalOptions& l = spec.options.local;

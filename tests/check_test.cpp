@@ -9,6 +9,7 @@
 #include <limits>
 
 #include "check/check.h"
+#include "core/global_opt.h"
 #include "serve/scheduler.h"
 #include "serve/server.h"
 #include "serve/spec_check.h"
@@ -331,6 +332,99 @@ TEST(LpChecks, RatioEnvelopeOfCharacterizedLutIsSane) {
   check::DiagnosticEngine engine;
   check::checkRatioEnvelope(sharedLut(), d, engine);
   EXPECT_TRUE(engine.empty()) << engine.text();
+}
+
+// --- LP optimality certificate ---
+
+/// min -x - y over x, y in [0, 3] s.t. x + 2y <= 4 (row 0), 3x + y <= 6
+/// (row 1) and -5 <= x - y <= 5 (row 2). Optimum (1.6, 1.2) at -2.8: rows
+/// 0 and 1 bind at their upper bounds with duals (-0.4, -0.2), row 2 is
+/// slack.
+lp::Model certificateLp() {
+  lp::Model m;
+  const int x = m.addVar(0.0, 3.0, -1.0);
+  const int y = m.addVar(0.0, 3.0, -1.0);
+  m.addRow(-lp::kInf, 4.0, {{x, 1.0}, {y, 2.0}});
+  m.addRow(-lp::kInf, 6.0, {{x, 3.0}, {y, 1.0}});
+  m.addRow(-5.0, 5.0, {{x, 1.0}, {y, -1.0}});
+  return m;
+}
+
+check::DiagnosticEngine certify(const lp::Model& m, const lp::Solution& s) {
+  check::DiagnosticEngine engine;
+  check::checkLpOptimality(m, s, engine);
+  return engine;
+}
+
+TEST(LpCertificate, CleanSolvesProduceNoDiagnostics) {
+  const lp::Model m = certificateLp();
+  const lp::Solution s = lp::solve(m);
+  ASSERT_EQ(s.status, lp::Status::Optimal);
+  EXPECT_TRUE(certify(m, s).empty()) << certify(m, s).text();
+
+  // The global optimizer's own LP pair on a small testcase.
+  const network::Design d = smallDesign();
+  const sta::Timer timer(sharedTech());
+  const core::Objective objective(d, timer);
+  const core::GlobalOptimizer opt(sharedTech(), sharedLut());
+  core::GlobalLpProbe probe = opt.extractGlobalLp(d, objective);
+  const lp::Solution v = lp::solve(probe.min_v);
+  ASSERT_EQ(v.status, lp::Status::Optimal);
+  EXPECT_TRUE(certify(probe.min_v, v).empty())
+      << certify(probe.min_v, v).text();
+  probe.sweep.setRowBounds(probe.budget_row, -lp::kInf,
+                           0.5 * (v.objective + probe.orig_sum_ps));
+  const lp::Solution w = lp::solve(probe.sweep);
+  ASSERT_EQ(w.status, lp::Status::Optimal);
+  EXPECT_TRUE(certify(probe.sweep, w).empty())
+      << certify(probe.sweep, w).text();
+}
+
+TEST(LpCertificate, Skw230PointOutsideABound) {
+  const lp::Model m = certificateLp();
+  lp::Solution s = lp::solve(m);
+  s.x[0] = m.varUb(0) + 1.0;  // 1 past x's upper bound
+  EXPECT_TRUE(certify(m, s).hasCode(230)) << certify(m, s).text();
+}
+
+TEST(LpCertificate, Skw231DualOfTheWrongSign) {
+  const lp::Model m = certificateLp();
+  lp::Solution s = lp::solve(m);
+  ASSERT_LT(s.duals[0], 0.0);  // row 0 binds at its (only) upper bound
+  s.duals[0] = -s.duals[0];    // a positive dual needs a finite lower bound
+  EXPECT_TRUE(certify(m, s).hasCode(231)) << certify(m, s).text();
+}
+
+TEST(LpCertificate, Skw232DualOnASlackRow) {
+  const lp::Model m = certificateLp();
+  lp::Solution s = lp::solve(m);
+  ASSERT_EQ(s.duals[2], 0.0);
+  s.duals[2] = -0.5;  // prices row 2's upper bound, 4.6 away from x - y
+  EXPECT_TRUE(certify(m, s).hasCode(232)) << certify(m, s).text();
+}
+
+TEST(LpCertificate, Skw233GapOnTwoVariableLp) {
+  // min x + y s.t. x + y >= 1, x, y in [0, 10]: optimum 1, dual 1.
+  lp::Model m;
+  const int x = m.addVar(0.0, 10.0, 1.0);
+  const int y = m.addVar(0.0, 10.0, 1.0);
+  m.addRow(1.0, lp::kInf, {{x, 1.0}, {y, 1.0}});
+  lp::Solution s = lp::solve(m);
+  ASSERT_EQ(s.status, lp::Status::Optimal);
+  EXPECT_TRUE(certify(m, s).empty()) << certify(m, s).text();
+  s.objective += 0.5;  // the reported optimum no longer matches the duals
+  const check::DiagnosticEngine engine = certify(m, s);
+  EXPECT_TRUE(engine.hasCode(233)) << engine.text();
+  EXPECT_EQ(engine.errorCount(), 1u) << engine.text();
+}
+
+TEST(LpCertificate, MissingDualsAndOtherStatuses) {
+  const lp::Model m = certificateLp();
+  lp::Solution s = lp::solve(m);
+  s.duals.clear();  // an optimum that cannot be certified
+  EXPECT_TRUE(certify(m, s).hasCode(231));
+  s.status = lp::Status::IterLimit;  // claims no optimum: nothing to check
+  EXPECT_TRUE(certify(m, s).empty());
 }
 
 // --- stage gate ---

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "check/check.h"
 #include "testgen/testgen.h"
 
 namespace skewopt::core {
@@ -271,8 +272,23 @@ LpTrajectory trajectoryOf(const lp::Solution& s) {
           s.warm_started, h};
 }
 
-std::vector<LpTrajectory> solveSweepChain(const std::string& name,
-                                          const lp::SolverOptions& o) {
+/// Asserts that an optimal solve passes the optimality certificate with
+/// every residual at least 100x inside its tolerance.
+void expectCertified(const lp::Model& m, const lp::Solution& s,
+                     const std::string& label) {
+  ASSERT_EQ(s.status, lp::Status::Optimal) << label;
+  check::DiagnosticEngine engine;
+  check::checkLpOptimality(m, s, engine);
+  EXPECT_TRUE(engine.empty()) << label << "\n" << engine.text();
+  const check::LpResiduals r = check::lpResiduals(m, s);
+  EXPECT_LE(r.primal, 1e-2 * check::kLpPrimalTol) << label;
+  EXPECT_LE(r.dual, 1e-2 * check::kLpDualTol) << label;
+  EXPECT_LE(r.complementarity, 1e-2 * check::kLpComplementarityTol) << label;
+  EXPECT_LE(r.gap, 1e-2 * check::kLpGapTol) << label;
+}
+
+/// The global LP pair of a bench-scale CLS testcase (seed 1).
+GlobalLpProbe clsProbe(const std::string& name) {
   testgen::TestcaseOptions to;
   to.sinks = name == "CLS2v1" ? 160 : 120;
   to.max_pairs = 120;
@@ -281,10 +297,16 @@ std::vector<LpTrajectory> solveSweepChain(const std::string& name,
   const sta::Timer timer(sharedTech());
   const Objective objective(d, timer);
   const GlobalOptimizer opt(sharedTech(), sharedLut());
-  GlobalLpProbe probe = opt.extractGlobalLp(d, objective);
+  return opt.extractGlobalLp(d, objective);
+}
+
+std::vector<LpTrajectory> solveSweepChain(const std::string& name,
+                                          const lp::SolverOptions& o) {
+  GlobalLpProbe probe = clsProbe(name);
   std::vector<LpTrajectory> out;
   const lp::Solution vsol = lp::solve(probe.min_v, o);
   out.push_back(trajectoryOf(vsol));
+  expectCertified(probe.min_v, vsol, name + " pass 1");
   lp::Basis chain = vsol.basis;
   chain.status.push_back(lp::BasisStatus::Basic);
   for (const double t : {0.05, 0.2, 0.4}) {
@@ -292,6 +314,7 @@ std::vector<LpTrajectory> solveSweepChain(const std::string& name,
     probe.sweep.setRowBounds(probe.budget_row, -lp::kInf, u);
     const lp::Solution s = lp::solve(probe.sweep, o, &chain);
     out.push_back(trajectoryOf(s));
+    expectCertified(probe.sweep, s, name + " sweep t=" + std::to_string(t));
     chain = s.basis;
   }
   return out;
@@ -373,6 +396,31 @@ TEST(LpTrajectoryTest, PinnedUnderFrequentRefactorization) {
                        {297, 98, 37, true, 0x130f026e99135edfULL},
                        {475, 190, 59, true, 0x85f71bd3302e7fb0ULL},
                    });
+}
+
+// A cold Dantzig solve of the CLS1v1 sweep model at t = 0.05 pivots its
+// basic values out of their bounds during phase 2. Unless phase 2 hands
+// such a point back to phase 1, the solve reports Unbounded (objective
+// -3.7e21) at the default stall limit, and a 27.8 ps-infeasible "optimum"
+// of 1014.07 at stall_limit 100000. Devex reaches the true optimum
+// directly.
+TEST(LpPhase2Feasibility, DantzigSweepSolveRecoversTheOptimum) {
+  GlobalLpProbe probe = clsProbe("CLS1v1");
+  const lp::Solution vsol = lp::solve(probe.min_v);
+  ASSERT_EQ(vsol.status, lp::Status::Optimal);
+  const double u =
+      vsol.objective + 0.05 * (probe.orig_sum_ps - vsol.objective);
+  probe.sweep.setRowBounds(probe.budget_row, -lp::kInf, u);
+  for (const int stall_limit : {500, 100000}) {
+    lp::SolverOptions o;
+    o.pricing = lp::SolverOptions::Pricing::kDantzig;
+    o.stall_limit = stall_limit;
+    const lp::Solution s = lp::solve(probe.sweep, o);
+    const std::string label = "stall_limit " + std::to_string(stall_limit);
+    ASSERT_EQ(s.status, lp::Status::Optimal) << label;
+    EXPECT_NEAR(s.objective, 1065.920456, 1e-6) << label;
+    expectCertified(probe.sweep, s, label);
+  }
 }
 
 }  // namespace

@@ -7,11 +7,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "check/check.h"
 #include "geom/geom.h"
 
 namespace skewopt::lp {
 namespace {
+
+/// Asserts that the optimality certificate accepts an optimal solution.
+void expectCertified(const Model& m, const Solution& s,
+                     const std::string& label) {
+  check::DiagnosticEngine engine;
+  check::checkLpOptimality(m, s, engine);
+  EXPECT_TRUE(engine.empty()) << label << "\n" << engine.text();
+}
 
 /// Builds a synthetic instance of the paper-shaped LP:
 ///   arcs x corners delta+/- variables with (10)-style bounds,
@@ -223,6 +233,7 @@ TEST(Simplex, LargerKnownOptimumInstances) {
     for (int j = 0; j < n; ++j)
       cx += c[static_cast<std::size_t>(j)] * xstar[static_cast<std::size_t>(j)];
     EXPECT_NEAR(s.objective, cx, 1e-4) << trial;
+    expectCertified(m, s, "trial " + std::to_string(trial));
   }
 }
 
@@ -237,6 +248,7 @@ TEST(WarmStart, PaperShapedWarmChainMatchesCold) {
 
   Solution prev = solve(p.model);
   ASSERT_EQ(prev.status, Status::Optimal);
+  expectCertified(p.model, prev, "loose");
   int warm_total = 0, cold_total = 0;
   for (const double scale : {0.9, 0.8, 0.7, 0.6}) {
     p.model.setRowBounds(budget_row, -kInf, scale * loose_u);
@@ -249,6 +261,8 @@ TEST(WarmStart, PaperShapedWarmChainMatchesCold) {
                 1e-6 * std::max(1.0, std::abs(cold.objective)))
         << "scale " << scale;
     EXPECT_LT(p.model.maxViolation(warm.x), 1e-5);
+    expectCertified(p.model, cold, "cold at scale " + std::to_string(scale));
+    expectCertified(p.model, warm, "warm at scale " + std::to_string(scale));
     warm_total += warm.iterations;
     cold_total += cold.iterations;
     prev = warm;
@@ -258,21 +272,24 @@ TEST(WarmStart, PaperShapedWarmChainMatchesCold) {
   EXPECT_LE(warm_total, cold_total);
 }
 
-TEST(Simplex, DenseSparseAgreeOnPaperShaped) {
+TEST(Simplex, PaperShapedCertifiedUnderBothPricings) {
   for (const int seed : {3, 17}) {
     geom::Rng rng(static_cast<std::uint64_t>(seed));
     PaperShapedLp p = buildPaperShaped(rng, 20, 3, 15, 0.75);
-    SolverOptions dense;
-    dense.algorithm = SolverOptions::Algorithm::kDense;
-    const Solution a = solve(p.model, dense);
-    const Solution b = solve(p.model);
-    ASSERT_EQ(a.status, b.status) << "seed " << seed;
-    if (a.status == Status::Optimal) {
-      EXPECT_NEAR(a.objective, b.objective,
-                  1e-6 * std::max(1.0, std::abs(a.objective)))
-          << "seed " << seed;
-      EXPECT_LT(p.model.maxViolation(b.x), 1e-5);
+    std::vector<double> objectives;
+    for (const auto pricing :
+         {SolverOptions::Pricing::kDevex, SolverOptions::Pricing::kDantzig}) {
+      SolverOptions o;
+      o.pricing = pricing;
+      const Solution s = solve(p.model, o);
+      const std::string label = "seed " + std::to_string(seed);
+      ASSERT_EQ(s.status, Status::Optimal) << label;
+      expectCertified(p.model, s, label);
+      objectives.push_back(s.objective);
     }
+    EXPECT_NEAR(objectives[0], objectives[1],
+                1e-6 * std::max(1.0, std::abs(objectives[0])))
+        << "seed " << seed;
   }
 }
 

@@ -3,11 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "check/check.h"
 #include "geom/geom.h"
 
 namespace skewopt::lp {
 namespace {
+
+/// Asserts that the optimality certificate accepts an optimal solution.
+void expectCertified(const Model& m, const Solution& s,
+                     const std::string& label = "") {
+  check::DiagnosticEngine engine;
+  check::checkLpOptimality(m, s, engine);
+  EXPECT_TRUE(engine.empty()) << label << "\n" << engine.text();
+}
 
 TEST(Model, BuildAndEvaluate) {
   Model m;
@@ -49,6 +59,28 @@ TEST(Simplex, TextbookTwoVar) {
   EXPECT_NEAR(s.x[0], 1.6, 1e-6);
   EXPECT_NEAR(s.x[1], 1.2, 1e-6);
   EXPECT_NEAR(s.objective, -2.8, 1e-6);
+  // Both rows bind at their upper bounds: y = (-0.4, -0.2) solves
+  // A^T y = c, and the dual objective 4 y_1 + 6 y_2 equals the optimum.
+  ASSERT_EQ(s.duals.size(), 2u);
+  EXPECT_NEAR(s.duals[0], -0.4, 1e-9);
+  EXPECT_NEAR(s.duals[1], -0.2, 1e-9);
+  expectCertified(m, s);
+}
+
+TEST(Simplex, DualsOnlyOnOptimalSolves) {
+  Model infeasible;
+  const int x = infeasible.addVar(0, 1, 1.0);
+  infeasible.addRow(2, kInf, {{x, 1}});
+  const Solution a = solve(infeasible);
+  ASSERT_EQ(a.status, Status::Infeasible);
+  EXPECT_TRUE(a.duals.empty());
+
+  Model unbounded;
+  const int y = unbounded.addVar(0, kInf, -1.0);
+  unbounded.addRow(-kInf, kInf, {{y, 1}});
+  const Solution b = solve(unbounded);
+  ASSERT_EQ(b.status, Status::Unbounded);
+  EXPECT_TRUE(b.duals.empty());
 }
 
 TEST(Simplex, EqualityRow) {
@@ -524,13 +556,14 @@ TEST(WarmStart, UnusableBasisFallsBackToCold) {
 }
 
 // ---------------------------------------------------------------------------
-// Dense/sparse differential: both implementations must agree on status and
-// objective for random feasible LPs and for every pricing rule.
+// Random feasible LPs under both pricing rules: every solve must be optimal
+// and pass the optimality certificate, and the two rules must agree on the
+// objective (a certified optimum fixes it).
 // ---------------------------------------------------------------------------
 
-class DenseSparseDifferentialProp : public ::testing::TestWithParam<int> {};
+class CertifiedRandomLpProp : public ::testing::TestWithParam<int> {};
 
-TEST_P(DenseSparseDifferentialProp, SameObjectiveAndStatus) {
+TEST_P(CertifiedRandomLpProp, BothPricingRulesCertify) {
   geom::Rng rng(static_cast<std::uint64_t>(GetParam()) * 613 + 11);
   for (int trial = 0; trial < 10; ++trial) {
     const int n = 4 + static_cast<int>(rng.index(4));
@@ -545,24 +578,21 @@ TEST_P(DenseSparseDifferentialProp, SameObjectiveAndStatus) {
       else
         m.addRow(-kInf, rng.uniform(0.0, 4.0), std::move(terms));
     }
-    SolverOptions dense;
-    dense.algorithm = SolverOptions::Algorithm::kDense;
-    const Solution a = detail::solveDense(m, dense);
+    std::vector<double> objectives;
     for (const auto pricing :
          {SolverOptions::Pricing::kDevex, SolverOptions::Pricing::kDantzig}) {
-      SolverOptions sparse;
-      sparse.pricing = pricing;
-      const Solution b = solve(m, sparse);
-      ASSERT_EQ(a.status, b.status) << "trial " << trial;
-      if (a.status == Status::Optimal) {
-        EXPECT_NEAR(a.objective, b.objective, 1e-6) << "trial " << trial;
-        EXPECT_LT(m.maxViolation(b.x), 1e-6);
-      }
+      SolverOptions o;
+      o.pricing = pricing;
+      const Solution s = solve(m, o);
+      const std::string label = "trial " + std::to_string(trial);
+      ASSERT_EQ(s.status, Status::Optimal) << label;
+      expectCertified(m, s, label);
+      objectives.push_back(s.objective);
     }
+    EXPECT_NEAR(objectives[0], objectives[1], 1e-6) << "trial " << trial;
   }
 }
-INSTANTIATE_TEST_SUITE_P(Seeds, DenseSparseDifferentialProp,
-                         ::testing::Range(0, 6));
+INSTANTIATE_TEST_SUITE_P(Seeds, CertifiedRandomLpProp, ::testing::Range(0, 6));
 
 }  // namespace
 }  // namespace skewopt::lp

@@ -124,6 +124,15 @@ void expectIdentical(const core::FlowResult& a, const core::FlowResult& b) {
 // ---------------------------------------------------------------------------
 // Spec hashing
 
+// Job identity is persistent: content hashes name cache entries, route
+// jobs to shards and seed derived trace ids, so these literals must never
+// move without a deliberate key-version change (the retired LP
+// solver-choice slot keeps writing 0 for this reason).
+TEST(JobSpecTest, ContentHashIsPinned) {
+  EXPECT_EQ(contentHash(tinySpec(1)), 0x29552be2877e321bULL);
+  EXPECT_EQ(contentHash(JobSpec{}), 0x3b5cc08c11ad74e6ULL);
+}
+
 TEST(JobSpecTest, CanonicalKeyCoversResultAffectingFields) {
   const JobSpec base = tinySpec(1);
   EXPECT_EQ(canonicalKey(base), canonicalKey(tinySpec(1)));
