@@ -127,39 +127,39 @@ FlowResult Flow::run(network::Design& d, FlowMode mode,
     check::gateDesign(d, timer_, chk, "flow:input");
   }
 
-  // Cross-job warm start: seed an incremental timer from the prior run's
-  // initial-design snapshot (re-propagating only the subtrees this job's
-  // edits dirtied); an unusable snapshot leaves `seed` empty and the run
-  // proceeds exactly as a cold one.
-  std::optional<sta::IncrementalTimer> seed;
-  if (warm_in != nullptr) seed = seedFromWarmState(*tech_, d, *warm_in);
+  // The job's one timer of the incoming design. Cross-job warm start seeds
+  // it from the prior run's initial-design snapshot (re-propagating only
+  // the subtrees this job's edits dirtied); without a usable snapshot it
+  // is a full analysis, and the run proceeds exactly as a cold one.
+  std::optional<sta::IncrementalTimer> timing;
+  if (warm_in != nullptr) timing = seedFromWarmState(*tech_, d, *warm_in);
+  const bool warm_start = timing.has_value();
   static obs::Counter& warm_runs = obs::MetricsRegistry::global().counter(
       "skewopt_flow_warm_runs_total",
       "Flow runs seeded from a prior run's warm state");
-  if (seed.has_value()) warm_runs.add();
+  if (warm_start)
+    warm_runs.add();
+  else
+    timing.emplace(*tech_, d);
 
   // Alphas are locked to the incoming tree (they are an input parameter of
   // the formulation).
-  Objective objective =
-      seed.has_value() ? Objective(d, seed->timings()) : Objective(d, timer_);
+  const Objective objective(d, timing->timings());
   FlowResult res;
   {
     obs::Span metrics_span("flow.metrics_before");
-    res.before = seed.has_value()
-                     ? metricsFromReport(
-                           d, objective.evaluateFromTimings(d, seed->timings()))
-                     : computeMetrics(d, objective, timer_);
+    res.before = metricsFromReport(
+        d, objective.evaluateFromTimings(d, timing->timings()));
   }
   if (rec != nullptr) {
-    rec->field("warm_start", seed.has_value());
+    rec->field("warm_start", warm_start);
     recordMetrics(*rec, "before", res.before);
   }
 
   // The outgoing snapshot describes the *initial* design, so capture it
   // before the stages mutate `d`.
   if (warm_out != nullptr) {
-    warm_out->initial_timing =
-        seed.has_value() ? seed->timings() : timer_.analyzeDesign(d);
+    warm_out->initial_timing = timing->timings();
     warm_out->positions.assign(d.tree.numNodes(), geom::Point{});
     for (std::size_t i = 0; i < d.tree.numNodes(); ++i)
       if (d.tree.isValid(static_cast<int>(i)))
@@ -173,7 +173,7 @@ FlowResult Flow::run(network::Design& d, FlowMode mode,
     GlobalOptions gopts = opts_.global;
     gopts.check_level = chk;
     GlobalOptimizer gopt(*tech_, *lut_, gopts);
-    res.global = gopt.run(d, objective, seed.has_value() ? &*seed : nullptr,
+    res.global = gopt.run(d, objective, &*timing,
                           warm_in != nullptr ? &warm_in->global : nullptr,
                           warm_out != nullptr ? &warm_out->global : nullptr);
     res.stage_ms.global_ms = sw.ms();

@@ -9,8 +9,6 @@
 #include "support/thread_pool.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstdio>
 #include <cstring>
 #include <cmath>
 #include <limits>
@@ -364,14 +362,12 @@ std::uint64_t designFingerprint(const Design& d,
 // almost uniformly across corners, so the repair barely moves the pair's
 // normalized variation while restoring the paper's "no local skew
 // degradation" property that the LP guaranteed but the discrete ECO broke.
-// `inc` (may be null) is an incremental timer currently holding `trial`'s
-// timing: when present, each pass reads it instead of a full re-analysis
-// and each snake updates only the touched driver's subtree — bit-identical
-// either way.
+// `inc` holds `trial`'s timing: each pass reads it, and each snake
+// re-times only the touched driver's subtree.
 void GlobalOptimizer::repairLocalSkew(Design& trial,
                                       const Objective& objective,
                                       const VariationReport& before,
-                                      sta::IncrementalTimer* inc) const {
+                                      sta::IncrementalTimer& inc) const {
   // Targeted: each pass fixes only the single worst violator of the
   // acceptance envelope (the gate metric is the max |skew| per corner, so
   // one or two pairs are usually responsible). Broad repair cascades
@@ -379,8 +375,7 @@ void GlobalOptimizer::repairLocalSkew(Design& trial,
   const std::size_t nk = trial.corners.size();
   for (std::size_t pass = 0; pass < opts_.repair_passes; ++pass) {
     const VariationReport now =
-        inc != nullptr ? objective.evaluateFromTimings(trial, inc->timings())
-                       : objective.evaluate(trial, timer_);
+        objective.evaluateFromTimings(trial, inc.timings());
     double worst_excess = 0.0;
     std::size_t worst_ki = 0, worst_pi = 0;
     for (std::size_t pi = 0; pi < trial.pairs.size(); ++pi) {
@@ -432,7 +427,7 @@ void GlobalOptimizer::repairLocalSkew(Design& trial,
     const double extra = std::min(0.7 * worst_excess / sens, 250.0);
     if (extra < 1.0) break;
     trial.routing.addExtra(drv, pin, extra);
-    if (inc != nullptr) inc->update(trial, {drv});
+    inc.update(trial, {drv});
   }
 }
 
@@ -500,12 +495,11 @@ GlobalResult GlobalOptimizer::run(Design& d, const Objective& objective,
   LpObs& lpo = LpObs::get();
   const check::Level chk = check::effectiveLevel(opts_.check_level);
   GlobalResult res;
-  // Cold runs analyze from scratch; seeded runs read the caller's
-  // incremental timer, whose state is bit-identical to analyzeDesign(d).
-  std::vector<sta::CornerTiming> timing_storage;
-  if (seed == nullptr) timing_storage = timer_.analyzeDesign(d);
-  const std::vector<sta::CornerTiming>& timing =
-      seed != nullptr ? seed->timings() : timing_storage;
+  // A cold run analyzes the design once into its own incremental timer; a
+  // seeded run reads the caller's, whose state is bit-identical to it.
+  std::optional<sta::IncrementalTimer> own_timer;
+  if (seed == nullptr) seed = &own_timer.emplace(*tech_, d);
+  const std::vector<sta::CornerTiming>& timing = seed->timings();
   const VariationReport before = objective.evaluateFromTimings(d, timing);
   res.sum_before_ps = before.sum_variation_ps;
   res.sum_after_ps = before.sum_variation_ps;
@@ -769,35 +763,23 @@ GlobalResult GlobalOptimizer::run(Design& d, const Objective& objective,
     return la != lb ? la < lb : a < b;
   });
 
-  // Realizes one LP solution: per-point Design replica, Algorithm-1 ECO
-  // per arc, golden re-time, local-skew repair, full evaluation. Reads
-  // only shared const state (d, ctx, timing, engines), so sweep points are
-  // independent.
+  // Realizes one LP solution: per-point Design replica and timer copy,
+  // Algorithm-1 ECO per arc, golden re-time, local-skew repair, full
+  // evaluation. Reads only shared const state (d, ctx, *seed, engines), so
+  // sweep points are independent.
   const auto realize = [&](SweepPoint& pt) {
     const std::vector<double>& x = pt.x;
     Design trial = d;
     std::size_t changed = 0;
     // Slews/loads are refreshed from the trial design as upstream rebuilds
-    // land, so downstream arc solutions see post-ECO conditions. Seeded
-    // runs retime incrementally (only the rebuilt driver's subtree); cold
-    // runs keep the full golden re-analysis. The timing bits are identical
-    // either way (IncrementalTimer contract), so the realized candidates
-    // match — only the work expended differs.
-    std::optional<sta::IncrementalTimer> inc;
-    std::vector<sta::CornerTiming> timing_copy;
-    if (seed != nullptr)
-      inc.emplace(*seed);
-    else
-      timing_copy = timing;
-    const std::vector<sta::CornerTiming>& trial_timing =
-        inc.has_value() ? inc->timings() : timing_copy;
+    // land, so downstream arc solutions see post-ECO conditions. Each
+    // rebuild re-times only the rebuilt driver's subtree, bit-identical to
+    // a full golden re-analysis (IncrementalTimer contract).
+    sta::IncrementalTimer inc(*seed);
+    const std::vector<sta::CornerTiming>& trial_timing = inc.timings();
     const auto retime = [&](int dirty_root) {
-      if (inc.has_value()) {
-        inc->ensureSize(trial.tree.numNodes());
-        inc->update(trial, {dirty_root});
-      } else {
-        timing_copy = timer_.analyzeDesign(trial);
-      }
+      inc.ensureSize(trial.tree.numNodes());
+      inc.update(trial, {dirty_root});
     };
     for (const std::size_t s : slots) {
       const Arc& arc = ctx.arcs[static_cast<std::size_t>(ctx.slot_arc[s])];
@@ -856,20 +838,6 @@ GlobalResult GlobalOptimizer::run(Design& d, const Objective& objective,
       // below); in_arrival[arc.src] is untouched, so arc.src roots the
       // dirty subtree.
       retime(arc.src);
-      // SKEWLINT-ALLOW(LNT001: debug-only stderr dump; gates no result state)
-      if (std::getenv("SKEWOPT_DEBUG_ECO") != nullptr) {
-        for (std::size_t ki = 0; ki < nk; ++ki) {
-          const double realized =
-              trial_timing[ki].arrival[static_cast<std::size_t>(arc.dst)] -
-              trial_timing[ki].arrival[static_cast<std::size_t>(arc.src)];
-          std::fprintf(stderr,
-                       "eco arc %d->%d ki %zu: orig %.0f desired %.0f chain "
-                       "%.0f est %.0f realized %.0f (p=%zu q=%.0f u=%zu err %.1f)\n",
-                       arc.src, arc.dst, ki, ctx.delay[s][ki], desired[ki],
-                       chain_ps[ki], asol.est_delay[ki], realized, asol.p,
-                       lut_->wirelengths()[asol.q_idx], asol.u, asol.err);
-        }
-      }
 
       // Trim: close nominal-corner undershoot with snaking on the arc's
       // last hop. Wire delay scales almost uniformly across corners, so
@@ -912,11 +880,8 @@ GlobalResult GlobalOptimizer::run(Design& d, const Objective& objective,
     std::string err;
     if (!trial.tree.validate(&err))
       throw std::logic_error("global ECO broke the tree: " + err);
-    repairLocalSkew(trial, objective, before,
-                    inc.has_value() ? &*inc : nullptr);
-    pt.after = inc.has_value()
-                   ? objective.evaluateFromTimings(trial, inc->timings())
-                   : objective.evaluate(trial, timer_);
+    repairLocalSkew(trial, objective, before, inc);
+    pt.after = objective.evaluateFromTimings(trial, inc.timings());
     pt.trial = std::make_shared<const Design>(std::move(trial));
     pt.changed = changed;
   };

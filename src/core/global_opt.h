@@ -228,14 +228,14 @@ class GlobalOptimizer {
 
   /// Warm-start entry point. `seed` (may be null) is an incremental timer
   /// already holding the timing of `d` — bit-identical to
-  /// analyzeDesign(d) by the IncrementalTimer contract — and switches the
-  /// whole run, including candidate realization, to incremental dirty-
-  /// subtree retiming. `warm_in` (may be null) supplies a prior run's
-  /// cached models, recorded solutions, and realize memo; `warm_out` (may
-  /// be null)
-  /// captures this run's state for the next delta. Results are equal to
-  /// the cold run(d, objective) (asserted by the serve differential
-  /// tests); only the work expended differs.
+  /// analyzeDesign(d) by the IncrementalTimer contract. It only spares the
+  /// run its initial analysis: a null seed builds the same timer from `d`,
+  /// and every sweep point realizes from a copy of that one timer, re-timing
+  /// each rebuilt driver's subtree. `warm_in` (may be null) supplies a
+  /// prior run's cached models, recorded solutions, and realize memo;
+  /// `warm_out` (may be null) captures this run's state for the next delta.
+  /// Results are equal to the cold run(d, objective) (asserted by the serve
+  /// differential tests); only the work expended differs.
   GlobalResult run(network::Design& d, const Objective& objective,
                    const sta::IncrementalTimer* seed,
                    const GlobalWarmState* warm_in,
@@ -249,7 +249,7 @@ class GlobalOptimizer {
  private:
   void repairLocalSkew(network::Design& trial, const Objective& objective,
                        const VariationReport& before,
-                       sta::IncrementalTimer* inc) const;
+                       sta::IncrementalTimer& inc) const;
 
   const tech::TechModel* tech_;
   const eco::StageDelayLut* lut_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <optional>
 
 #include "check/check.h"
 #include "obs/metrics.h"
@@ -75,21 +74,6 @@ struct LocalObs {
   }
 };
 
-/// Golden trial for the random baseline: returns the realized objective
-/// report of applying `m` to a copy of `d`.
-struct Trial {
-  Design design;
-  VariationReport report;
-};
-
-Trial goldenTrial(const Design& d, const sta::Timer& timer,
-                  const Objective& objective, const Move& m) {
-  Trial t{d, {}};
-  applyMove(t.design, m);
-  t.report = objective.evaluate(t.design, timer);
-  return t;
-}
-
 const char* moveTypeLabel(MoveType t) {
   switch (t) {
     case MoveType::kSizeDisplace: return "size_displace";
@@ -122,16 +106,18 @@ struct WorkerContext {
       : replica(d), timing(base), overlay(timing) {}
 };
 
-/// Copy-free golden trial: apply the move to the worker's replica, retime
-/// only its dirty subtrees in place, read the objective, roll everything
-/// back. Bit-identical to evaluating a full copy (asserted by tests).
-void goldenTrialScoped(WorkerContext& ctx, const Objective& objective,
+/// Copy-free golden trial: apply the move to `d`, retime only its dirty
+/// subtrees in place inside the timer `overlay` wraps (which holds `d`'s
+/// timing), read the objective, roll everything back. Bit-identical to
+/// evaluating a full copy (asserted by tests).
+void goldenTrialScoped(Design& d, sta::ScopedRetime& overlay,
+                       UndoRecord& undo, const Objective& objective,
                        const Move& m, TrialEval* out) {
-  applyMoveUndoable(ctx.replica, m, &ctx.undo);
-  ctx.overlay.retime(ctx.replica, ctx.undo.dirty);
-  objective.evaluateTrial(ctx.replica, ctx.timing.timings(), out);
-  ctx.overlay.rollback();
-  undoMove(ctx.replica, ctx.undo);
+  applyMoveUndoable(d, m, &undo);
+  overlay.retime(d, undo.dirty);
+  objective.evaluateTrial(d, overlay.base().timings(), out);
+  overlay.rollback();
+  undoMove(d, undo);
 }
 
 }  // namespace
@@ -225,7 +211,8 @@ LocalResult LocalOptimizer::run(Design& d, const Objective& objective,
         for (std::size_t t = s; t < todo.size(); t += slices) {
           obs::Span trial_span("local.golden_trial");
           support::Stopwatch sw;
-          goldenTrialScoped(*workers[s], objective,
+          WorkerContext& w = *workers[s];
+          goldenTrialScoped(w.replica, w.overlay, w.undo, objective,
                             moves[scored[todo[t]].second], &reports[t]);
           lobs.golden_ms.observe(sw.ms());
         }
@@ -319,10 +306,18 @@ LocalResult LocalOptimizer::run(Design& d, const Objective& objective,
 LocalResult LocalOptimizer::runRandom(Design& d, const Objective& objective,
                                       std::uint64_t seed) const {
   LocalResult res;
-  VariationReport current = objective.evaluate(d, timer_);
-  const VariationReport initial = current;
-  res.sum_before_ps = current.sum_variation_ps;
+  // Same trial protocol as run()'s, on the one design: every trial is
+  // applied, retimed and rolled back in place, and a commit re-applies the
+  // winner and updates the timer.
+  sta::IncrementalTimer timing(*tech_, d);
+  sta::ScopedRetime overlay(timing);
+  UndoRecord undo;
+  const VariationReport initial =
+      objective.evaluateFromTimings(d, timing.timings());
+  double current_sum = initial.sum_variation_ps;
+  res.sum_before_ps = current_sum;
   geom::Rng rng(seed);
+  TrialEval trial, best;
 
   LocalObs& lobs = LocalObs::get();
   for (std::size_t round = 0; round < opts_.max_iterations; ++round) {
@@ -333,36 +328,33 @@ LocalResult LocalOptimizer::runRandom(Design& d, const Objective& objective,
     if (moves.empty()) break;
     res.candidate_moves = moves.size();
 
-    double best_sum = current.sum_variation_ps;
-    std::optional<Trial> best_trial;  // no design copies until a winner
-    MoveType best_type = MoveType::kSizeDisplace;
+    best.sum_variation_ps = current_sum;
+    const Move* best_move = nullptr;
     for (std::size_t i = 0; i < opts_.r; ++i) {
       const Move& m = moves[rng.index(moves.size())];
-      Trial t = goldenTrial(d, timer_, objective, m);
+      goldenTrialScoped(d, overlay, undo, objective, m, &trial);
       ++res.golden_evaluations;
       lobs.trials.add();
-      if (t.report.sum_variation_ps < best_sum &&
-          skewOk(initial.local_skew_ps, t.report.local_skew_ps,
+      if (trial.sum_variation_ps < best.sum_variation_ps &&
+          skewOk(initial.local_skew_ps, trial.local_skew_ps,
                  opts_.local_skew_tolerance)) {
-        best_sum = t.report.sum_variation_ps;
-        best_trial.emplace(std::move(t));
-        best_type = m.type;
+        std::swap(best, trial);
+        best_move = &m;
       }
     }
-    if (!best_trial) continue;  // a random round may simply find nothing
+    if (best_move == nullptr) continue;  // a random round may find nothing
     LocalIteration it;
     it.round = round;
-    it.type = best_type;
-    it.realized_delta_ps =
-        best_trial->report.sum_variation_ps - current.sum_variation_ps;
-    it.sum_after_ps = best_trial->report.sum_variation_ps;
+    it.type = best_move->type;
+    it.realized_delta_ps = best.sum_variation_ps - current_sum;
+    it.sum_after_ps = best.sum_variation_ps;
     res.history.push_back(it);
     lobs.accepted.add();
-    lobs.acceptedByType(best_type).add();
-    d = std::move(best_trial->design);
-    current = std::move(best_trial->report);
+    lobs.acceptedByType(best_move->type).add();
+    timing.update(d, applyMoveTracked(d, *best_move));
+    current_sum = best.sum_variation_ps;
   }
-  res.sum_after_ps = current.sum_variation_ps;
+  res.sum_after_ps = current_sum;
   res.improved = res.sum_after_ps < res.sum_before_ps - 1e-9;
   check::gateDesign(d, timer_, check::effectiveLevel(opts_.check_level),
                     "local:output");

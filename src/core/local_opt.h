@@ -89,7 +89,8 @@ class LocalOptimizer {
 
   /// Figure 8's random baseline: per round, R uniformly random candidate
   /// moves are tried against the golden timer instead of the predictor's
-  /// top R; the best improving one is committed.
+  /// top R; the best improving one is committed. Trials use run()'s
+  /// protocol (undoable apply, scoped retime, rollback) on `d` itself.
   LocalResult runRandom(network::Design& d, const Objective& objective,
                         std::uint64_t seed) const;
 

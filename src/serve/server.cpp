@@ -461,16 +461,32 @@ void TcpServer::stop() {
   ::shutdown(listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
   ::close(listen_fd_);
-  std::vector<std::pair<int, std::thread>> conns;
+  std::list<Connection> conns;
   {
     support::MutexLock lk(conn_mu_);
     conns.swap(conns_);
   }
-  for (auto& [fd, thread] : conns) {
-    if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
-    if (thread.joinable()) thread.join();
-    if (fd >= 0) ::close(fd);
+  // Threads that finish from here on see stopping_ and leave their fd to
+  // this loop.
+  for (Connection& c : conns) {
+    if (c.fd >= 0) ::shutdown(c.fd, SHUT_RDWR);
+    if (c.thread.joinable()) c.thread.join();
+    if (c.fd >= 0) ::close(c.fd);
   }
+}
+
+void TcpServer::reapFinished() {
+  std::list<Connection> finished;
+  {
+    support::MutexLock lk(conn_mu_);
+    for (auto it = conns_.begin(); it != conns_.end();) {
+      const auto next = std::next(it);
+      if (it->fd < 0) finished.splice(finished.end(), conns_, it);
+      it = next;
+    }
+  }
+  // A finished thread has only its return left, so these joins are brief.
+  for (Connection& c : finished) c.thread.join();
 }
 
 void TcpServer::acceptLoop() {
@@ -482,19 +498,20 @@ void TcpServer::acceptLoop() {
     }
     obs::logDebug("serve: connection accepted")
         .field("fd", static_cast<std::int64_t>(fd));
+    reapFinished();
     support::MutexLock lk(conn_mu_);
-    const std::size_t slot = conns_.size();
-    conns_.emplace_back(
-        fd, std::thread([this, fd, slot] {
-          serveConnection(fd);
-          // Reclaim the fd as soon as the peer goes away (unless stop()
-          // already took ownership of the connection list).
-          support::MutexLock lk2(conn_mu_);
-          if (slot < conns_.size() && conns_[slot].first == fd) {
-            ::close(fd);
-            conns_[slot].first = -1;
-          }
-        }));
+    Connection& conn = conns_.emplace_back();
+    conn.fd = fd;
+    conn.thread = std::thread([this, &conn, fd] {
+      serveConnection(fd);
+      // Reclaim the fd as soon as the peer goes away, which also marks the
+      // thread joinable, unless stop() already took ownership of the
+      // connections.
+      support::MutexLock lk2(conn_mu_);
+      if (stopping_.load()) return;
+      ::close(fd);
+      conn.fd = -1;
+    });
   }
 }
 

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
+#include <list>
 #include <string>
 #include <thread>
 #include <vector>
@@ -74,9 +75,10 @@ struct TcpServerOptions {
 /// Serves a line protocol over a local TCP socket: one accept loop, one
 /// thread per connection, each processing requests sequentially (clients
 /// wanting parallel jobs open several connections or use non-blocking
-/// SUBMIT + STATUS polling). stop() (and the destructor) shuts every
-/// connection down and joins all threads; whatever the handler serves is
-/// left running.
+/// SUBMIT + STATUS polling). Each accept first joins the threads of
+/// connections that have closed, so the server holds only live
+/// connections. stop() (and the destructor) shuts every connection down
+/// and joins all threads; whatever the handler serves is left running.
 class TcpServer {
  public:
   /// Delivers one reply line to the peer ("\n" appended by the server);
@@ -98,8 +100,17 @@ class TcpServer {
   void stop();
 
  private:
+  /// One accepted connection. Its thread sets `fd` to -1 as its last act
+  /// after closing it, so the thread can then be joined.
+  struct Connection {
+    int fd = -1;
+    std::thread thread;
+  };
+
   void acceptLoop();
   void serveConnection(int fd);
+  /// Joins and drops the connections whose threads have finished.
+  void reapFinished();
 
   LineHandler handler_;
   TcpServerOptions opts_;
@@ -108,8 +119,9 @@ class TcpServer {
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
   support::Mutex conn_mu_;
-  /// fd + handler thread per live connection.
-  std::vector<std::pair<int, std::thread>> conns_ SKEWOPT_GUARDED_BY(conn_mu_);
+  /// Live connections (plus finished ones not yet reaped). A list, so a
+  /// thread's entry keeps its address while others are dropped.
+  std::list<Connection> conns_ SKEWOPT_GUARDED_BY(conn_mu_);
 };
 
 }  // namespace skewopt::serve

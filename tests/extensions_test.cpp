@@ -1,11 +1,10 @@
-// Tests for the extensions beyond the paper's core flow: the continuous
-// buffer-placement explorer (the paper's future-work item (ii)) and the
-// incremental timer.
+// Tests for the incremental timer, the extension beyond the paper's core
+// flow that every golden re-time goes through.
 #include <gtest/gtest.h>
 
-#include "core/placement_explorer.h"
-#include "sta/incremental.h"
+#include "core/moves.h"
 #include "eco/eco.h"
+#include "sta/incremental.h"
 #include "testgen/testgen.h"
 
 namespace skewopt {
@@ -22,76 +21,6 @@ network::Design makeDesign(std::uint64_t seed = 1) {
   o.max_pairs = 60;
   o.seed = seed;
   return testgen::makeCls1(sharedTech(), "v1", o);
-}
-
-TEST(PlacementExplorer, FindsAtLeastAsGoodAsTypeIMoves) {
-  const network::Design d = makeDesign();
-  const sta::Timer timer(sharedTech());
-  const core::Objective objective(d, timer);
-  core::BufferPlacementExplorer explorer(d, timer, objective);
-  core::MovePredictor predictor(d, timer, objective, nullptr);
-
-  // For a handful of buffers: the continuous scan's predicted optimum must
-  // be no worse than the best fixed type-I probe (it is a superset search).
-  const std::vector<int> bufs = d.tree.buffers();
-  std::size_t checked = 0;
-  for (std::size_t i = 0; i < bufs.size() && checked < 5; i += 7, ++checked) {
-    const int b = bufs[i];
-    double best_type1 = 0.0;
-    for (const core::Move& m : core::enumerateMoves(d, b)) {
-      if (m.type != core::MoveType::kSizeDisplace) continue;
-      best_type1 =
-          std::min(best_type1, predictor.predictedVariationDelta(m));
-    }
-    core::ExplorerOptions eo;
-    eo.coarse_step_um = 10.0;  // grid includes the 10um type-I probes
-    const core::PlacementChoice c = explorer.explore(b, eo);
-    // Small slack: the explorer clamps probes into the floorplan while the
-    // raw type-I probes do not, which perturbs boundary buffers slightly.
-    EXPECT_LE(c.predicted_delta_ps, best_type1 + 0.2) << "buffer " << b;
-    EXPECT_GT(c.probes, 50u);
-  }
-}
-
-TEST(PlacementExplorer, ApplyRealizesPrediction) {
-  network::Design d = makeDesign(2);
-  const sta::Timer timer(sharedTech());
-  const core::Objective objective(d, timer);
-  const double before = objective.evaluate(d, timer).sum_variation_ps;
-  core::BufferPlacementExplorer explorer(d, timer, objective);
-
-  // Pick the buffer with the best predicted improvement and apply it.
-  int best_buf = -1;
-  core::PlacementChoice best;
-  for (const int b : d.tree.buffers()) {
-    const core::PlacementChoice c = explorer.explore(b);
-    if (c.predicted_delta_ps < best.predicted_delta_ps) {
-      best = c;
-      best_buf = b;
-    }
-  }
-  ASSERT_GE(best_buf, 0);
-  ASSERT_LT(best.predicted_delta_ps, 0.0);
-  core::BufferPlacementExplorer::apply(d, best_buf, best);
-  std::string err;
-  EXPECT_TRUE(d.tree.validate(&err)) << err;
-  const double after = objective.evaluate(d, timer).sum_variation_ps;
-  // Realization noise allowed, but the sign should mostly hold for the
-  // best-of-all-buffers choice.
-  EXPECT_LT(after, before + 15.0);
-}
-
-TEST(PlacementExplorer, StaysInsideFloorplan) {
-  network::Design d = makeDesign(3);
-  const sta::Timer timer(sharedTech());
-  const core::Objective objective(d, timer);
-  core::BufferPlacementExplorer explorer(d, timer, objective);
-  core::ExplorerOptions eo;
-  eo.radius_um = 500.0;  // deliberately bigger than the block margin
-  eo.coarse_step_um = 100.0;
-  const int b = d.tree.buffers().front();
-  const core::PlacementChoice c = explorer.explore(b, eo);
-  EXPECT_TRUE(d.floorplan.contains(c.position));
 }
 
 TEST(IncrementalTimer, BitIdenticalToFullAnalysisAcrossMoves) {

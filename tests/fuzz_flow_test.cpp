@@ -8,7 +8,6 @@
 
 #include "check/check.h"
 #include "core/flow.h"
-#include "core/placement_explorer.h"
 #include "network/io.h"
 #include "sta/incremental.h"
 #include "testgen/testgen.h"
@@ -75,7 +74,7 @@ TEST_P(FuzzFlow, RandomOperationSequenceKeepsInvariants) {
   core::Objective objective(d, timer);
 
   for (int op_count = 0; op_count < 8; ++op_count) {
-    const int op = static_cast<int>(rng.index(6));
+    const int op = static_cast<int>(rng.index(5));
     switch (op) {
       case 0: {  // a few random local moves
         const std::vector<core::Move> moves = core::enumerateAllMoves(d);
@@ -110,19 +109,7 @@ TEST_P(FuzzFlow, RandomOperationSequenceKeepsInvariants) {
         ASSERT_NEAR(a, b, 1e-6) << "round-trip changed timing";
         break;
       }
-      case 4: {  // placement-explorer application
-        core::BufferPlacementExplorer explorer(d, timer, objective);
-        const std::vector<int> bufs = d.tree.buffers();
-        const int b = bufs[rng.index(bufs.size())];
-        core::ExplorerOptions eo;
-        eo.coarse_step_um = 20.0;
-        const core::PlacementChoice c = explorer.explore(b, eo);
-        if (c.predicted_delta_ps < 0.0)
-          core::BufferPlacementExplorer::apply(d, b, c);
-        checkInvariants(d, "after explorer");
-        break;
-      }
-      case 5: {  // incremental timing consistency after an edit
+      case 4: {  // incremental timing consistency after an edit
         sta::IncrementalTimer inc(sharedTech(), d);
         const std::vector<core::Move> moves = core::enumerateAllMoves(d);
         if (moves.empty()) break;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -287,13 +288,18 @@ void expectCertified(const lp::Model& m, const lp::Solution& s,
   EXPECT_LE(r.gap, 1e-2 * check::kLpGapTol) << label;
 }
 
-/// The global LP pair of a bench-scale CLS testcase (seed 1).
-GlobalLpProbe clsProbe(const std::string& name) {
+/// A bench-scale CLS testcase (seed 1).
+network::Design clsDesign(const std::string& name) {
   testgen::TestcaseOptions to;
   to.sinks = name == "CLS2v1" ? 160 : 120;
   to.max_pairs = 120;
   to.seed = 1;
-  const network::Design d = testgen::makeTestcase(sharedTech(), name, to);
+  return testgen::makeTestcase(sharedTech(), name, to);
+}
+
+/// The global LP pair of a bench-scale CLS testcase.
+GlobalLpProbe clsProbe(const std::string& name) {
+  const network::Design d = clsDesign(name);
   const sta::Timer timer(sharedTech());
   const Objective objective(d, timer);
   const GlobalOptimizer opt(sharedTech(), sharedLut());
@@ -421,6 +427,107 @@ TEST(LpPhase2Feasibility, DantzigSweepSolveRecoversTheOptimum) {
     EXPECT_NEAR(s.objective, 1065.920456, 1e-6) << label;
     expectCertified(probe.sweep, s, label);
   }
+}
+
+// Pins Algorithm-1 realization on the three bench-scale CLS cases (seed 1,
+// cold run, default sweep): per sweep candidate the bits of U and of its
+// realized full-objective sum, plus the rebuilt-arc count of the pick, the
+// chosen U and an FNV-1a-64 over the final design's nodes (validity,
+// parent, position bits, cell). The literals were captured when cold runs
+// still re-timed each rebuilt arc by a full re-analysis, so they tie the
+// incremental realization to that path's exact answers.
+struct RealizePin {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> candidates;
+  std::size_t arcs_changed;
+  std::uint64_t chosen_u_bits;
+  std::uint64_t design_digest;
+};
+
+std::uint64_t designDigest(const network::Design& d) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t i = 0; i < d.tree.numNodes(); ++i) {
+    const int id = static_cast<int>(i);
+    const unsigned char valid = d.tree.isValid(id) ? 1 : 0;
+    h = fnv1a64(h, &valid, 1);
+    if (valid == 0) continue;
+    const network::ClockNode& n = d.tree.node(id);
+    h = fnv1a64(h, &n.parent, sizeof n.parent);
+    h = fnv1a64(h, &n.pos.x, sizeof n.pos.x);
+    h = fnv1a64(h, &n.pos.y, sizeof n.pos.y);
+    h = fnv1a64(h, &n.cell, sizeof n.cell);
+  }
+  return h;
+}
+
+RealizePin realizeCls(const std::string& name) {
+  network::Design d = clsDesign(name);
+  const Objective objective(d, sta::Timer(sharedTech()));
+  const GlobalResult r =
+      GlobalOptimizer(sharedTech(), sharedLut()).run(d, objective);
+  RealizePin pin{{},
+                 r.arcs_changed,
+                 std::bit_cast<std::uint64_t>(r.chosen_u_ps),
+                 designDigest(d)};
+  for (const auto& [u, sum] : r.candidates)
+    pin.candidates.push_back(
+        {std::bit_cast<std::uint64_t>(u), std::bit_cast<std::uint64_t>(sum)});
+  return pin;
+}
+
+std::string literalOf(const RealizePin& p) {
+  std::string s = "{{";
+  char buf[64];
+  for (const auto& [u, sum] : p.candidates) {
+    std::snprintf(buf, sizeof buf, "{0x%016llxULL, 0x%016llxULL}, ",
+                  static_cast<unsigned long long>(u),
+                  static_cast<unsigned long long>(sum));
+    s += buf;
+  }
+  std::snprintf(buf, sizeof buf, "}, %zu, 0x%016llxULL, ", p.arcs_changed,
+                static_cast<unsigned long long>(p.chosen_u_bits));
+  s += buf;
+  std::snprintf(buf, sizeof buf, "0x%016llxULL}",
+                static_cast<unsigned long long>(p.design_digest));
+  return s + buf;
+}
+
+void expectRealized(const std::string& name, const RealizePin& want) {
+  const RealizePin got = realizeCls(name);
+  const std::string at = name + ": " + literalOf(got);
+  EXPECT_EQ(got.candidates, want.candidates) << at;
+  EXPECT_EQ(got.arcs_changed, want.arcs_changed) << at;
+  EXPECT_EQ(got.chosen_u_bits, want.chosen_u_bits) << at;
+  EXPECT_EQ(got.design_digest, want.design_digest) << at;
+}
+
+TEST(GlobalRealizePinned, Cls1v1) {
+  expectRealized("CLS1v1",
+                 {{{0x406473264d6a2aa3ULL, 0x4093aab92c2927faULL},
+                   {0x40787740cf95a016ULL, 0x409222acb4baaa86ULL},
+                   {0x4085ba142db5d738ULL, 0x4093114af312d656ULL}},
+                  29,
+                  0x40787740cf95a016ULL,
+                  0x925600675d34ca5eULL});
+}
+
+TEST(GlobalRealizePinned, Cls1v2) {
+  expectRealized("CLS1v2",
+                 {{{0x406d0ea9112eb048ULL, 0x4096cec45c04fbc3ULL},
+                   {0x408319165567f4b0ULL, 0x4099f014e7d7001bULL},
+                   {0x409170288b718016ULL, 0x40992b40ed2b79e1ULL}},
+                  35,
+                  0x406d0ea9112eb048ULL,
+                  0x29690def43c3374fULL});
+}
+
+TEST(GlobalRealizePinned, Cls2v1) {
+  expectRealized("CLS2v1",
+                 {{{0x4095e42820f25574ULL, 0x40b2f964616e6623ULL},
+                   {0x40a1625f8a26579cULL, 0x40b1fa5830b03306ULL},
+                   {0x40a9f81981b7e8caULL, 0x40b3a1e1905ed582ULL}},
+                  36,
+                  0x40a1625f8a26579cULL,
+                  0x8f040b3a419b86d3ULL});
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <span>
 #include <string>
 #include <tuple>
@@ -443,6 +444,87 @@ TEST_F(LocalOptTest, ZeroIterationsIsNoOp) {
   const LocalResult r = opt.run(d, objective, nullptr);
   EXPECT_DOUBLE_EQ(r.sum_after_ps, before);
   EXPECT_TRUE(r.history.empty());
+}
+
+std::uint64_t fnv1a64(std::uint64_t h, const void* data, std::size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::uint64_t designDigest(const network::Design& d) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t i = 0; i < d.tree.numNodes(); ++i) {
+    const int id = static_cast<int>(i);
+    const unsigned char valid = d.tree.isValid(id) ? 1 : 0;
+    h = fnv1a64(h, &valid, 1);
+    if (valid == 0) continue;
+    const network::ClockNode& n = d.tree.node(id);
+    h = fnv1a64(h, &n.parent, sizeof n.parent);
+    h = fnv1a64(h, &n.pos.x, sizeof n.pos.x);
+    h = fnv1a64(h, &n.pos.y, sizeof n.pos.y);
+    h = fnv1a64(h, &n.cell, sizeof n.cell);
+  }
+  return h;
+}
+
+struct RandomCommit {
+  std::size_t round;
+  int type;
+  std::uint64_t realized_bits, sum_after_bits;
+  bool operator==(const RandomCommit&) const = default;
+};
+
+// Pins Figure 8's random baseline on bench-scale CLS1v1 (120 sinks, 120
+// pairs, seed 1; 6 rounds, trial seed 97, as bench_fig8_local_trace runs
+// it): per committed move its round, type and the bits of the realized
+// change and the sum after it, then the run's golden-evaluation count and
+// an FNV-1a-64 over the final design's nodes. The literals were captured
+// when each random trial still evaluated a full design copy.
+TEST(RandomBaselinePinned, HistoryOnBenchScaleCls1v1) {
+  testgen::TestcaseOptions to;
+  to.sinks = 120;
+  to.max_pairs = 120;
+  to.seed = 1;
+  network::Design d = testgen::makeTestcase(sharedTech(), "CLS1v1", to);
+  const Objective objective(d, sta::Timer(sharedTech()));
+  LocalOptions o;
+  o.max_iterations = 6;
+  const LocalResult r =
+      LocalOptimizer(sharedTech(), o).runRandom(d, objective, 97);
+
+  std::vector<RandomCommit> got;
+  std::string literal;
+  for (const LocalIteration& it : r.history) {
+    got.push_back({it.round, static_cast<int>(it.type),
+                   std::bit_cast<std::uint64_t>(it.realized_delta_ps),
+                   std::bit_cast<std::uint64_t>(it.sum_after_ps)});
+    char buf[96];
+    std::snprintf(buf, sizeof buf, "{%zu, %d, 0x%016llxULL, 0x%016llxULL},\n",
+                  got.back().round, got.back().type,
+                  static_cast<unsigned long long>(got.back().realized_bits),
+                  static_cast<unsigned long long>(got.back().sum_after_bits));
+    literal += buf;
+  }
+  const std::uint64_t digest = designDigest(d);
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "golden %zu digest 0x%016llxULL",
+                r.golden_evaluations, static_cast<unsigned long long>(digest));
+  literal += buf;
+
+  const std::vector<RandomCommit> want = {
+      {0, 1, 0xbee32452f0000000ULL, 0x40991ab7bd56ec03ULL},
+      {1, 1, 0xc01249a6ab0d9700ULL, 0x4099086e16abde6cULL},
+      {2, 0, 0xc0028d49286a0000ULL, 0x4098ff277217a96cULL},
+      {4, 1, 0xc0621ca3a9d49fe0ULL, 0x4096bb92fcdd1570ULL},
+      {5, 1, 0xc02f2eff0de8ae80ULL, 0x40967d34fec14413ULL},
+  };
+  EXPECT_EQ(got, want) << literal;
+  EXPECT_EQ(r.golden_evaluations, 30u) << literal;
+  EXPECT_EQ(digest, 0x60a6d6d0ba422fa1ULL) << literal;
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <fstream>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -861,6 +862,34 @@ TEST(TcpTest, OversizedRequestLineIsRejectedWithACleanError) {
   TcpClient client("127.0.0.1", server.port());
   EXPECT_TRUE(json::parse(client.callRaw(R"({"cmd":"STATS"})"))
                   .boolean("ok", false));
+  server.stop();
+}
+
+/// VmSize of this process in kB, read from /proc/self/status.
+long vmSizeKb() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line))
+    if (line.rfind("VmSize:", 0) == 0) return std::stol(line.substr(7));
+  return -1;
+}
+
+TEST(TcpTest, SequentialConnectionsKeepTheAddressSpaceBounded) {
+  // Each accept joins the threads of connections that have closed, so 300
+  // one-request connections leave at most a few thread stacks mapped. An
+  // unjoined thread per connection keeps its ~8 MB stack, over 2 GB here.
+  TcpServer server([](const std::string&, const TcpServer::LineSink& emit) {
+    return emit(R"({"ok":true})");
+  });
+  const long before_kb = vmSizeKb();
+  ASSERT_GT(before_kb, 0);
+  for (int i = 0; i < 300; ++i) {
+    TcpClient client("127.0.0.1", server.port());
+    ASSERT_TRUE(json::parse(client.callRaw(R"({"cmd":"STATS"})"))
+                    .boolean("ok", false));
+  }
+  const long growth_kb = vmSizeKb() - before_kb;
+  EXPECT_LT(growth_kb, 256L * 1024) << "VmSize grew by " << growth_kb << " kB";
   server.stop();
 }
 
