@@ -7,7 +7,6 @@
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
-#include "support/stopwatch.h"
 
 namespace skewopt::core {
 
@@ -108,7 +107,6 @@ FlowResult Flow::run(network::Design& d, FlowMode mode,
 
   obs::Span flow_span("flow.run");
   flow_span.arg("mode", static_cast<std::int64_t>(mode));
-  support::Stopwatch total_sw;
 
   // Flight recorder: the optimizers append their sections through the
   // thread-local current recorder; a null install masks any outer one so
@@ -169,24 +167,22 @@ FlowResult Flow::run(network::Design& d, FlowMode mode,
 
   if (mode == FlowMode::kGlobal || mode == FlowMode::kGlobalLocal) {
     obs::Span stage_span("flow.global");
-    support::Stopwatch sw;
     GlobalOptions gopts = opts_.global;
     gopts.check_level = chk;
     GlobalOptimizer gopt(*tech_, *lut_, gopts);
     res.global = gopt.run(d, objective, &*timing,
                           warm_in != nullptr ? &warm_in->global : nullptr,
                           warm_out != nullptr ? &warm_out->global : nullptr);
-    res.stage_ms.global_ms = sw.ms();
+    res.stage_ms.global_ms = stage_span.end();
     global_hist.observe(res.stage_ms.global_ms);
   }
   if (mode == FlowMode::kLocal || mode == FlowMode::kGlobalLocal) {
     obs::Span stage_span("flow.local");
-    support::Stopwatch sw;
     LocalOptions lopts = opts_.local;
     lopts.check_level = chk;
     LocalOptimizer lopt(*tech_, lopts);
     res.local = lopt.run(d, objective, model);
-    res.stage_ms.local_ms = sw.ms();
+    res.stage_ms.local_ms = stage_span.end();
     local_hist.observe(res.stage_ms.local_ms);
   }
   {
@@ -201,7 +197,7 @@ FlowResult Flow::run(network::Design& d, FlowMode mode,
     obs::Span gate_span("flow.gate_output");
     check::gateDesign(d, timer_, chk, "flow:output");
   }
-  res.stage_ms.total_ms = total_sw.ms();
+  res.stage_ms.total_ms = flow_span.end();
   total_hist.observe(res.stage_ms.total_ms);
   return res;
 }

@@ -45,9 +45,11 @@ struct FlowOptions {
   bool record = false;
 };
 
-/// Wall-clock stage breakdown of one Flow::run, always measured
-/// (support::Stopwatch — injectable clock, so deterministic in tests).
-/// Surfaced in CLI reports and the serve RESULT payload.
+/// Wall-clock stage breakdown of one Flow::run, always measured: each
+/// field is the duration of the span that times its scope (`flow.global`,
+/// `flow.local`, `flow.run`; obs::Span::end, so the injectable clock makes
+/// it deterministic in tests). Surfaced in CLI reports and the serve RESULT
+/// payload.
 struct StageTimings {
   double global_ms = 0.0;  ///< global stage (0 when the stage didn't run)
   double local_ms = 0.0;   ///< local stage (0 when the stage didn't run)

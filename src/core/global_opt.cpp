@@ -5,7 +5,6 @@
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
-#include "support/stopwatch.h"
 #include "support/thread_pool.h"
 
 #include <algorithm>
@@ -556,7 +555,6 @@ GlobalResult GlobalOptimizer::run(Design& d, const Objective& objective,
   res.lp_rows = static_cast<std::size_t>(min_lp.model.numRows());
   res.lp_vars = static_cast<std::size_t>(min_lp.model.numVars());
   gateLp(min_lp.model, /*budget_row=*/-1, chk, "global:lp");
-  support::Stopwatch lp_sw;
   // Exact solve replay: when the fingerprint AND the effective derates
   // match the cached state bitwise, the (re-bounded) models are
   // bit-identical to the ones the cached run solved, so its recorded
@@ -580,6 +578,7 @@ GlobalResult GlobalOptimizer::run(Design& d, const Objective& objective,
           static_cast<std::size_t>(min_lp.model.numVars() +
                                    min_lp.model.numRows());
   lp::Solution vsol;
+  double pass1_ms = 0.0;  // a replayed solve has no span and reports 0
   if (pass1_replay) {
     vsol.status = lp::Status::Optimal;
     vsol.objective = warm_in->pass1_objective;
@@ -591,11 +590,11 @@ GlobalResult GlobalOptimizer::run(Design& d, const Objective& objective,
     obs::Span solve_span("global.lp_solve");
     solve_span.arg("pass", std::int64_t{1});
     vsol = lp::solve(min_lp.model, opts_.lp, nullptr);
+    pass1_ms = solve_span.end();
     lpo.solves.add();
     lpo.iterations.add(static_cast<std::uint64_t>(vsol.iterations));
-    lpo.solve_ms.observe(lp_sw.ms());
+    lpo.solve_ms.observe(pass1_ms);
   }
-  const double pass1_ms = lp_sw.ms();
   if (!pass1_replay) gateLpCertificate(min_lp.model, vsol, chk);
   res.lp_solves.push_back({0.0, vsol.iterations, vsol.refactorizations,
                            pass1_replay,
@@ -714,15 +713,11 @@ GlobalResult GlobalOptimizer::run(Design& d, const Objective& objective,
     }
     replaying = false;
     sweep_lp.model.setRowBounds(budget_row, -lp::kInf, u);
-    lp_sw.reset();
-    lp::Solution sol;
-    {
-      obs::Span solve_span("global.lp_solve");
-      solve_span.arg("u_index", static_cast<std::int64_t>(points.size()));
-      sol = lp::solve(sweep_lp.model, opts_.lp,
-                      chain.empty() ? nullptr : &chain);
-    }
-    const double sweep_ms = lp_sw.ms();
+    obs::Span solve_span("global.lp_solve");
+    solve_span.arg("u_index", static_cast<std::int64_t>(points.size()));
+    const lp::Solution sol = lp::solve(sweep_lp.model, opts_.lp,
+                                       chain.empty() ? nullptr : &chain);
+    const double sweep_ms = solve_span.end();
     gateLpCertificate(sweep_lp.model, sol, chk);
     lpo.solves.add();
     lpo.iterations.add(static_cast<std::uint64_t>(sol.iterations));
@@ -917,13 +912,15 @@ GlobalResult GlobalOptimizer::run(Design& d, const Objective& objective,
       "skewopt_global_realized_arcs_total",
       "Arcs rebuilt by the global-stage ECO across sweep points");
   const auto realizeOne = [&](std::size_t i) {
+    SweepPoint& pt = *todo[i];
     obs::Span realize_span("global.realize");
-    realize_span.arg("u_index", static_cast<std::int64_t>(i));
-    support::Stopwatch sw;
-    realize(*todo[i]);
-    res.lp_solves[todo[i]->stats_ix].realize_ms = sw.ms();
-    realize_hist.observe(res.lp_solves[todo[i]->stats_ix].realize_ms);
-    realized_arcs.add(todo[i]->changed);
+    // lp_solves[0] is pass 1, so a point's sweep index is stats_ix - 1.
+    realize_span.arg("u_index", static_cast<std::int64_t>(pt.stats_ix - 1));
+    realize(pt);
+    const double ms = realize_span.end();
+    res.lp_solves[pt.stats_ix].realize_ms = ms;
+    realize_hist.observe(ms);
+    realized_arcs.add(pt.changed);
   };
   if (opts_.parallel_realize && todo.size() > 1) {
     support::ThreadPool::shared().runSlices(todo.size(), realizeOne);

@@ -9,7 +9,6 @@
 #include "obs/recorder.h"
 #include "obs/trace.h"
 #include "sta/incremental.h"
-#include "support/stopwatch.h"
 #include "support/thread_pool.h"
 
 namespace skewopt::core {
@@ -177,8 +176,12 @@ LocalResult LocalOptimizer::run(Design& d, const Objective& objective,
     }
 
     scores.resize(moves.size());
+    obs::Span score_span("local.score");
     const MovePredictor::RoundStats st = predictor.scoreRound(
         moves, scores, &score_cache, opts_.parallel_trials ? &pool : nullptr);
+    score_span.arg("computed", static_cast<std::int64_t>(st.computed));
+    score_span.arg("reused", static_cast<std::int64_t>(st.reused));
+    score_span.end();
     lobs.scores_computed.add(st.computed);
     lobs.scores_reused.add(st.reused);
     if (opts_.on_scored)
@@ -210,11 +213,10 @@ LocalResult LocalOptimizer::run(Design& d, const Objective& objective,
       pool.runSlices(slices, [&](std::size_t s) {
         for (std::size_t t = s; t < todo.size(); t += slices) {
           obs::Span trial_span("local.golden_trial");
-          support::Stopwatch sw;
           WorkerContext& w = *workers[s];
           goldenTrialScoped(w.replica, w.overlay, w.undo, objective,
                             moves[scored[todo[t]].second], &reports[t]);
-          lobs.golden_ms.observe(sw.ms());
+          lobs.golden_ms.observe(trial_span.end());
         }
       });
       res.golden_evaluations += todo.size();

@@ -635,26 +635,8 @@ bool MoveAnalyzer::readSetChanged(const Move& m,
 }
 
 // ---------------------------------------------------------------------------
-// Golden deltas & sample collection
+// Training-sample collection (features + golden deltas)
 // ---------------------------------------------------------------------------
-
-std::vector<double> goldenDelta(const Design& d, const sta::Timer& timer,
-                                const Move& m) {
-  const std::vector<int> sinks = subtreeSinks(d.tree, m.node);
-  std::vector<sta::CornerTiming> before = timer.analyzeDesign(d);
-  Design copy = d;
-  applyMove(copy, m);
-  std::vector<sta::CornerTiming> after = timer.analyzeDesign(copy);
-  std::vector<double> out(d.corners.size(), 0.0);
-  for (std::size_t ki = 0; ki < d.corners.size(); ++ki) {
-    double acc = 0.0;
-    for (const int s : sinks)
-      acc += after[ki].arrival[static_cast<std::size_t>(s)] -
-             before[ki].arrival[static_cast<std::size_t>(s)];
-    out[ki] = sinks.empty() ? 0.0 : acc / static_cast<double>(sinks.size());
-  }
-  return out;
-}
 
 std::vector<MoveSample> collectMoveSamples(const Design& d,
                                            const sta::Timer& timer,

@@ -210,7 +210,10 @@ class DeltaLatencyModel {
 };
 
 /// Collects (features, golden delta) samples for one design's moves —
-/// shared by the trainer and the Figure 5/6 benches.
+/// shared by the trainer and the Figure 5/6 benches. A move's golden delta
+/// applies it to a copy, retimes, and averages the latency change over the
+/// sinks of its primary subtree, one value per active corner; moves with
+/// no primary impact group are skipped.
 struct MoveSample {
   Move move;
   std::vector<std::array<double, kNumFeatures>> features;  // per active corner
@@ -219,12 +222,6 @@ struct MoveSample {
 std::vector<MoveSample> collectMoveSamples(const network::Design& d,
                                            const sta::Timer& timer,
                                            const std::vector<Move>& moves);
-
-/// Golden delta-latency of a move: apply to a copy, retime, and average the
-/// latency change over the sinks of the move's primary subtree. One value
-/// per active corner.
-std::vector<double> goldenDelta(const network::Design& d,
-                                const sta::Timer& timer, const Move& m);
 
 // ---------------------------------------------------------------------------
 

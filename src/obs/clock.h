@@ -1,6 +1,7 @@
 // Injectable monotonic clock — the single time source of the observability
-// layer (and, through support::Stopwatch, of every phase timing in the
-// optimizers and the job service).
+// layer. Every phase timing in the optimizers is the duration of the
+// obs::Span that times its scope (Span::end), and spans read this clock;
+// the job service's histograms read it directly.
 //
 // Production reads std::chrono::steady_clock (monotonic across system
 // clock adjustments; never system_clock or the implementation-defined

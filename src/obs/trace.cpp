@@ -375,20 +375,32 @@ bool Tracer::writeJsonFile(const std::string& path, std::uint64_t since_ns,
 }
 
 Span::Span(const char* name) {
-  if (!tracingOn()) return;
-  active_ = true;
-  name_ = name;
-  depth_ = t_span_depth++;
-  trace_id_ = t_trace_id;
+  if (tracingOn()) {
+    active_ = true;
+    name_ = name;
+    depth_ = t_span_depth++;
+    trace_id_ = t_trace_id;
+  }
   start_ns_ = nowNs();
 }
 
 Span::~Span() {
-  if (!active_) return;
-  const std::uint64_t end_ns = nowNs();
-  --t_span_depth;
-  Tracer::global().localBuffer().emit(
-      name_, start_ns_, end_ns - start_ns_, depth_, trace_id_, args_, nargs_);
+  // An unrecorded span nobody ended has no reader for its duration, so it
+  // skips the clock read.
+  if (active_ && !ended_) end();
+}
+
+double Span::end() {
+  if (!ended_) {
+    ended_ = true;
+    dur_ns_ = nowNs() - start_ns_;
+    if (active_) {
+      --t_span_depth;
+      Tracer::global().localBuffer().emit(name_, start_ns_, dur_ns_, depth_,
+                                          trace_id_, args_, nargs_);
+    }
+  }
+  return static_cast<double>(dur_ns_) * 1e-6;
 }
 
 void Span::arg(const char* key, std::int64_t v) {

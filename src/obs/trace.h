@@ -1,11 +1,16 @@
 // Tracing: RAII spans recorded into per-thread ring buffers, exported as
 // Chrome trace-event JSON (loadable in Perfetto / chrome://tracing).
 //
+// Spans are also the library's only stopwatch: every span stamps its start
+// from obs::nowNs(), and Span::end() returns its duration, so a wall-time
+// field or histogram is the duration of the span that times its scope —
+// one clock, read once per boundary, whether or not tracing is on.
+//
 // Hot-path contract: constructing a Span while tracing is disabled costs
-// one relaxed atomic load and nothing else. While enabled, a span takes a
-// timestamp at construction and writes exactly one fixed-size slot into
-// its thread's ring buffer at destruction — no lock, no allocation, no
-// cross-thread cache traffic on the emit path.
+// one relaxed atomic load + one clock read, and an unended span's
+// destructor then does nothing. While enabled, ending a span writes
+// exactly one fixed-size slot into its thread's ring buffer — no lock, no
+// allocation, no cross-thread cache traffic on the emit path.
 //
 // Concurrency: each buffer has a single writer (its owning thread);
 // exporters on other threads read concurrently. Every slot field is an
@@ -173,13 +178,15 @@ class Tracer {
   std::atomic<int> start_count_{0};
 };
 
-/// RAII span. Times the enclosing scope and records it (with any args
-/// attached before destruction) into the current thread's ring buffer,
-/// stamped with the thread's current trace context. `name` and arg keys
-/// must be string literals (or otherwise outlive the tracer's exports).
+/// RAII span. Times the enclosing scope and, while tracing is on, records
+/// it (with any args attached before it ends) into the current thread's
+/// ring buffer, stamped with the thread's current trace context. `name`
+/// and arg keys must be string literals (or otherwise outlive the tracer's
+/// exports).
 class Span {
  public:
   explicit Span(const char* name);
+  /// Ends the span if end() was not called.
   ~Span();
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -188,10 +195,18 @@ class Span {
   void arg(const char* key, double v);
   void arg(const char* key, bool v);
 
+  /// Closes the span (recording it while tracing is on) and returns its
+  /// duration in milliseconds — the value every wall-time field and
+  /// histogram reports, whether or not tracing is on. Only the first call
+  /// reads the clock; later calls return the same duration.
+  double end();
+
  private:
-  bool active_ = false;
+  bool active_ = false;  ///< recording: tracing was on at construction
+  bool ended_ = false;
   std::uint32_t depth_ = 0;
   std::uint64_t start_ns_ = 0;
+  std::uint64_t dur_ns_ = 0;  ///< set by end()
   std::uint64_t trace_id_ = 0;
   const char* name_ = nullptr;
   int nargs_ = 0;

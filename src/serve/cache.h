@@ -2,55 +2,31 @@
 //
 // Keys come from serve::canonicalKey, so a hit is guaranteed to hand back
 // a result bit-identical to re-running the spec (the whole pipeline is
-// deterministic for a key — see job.h). The cache is a bounded LRU with a
-// single mutex; FlowResults are small (metrics + per-iteration history),
-// so entries are stored by value and copied out on hit.
+// deterministic for a key — see job.h). The cache is a bounded LRU
+// (serve::LruStore); FlowResults are small (metrics + per-iteration
+// history), so entries are stored by value and copied out on hit.
 #pragma once
 
-#include <cstddef>
-#include <list>
-#include <string>
-#include <unordered_map>
-
 #include "core/flow.h"
-#include "support/thread_annotations.h"
+#include "serve/lru.h"
 
 namespace skewopt::serve {
 
-class ResultCache {
- public:
-  /// `capacity` == 0 disables caching (lookup always misses).
-  explicit ResultCache(std::size_t capacity = 256) : capacity_(capacity) {}
-
-  /// On hit copies the memoized result into `*out` (if non-null), marks the
-  /// entry most-recently-used, and returns true.
-  bool lookup(const std::string& key, core::FlowResult* out);
-
-  /// Inserts (or refreshes) a result, evicting the least-recently-used
-  /// entry when over capacity.
-  void insert(const std::string& key, const core::FlowResult& result);
-
-  struct Stats {
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-    std::size_t insertions = 0;
-    std::size_t evictions = 0;
-    std::size_t entries = 0;
-  };
-  Stats stats() const;
-
- private:
-  struct Entry {
-    core::FlowResult result;
-    std::list<std::string>::iterator lru_it;
-  };
-
-  const std::size_t capacity_;
-  mutable support::Mutex mu_;
-  std::unordered_map<std::string, Entry> map_ SKEWOPT_GUARDED_BY(mu_);
-  /// front = most recently used
-  std::list<std::string> lru_ SKEWOPT_GUARDED_BY(mu_);
-  Stats stats_ SKEWOPT_GUARDED_BY(mu_);
+struct ResultCacheMetrics {
+  static constexpr const char* kHits = "skewopt_serve_cache_hits_total";
+  static constexpr const char* kHitsHelp = "Result-cache lookups that hit";
+  static constexpr const char* kMisses = "skewopt_serve_cache_misses_total";
+  static constexpr const char* kMissesHelp =
+      "Result-cache lookups that missed";
+  static constexpr const char* kEvictions =
+      "skewopt_serve_cache_evictions_total";
+  static constexpr const char* kEvictionsHelp =
+      "Result-cache entries evicted by the LRU bound";
+  static constexpr const char* kEntries = "skewopt_serve_cache_entries";
+  static constexpr const char* kEntriesHelp = "Live result-cache entries";
 };
+
+/// Default capacity 256 (ServeOptions::cache_capacity); 0 disables it.
+using ResultCache = LruStore<core::FlowResult, ResultCacheMetrics>;
 
 }  // namespace skewopt::serve

@@ -17,8 +17,9 @@ namespace {
 // Job lifecycle timestamps deliberately stay on raw steady_clock rather
 // than the injectable obs::nowNs(): deadline handling waits on condition
 // variables via wait_until, which needs real time_points a fake
-// function-pointer clock cannot provide. Library phase timings (the obs
-// histograms below, Stopwatch) all go through obs::nowNs().
+// function-pointer clock cannot provide. Library phase timings are the
+// durations of the obs::Spans that time them (Span::end over
+// obs::nowNs()); the serve histograms below read obs::nowNs() directly.
 double msSince(std::chrono::steady_clock::time_point t0,
                std::chrono::steady_clock::time_point t1) {
   return std::chrono::duration<double, std::milli>(t1 - t0).count();

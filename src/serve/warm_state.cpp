@@ -1,75 +1,6 @@
 #include "serve/warm_state.h"
 
-#include "obs/metrics.h"
-
 namespace skewopt::serve {
-
-namespace {
-
-struct WarmObs {
-  obs::Counter& hits = obs::MetricsRegistry::global().counter(
-      "skewopt_serve_warmstate_hits_total",
-      "Warm-state lookups that found a prior run's state");
-  obs::Counter& misses = obs::MetricsRegistry::global().counter(
-      "skewopt_serve_warmstate_misses_total",
-      "Warm-state lookups that missed (cold run follows)");
-  obs::Counter& evictions = obs::MetricsRegistry::global().counter(
-      "skewopt_serve_warmstate_evictions_total",
-      "Warm-state entries evicted by the LRU bound");
-  obs::Gauge& entries = obs::MetricsRegistry::global().gauge(
-      "skewopt_serve_warmstate_entries", "Live warm-state entries");
-  static WarmObs& get() {
-    static WarmObs o;
-    return o;
-  }
-};
-
-}  // namespace
-
-std::shared_ptr<const core::FlowWarmState> WarmStateStore::lookup(
-    const std::string& key) {
-  support::MutexLock lk(mu_);
-  const auto it = map_.find(key);
-  if (it == map_.end()) {
-    ++stats_.misses;
-    WarmObs::get().misses.add();
-    return nullptr;
-  }
-  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-  ++stats_.hits;
-  WarmObs::get().hits.add();
-  return it->second.state;
-}
-
-void WarmStateStore::insert(const std::string& key,
-                            std::shared_ptr<const core::FlowWarmState> state) {
-  if (capacity_ == 0 || state == nullptr) return;
-  support::MutexLock lk(mu_);
-  const auto it = map_.find(key);
-  if (it != map_.end()) {
-    it->second.state = std::move(state);
-    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    return;
-  }
-  lru_.push_front(key);
-  map_.emplace(key, Entry{std::move(state), lru_.begin()});
-  ++stats_.insertions;
-  while (map_.size() > capacity_) {
-    map_.erase(lru_.back());
-    lru_.pop_back();
-    ++stats_.evictions;
-    WarmObs::get().evictions.add();
-  }
-  stats_.entries = map_.size();
-  WarmObs::get().entries.set(static_cast<double>(map_.size()));
-}
-
-WarmStateStore::Stats WarmStateStore::stats() const {
-  support::MutexLock lk(mu_);
-  Stats s = stats_;
-  s.entries = map_.size();
-  return s;
-}
 
 core::FlowResult runJobSpecWarm(const tech::TechModel& tech,
                                 const eco::StageDelayLut& lut,

@@ -9,7 +9,7 @@
 // work a run performs, never its result: an evicted, missing, or
 // wrong-shaped entry silently degrades to a cold run (exercised by
 // serve_test), which is why the store can be a plain bounded LRU with no
-// durability story.
+// durability story (serve::LruStore, the result cache's class too).
 //
 // Entries are handed out as shared_ptr<const FlowWarmState>: a running job
 // keeps its snapshot alive even if the store evicts it mid-run, and
@@ -17,53 +17,59 @@
 #pragma once
 
 #include <cstddef>
-#include <list>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <utility>
 
 #include "core/flow.h"
 #include "serve/job.h"
-#include "support/thread_annotations.h"
+#include "serve/lru.h"
 
 namespace skewopt::serve {
 
+struct WarmStateMetrics {
+  static constexpr const char* kHits = "skewopt_serve_warmstate_hits_total";
+  static constexpr const char* kHitsHelp =
+      "Warm-state lookups that found a prior run's state";
+  static constexpr const char* kMisses =
+      "skewopt_serve_warmstate_misses_total";
+  static constexpr const char* kMissesHelp =
+      "Warm-state lookups that missed (cold run follows)";
+  static constexpr const char* kEvictions =
+      "skewopt_serve_warmstate_evictions_total";
+  static constexpr const char* kEvictionsHelp =
+      "Warm-state entries evicted by the LRU bound";
+  static constexpr const char* kEntries = "skewopt_serve_warmstate_entries";
+  static constexpr const char* kEntriesHelp = "Live warm-state entries";
+};
+
 class WarmStateStore {
  public:
+  using Stats = LruStats;
+
   /// `capacity` == 0 disables the store (lookup always misses, insert is a
   /// no-op) — every job then runs cold.
-  explicit WarmStateStore(std::size_t capacity = 64) : capacity_(capacity) {}
+  explicit WarmStateStore(std::size_t capacity = 64) : lru_(capacity) {}
 
   /// Returns the stored state for a topology key (marking it
   /// most-recently-used), or nullptr on a miss.
-  std::shared_ptr<const core::FlowWarmState> lookup(const std::string& key);
+  std::shared_ptr<const core::FlowWarmState> lookup(const std::string& key) {
+    std::shared_ptr<const core::FlowWarmState> state;
+    lru_.lookup(key, &state);
+    return state;
+  }
 
   /// Inserts (or replaces) the state for a key, evicting the
-  /// least-recently-used entry when over capacity.
+  /// least-recently-used entry when over capacity. A null state is ignored.
   void insert(const std::string& key,
-              std::shared_ptr<const core::FlowWarmState> state);
+              std::shared_ptr<const core::FlowWarmState> state) {
+    if (state != nullptr) lru_.insert(key, std::move(state));
+  }
 
-  struct Stats {
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-    std::size_t insertions = 0;
-    std::size_t evictions = 0;
-    std::size_t entries = 0;
-  };
-  Stats stats() const;
+  Stats stats() const { return lru_.stats(); }
 
  private:
-  struct Entry {
-    std::shared_ptr<const core::FlowWarmState> state;
-    std::list<std::string>::iterator lru_it;
-  };
-
-  const std::size_t capacity_;
-  mutable support::Mutex mu_;
-  std::unordered_map<std::string, Entry> map_ SKEWOPT_GUARDED_BY(mu_);
-  /// front = most recently used
-  std::list<std::string> lru_ SKEWOPT_GUARDED_BY(mu_);
-  Stats stats_ SKEWOPT_GUARDED_BY(mu_);
+  LruStore<std::shared_ptr<const core::FlowWarmState>, WarmStateMetrics> lru_;
 };
 
 /// Runs one spec like runJobSpec, but warm: looks the spec's topology key

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "check/check.h"
+#include "obs/clock.h"
 #include "testgen/testgen.h"
 
 namespace skewopt::core {
@@ -224,6 +226,39 @@ TEST_F(GlobalOptTest, LpSolveStatsRecorded) {
   // Every sweep solve was offered a warm basis and is accounted for.
   EXPECT_EQ(static_cast<std::size_t>(r.lp_warm_hits + r.lp_warm_misses),
             r.lp_solves.size() - 1);
+}
+
+std::atomic<std::uint64_t> g_stepping_ns{0};
+/// Fake clock that advances on every read, so any timed interval — even
+/// one around a few bookkeeping instructions — measures nonzero.
+std::uint64_t steppingClock() { return g_stepping_ns.fetch_add(1'000'003); }
+
+TEST_F(GlobalOptTest, ReplayedSolvesReportZeroSolveTime) {
+  // A second run fed the first run's warm state on the same design
+  // replays every solve. A replayed solve has no solve span, so its
+  // solve_ms is 0 — pass 1 included, even though its replay check
+  // deserializes a basis.
+  const network::Design base = makeDesign(80, 5);
+  const Objective objective(base, timer_);
+  GlobalOptions o;
+  o.u_sweep = {0.1, 0.5};
+  const GlobalOptimizer opt(sharedTech(), sharedLut(), o);
+  obs::setClockForTest(&steppingClock);
+  GlobalWarmState warm;
+  network::Design d1 = base;
+  const GlobalResult cold = opt.run(d1, objective, nullptr, nullptr, &warm);
+  network::Design d2 = base;
+  const GlobalResult r = opt.run(d2, objective, nullptr, &warm, nullptr);
+  obs::setClockForTest(nullptr);
+
+  ASSERT_GE(r.lp_solves.size(), 2u);
+  EXPECT_EQ(r.lp_solves.size(), cold.lp_solves.size());
+  EXPECT_EQ(static_cast<std::size_t>(r.lp_replays), r.lp_solves.size());
+  for (std::size_t i = 0; i < r.lp_solves.size(); ++i) {
+    EXPECT_GT(cold.lp_solves[i].solve_ms, 0.0) << i;  // live: timed
+    EXPECT_EQ(r.lp_solves[i].solve_ms, 0.0) << i;
+  }
+  EXPECT_EQ(r.sum_after_ps, cold.sum_after_ps);
 }
 
 TEST_F(GlobalOptTest, EmptyPairsIsNoOp) {

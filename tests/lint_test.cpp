@@ -209,6 +209,45 @@ TEST(Lnt004, FiresOutsideObsOnly) {
 }
 
 // ---------------------------------------------------------------------------
+// LNT005: clock reads outside the timing layer.
+
+TEST(Lnt005, FiresOnClockReadsOutsideTheTimingLayer) {
+  const std::string src =
+      "double f() {\n"
+      "  const std::uint64_t t0 = obs::nowNs();\n"              // 2
+      "  auto t1 = std::chrono::steady_clock::now();\n"         // 3
+      "  return 0.0;\n"
+      "}\n";
+  for (const char* path : {"src/core/x.cpp", "src/lp/x.h", "src/sta/x.cpp"}) {
+    const auto fs = lint::lintSource(path, src);
+    EXPECT_TRUE(fires(fs, 5, 2)) << path;
+    EXPECT_TRUE(fires(fs, 5, 3)) << path;
+  }
+  for (const char* path : {"src/obs/clock.cpp", "src/serve/scheduler.cpp",
+                           "src/cluster/x.cpp", "src/support/x.cpp",
+                           "tests/x_test.cpp", "bench/x.cpp"})
+    EXPECT_FALSE(fires(lint::lintSource(path, src), 5)) << path;
+}
+
+TEST(Lnt005, SpanDurationsAndMentionsDoNotFire) {
+  const std::string src =
+      "// obs::nowNs() and steady_clock::now in a comment\n"
+      "double f() {\n"
+      "  obs::Span s(\"obs::nowNs()\");\n"
+      "  using C = std::chrono::steady_clock;\n"
+      "  return s.end();\n"
+      "}\n";
+  EXPECT_TRUE(lint::lintSource("src/core/x.cpp", src).empty());
+}
+
+TEST(Lnt005, SuppressionWithReasonSilences) {
+  const std::string src =
+      "// SKEWLINT-ALLOW(LNT005: deadline needs a real time_point)\n"
+      "auto t = std::chrono::steady_clock::now();\n";
+  EXPECT_TRUE(lint::lintSource("src/core/x.cpp", src).empty());
+}
+
+// ---------------------------------------------------------------------------
 // LNT010: raw threads.
 
 TEST(Lnt010, FiresOnRawThreadAndDetachOutsideOwners) {

@@ -4,9 +4,11 @@
 // reader safety under concurrent emission, trace-context stamping and
 // filtering, configurable ring capacity), the structured logger (strict
 // JSON-lines, byte-determinism under a fake clock, rate limiting), the
-// flight-recorder JSON builder, and the determinism claim the docs make:
-// with a fake clock injected, a serial and a parallel run of the same
-// local optimization produce bit-identical metric snapshots.
+// flight-recorder JSON builder, the one-timing-source contract (every
+// wall-time field and histogram of a Flow::run is its span's duration),
+// and the determinism claim the docs make: with a fake clock injected, a
+// serial and a parallel run of the same local optimization produce
+// bit-identical metric snapshots.
 //
 // The whole file also runs under ThreadSanitizer as obs_test_tsan (see
 // tests/CMakeLists.txt) — the race coverage behind the per-thread ring
@@ -29,6 +31,7 @@
 
 #include "cluster/frontend.h"
 #include "cluster/protocol.h"
+#include "core/flow.h"
 #include "core/local_opt.h"
 #include "core/objective.h"
 #include "obs/clock.h"
@@ -40,7 +43,6 @@
 #include "serve/server.h"
 #include "serve/warm_state.h"
 #include "sta/timer.h"
-#include "support/stopwatch.h"
 #include "support/thread_pool.h"
 #include "testgen/testgen.h"
 
@@ -56,6 +58,16 @@ struct MetricsOnScope {
 /// Fixed fake clock: every duration measures as zero, which pins the
 /// duration-valued histograms for the snapshot-identity test.
 std::uint64_t fixedClock() { return 5'000'000; }
+
+/// Settable fake clock: reads whatever the test last stored.
+std::atomic<std::uint64_t> g_settable_ns{0};
+std::uint64_t settableClock() { return g_settable_ns.load(); }
+
+/// Stepping fake clock: every read advances time by a fixed odd step, so
+/// every span has a distinct, nonzero duration that both its trace event
+/// and its Span::end() caller see exactly.
+std::atomic<std::uint64_t> g_stepping_ns{0};
+std::uint64_t steppingClock() { return g_stepping_ns.fetch_add(1'000'003); }
 
 // ---------------------------------------------------------------------------
 // Metrics registry
@@ -402,6 +414,56 @@ TEST(TraceTest, SpansAreFreeWhileDisabled) {
     s.arg("k", std::int64_t{1});
   }
   EXPECT_TRUE(Tracer::global().collect(since).empty());
+}
+
+TEST(TraceTest, EndReadsTheInjectableClockWithTracingOff) {
+  // Span is the library's only stopwatch: end() times the scope from the
+  // injectable clock whether or not the span is recorded.
+  ASSERT_FALSE(tracingOn());
+  setClockForTest(&settableClock);
+  g_settable_ns = 10'000'000;  // 10 ms
+  Span s("test.timed");
+  g_settable_ns = 17'500'000;  // +7.5 ms
+  EXPECT_EQ(s.end(), 7.5);     // exact: both reads came from the fake
+  g_settable_ns += 2'000'000;
+  EXPECT_EQ(s.end(), 7.5);  // closed once; a second end() reads nothing
+  setClockForTest(nullptr);
+
+  // Back on the real (steady) clock: time moves forward, never backward.
+  Span real("test.real");
+  EXPECT_GE(real.end(), 0.0);
+}
+
+TEST(TraceTest, EndRecordsTheSpanOnceWithTheReturnedDuration) {
+  const std::uint64_t id = traceIdFor(0x5ea1, 1);
+  setClockForTest(&settableClock);
+  g_settable_ns = 40'000'000;
+  Tracer& tracer = Tracer::global();
+  tracer.start();
+  double ms = 0.0;
+  {
+    ScopedTraceContext ctx(id);
+    Span outer("test.outer_ended");
+    g_settable_ns += 500'000;
+    {
+      Span s("test.ended");
+      g_settable_ns += 2'250'000;
+      ms = s.end();
+      g_settable_ns += 1'000'000;  // after end(): not part of the span
+    }
+    EXPECT_EQ(outer.end(), 3.75);
+  }
+  tracer.stop();
+  setClockForTest(nullptr);
+
+  EXPECT_EQ(ms, 2.25);
+  const std::vector<TraceEvent> events = tracer.collect(0, id);
+  ASSERT_EQ(events.size(), 2u);  // the destructors emitted nothing more
+  EXPECT_EQ(std::string(events[0].name), "test.outer_ended");
+  EXPECT_EQ(events[0].depth, 0u);
+  EXPECT_EQ(std::string(events[1].name), "test.ended");
+  EXPECT_EQ(events[1].depth, 1u);
+  EXPECT_EQ(static_cast<double>(events[1].dur_ns) * 1e-6, ms);
 }
 
 TEST(TraceTest, NestingSurvivesThreadPoolRunSlices) {
@@ -864,6 +926,114 @@ TEST(DeterminismTest, SerialAndParallelLocalOptSnapshotsIdentical) {
   // The round loop no longer calls scoreBatch; its batch-size histogram
   // is gone.
   EXPECT_EQ(find("skewopt_local_score_batch_size"), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// One timing source: every wall-time field is its span's duration
+
+/// The value of integer arg `key` on `e`, or -1 when absent.
+std::int64_t intArg(const TraceEvent& e, const char* key) {
+  for (const TraceEvent::Arg& a : e.args)
+    if (a.key != nullptr && std::string(a.key) == key &&
+        a.type == TraceEvent::ArgType::kInt)
+      return a.i;
+  return -1;
+}
+
+double durMs(const TraceEvent& e) {
+  return static_cast<double>(e.dur_ns) * 1e-6;
+}
+
+TEST(SpanTimingTest, FlowWallFieldsAreTheirSpansDurations) {
+  const tech::TechModel& tech = tech::TechModel::make28nm();
+  const eco::StageDelayLut lut(tech);
+  testgen::TestcaseOptions topts;
+  topts.sinks = 60;
+  topts.seed = 5;
+  topts.max_pairs = 60;
+  network::Design d = testgen::makeCls1(tech, "v1", topts);
+  core::FlowOptions fo;
+  fo.global.u_sweep = {0.1, 0.4};
+  fo.local.max_iterations = 3;
+  const core::Flow flow(tech, lut, fo);
+
+  const std::uint64_t id = traceIdFor(0x5ea1, 2);
+  setClockForTest(&steppingClock);  // before any worker threads spin up
+  MetricsOnScope on;
+  MetricsRegistry& reg = MetricsRegistry::global();
+  reg.reset();
+  Tracer& tracer = Tracer::global();
+  tracer.start();
+  core::FlowResult r;
+  {
+    ScopedTraceContext ctx(id);
+    r = flow.run(d, core::FlowMode::kGlobalLocal, nullptr);
+  }
+  tracer.stop();
+  const Snapshot snap = reg.snapshot();
+  setClockForTest(nullptr);
+
+  std::map<std::string, std::vector<const TraceEvent*>> by_name;
+  const std::vector<TraceEvent> events = tracer.collect(0, id);
+  for (const TraceEvent& e : events) by_name[e.name].push_back(&e);
+
+  // Stage fields: bit-equal to the flow.* spans' durations.
+  ASSERT_EQ(by_name["flow.run"].size(), 1u);
+  ASSERT_EQ(by_name["flow.global"].size(), 1u);
+  ASSERT_EQ(by_name["flow.local"].size(), 1u);
+  EXPECT_EQ(r.stage_ms.total_ms, durMs(*by_name["flow.run"][0]));
+  EXPECT_EQ(r.stage_ms.global_ms, durMs(*by_name["flow.global"][0]));
+  EXPECT_EQ(r.stage_ms.local_ms, durMs(*by_name["flow.local"][0]));
+  EXPECT_GT(r.stage_ms.local_ms, 0.0);
+
+  // LP solves: pass 1 is lp_solves[0], sweep point k is lp_solves[k + 1].
+  // A cold run solves everything live, so every entry has its span.
+  const std::vector<core::LpSolveStats>& solves = r.global.lp_solves;
+  ASSERT_GE(solves.size(), 2u);
+  ASSERT_EQ(by_name["global.lp_solve"].size(), solves.size());
+  std::vector<int> solve_spans(solves.size(), 0);
+  for (const TraceEvent* e : by_name["global.lp_solve"]) {
+    const std::int64_t u = intArg(*e, "u_index");
+    const std::size_t ix =
+        u >= 0 ? static_cast<std::size_t>(u) + 1
+               : (intArg(*e, "pass") == 1 ? 0 : solves.size());
+    ASSERT_LT(ix, solves.size());
+    ++solve_spans[ix];
+    EXPECT_EQ(solves[ix].solve_ms, durMs(*e)) << "solve " << ix;
+  }
+  for (const int n : solve_spans) EXPECT_EQ(n, 1);
+
+  // Realization: one global.realize span per solved sweep point, matched
+  // by u_index; points that never realized report 0.
+  std::vector<int> realize_spans(solves.size(), 0);
+  for (const TraceEvent* e : by_name["global.realize"]) {
+    const std::size_t ix = static_cast<std::size_t>(intArg(*e, "u_index")) + 1;
+    ASSERT_LT(ix, solves.size());
+    ++realize_spans[ix];
+    EXPECT_EQ(solves[ix].realize_ms, durMs(*e)) << "realize " << ix;
+  }
+  EXPECT_FALSE(by_name["global.realize"].empty());
+  for (std::size_t ix = 0; ix < solves.size(); ++ix) {
+    EXPECT_LE(realize_spans[ix], 1) << ix;
+    if (realize_spans[ix] == 0) {
+      EXPECT_EQ(solves[ix].realize_ms, 0.0) << ix;
+    }
+  }
+
+  // The stage histograms observe the same values (one observation each
+  // since the reset, so each sum is its field exactly).
+  const auto hist = [&](const char* name) -> const MetricSample& {
+    for (const MetricSample& m : snap)
+      if (m.name == name) return m;
+    throw std::logic_error(std::string("missing metric ") + name);
+  };
+  EXPECT_EQ(hist("skewopt_flow_global_stage_ms").count, 1u);
+  EXPECT_EQ(hist("skewopt_flow_global_stage_ms").value, r.stage_ms.global_ms);
+  EXPECT_EQ(hist("skewopt_flow_local_stage_ms").count, 1u);
+  EXPECT_EQ(hist("skewopt_flow_local_stage_ms").value, r.stage_ms.local_ms);
+  EXPECT_EQ(hist("skewopt_flow_total_ms").count, 1u);
+  EXPECT_EQ(hist("skewopt_flow_total_ms").value, r.stage_ms.total_ms);
+  EXPECT_EQ(hist("skewopt_lp_solve_ms").count, solves.size());
 }
 
 }  // namespace

@@ -255,9 +255,12 @@ TEST(GoldenDelta, TinyMoveTinyDelta) {
   m.node = ac.target;
   m.delta = {0.2, 0.0};  // sub-site nudge
   m.size_step = 0;
-  const std::vector<double> delta = goldenDelta(ac.design, timer, m);
-  ASSERT_EQ(delta.size(), 1u);
-  EXPECT_LT(std::abs(delta[0]), 8.0);  // only legalization + jog noise
+  const std::vector<MoveSample> samples =
+      collectMoveSamples(ac.design, timer, {m});
+  ASSERT_EQ(samples.size(), 1u);
+  ASSERT_EQ(samples[0].golden_delta.size(), 1u);
+  // Only legalization + jog noise.
+  EXPECT_LT(std::abs(samples[0].golden_delta[0]), 8.0);
 }
 
 }  // namespace

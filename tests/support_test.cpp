@@ -1,21 +1,15 @@
 // Regression tests for support::ThreadPool's exception contract: a task
 // throwing inside runSlices/parallelFor must surface on the calling thread
 // as a rethrown exception — never std::terminate the process — and the
-// pool must stay fully usable afterwards. Also covers Stopwatch's clock
-// injection (obs/clock.h): every duration the library reports flows
-// through obs::nowNs(), so a fake clock makes timings deterministic.
+// pool must stay fully usable afterwards.
 #include "support/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdint>
 #include <set>
 #include <stdexcept>
 #include <string>
-
-#include "obs/clock.h"
-#include "support/stopwatch.h"
 
 namespace skewopt::support {
 namespace {
@@ -111,28 +105,6 @@ TEST(ThreadPoolTest, WaitGroupCountsToZero) {
     });
   wg.wait();
   EXPECT_EQ(done.load(), 10);
-}
-
-namespace {
-std::uint64_t fake_now_ns = 0;
-std::uint64_t fakeClock() { return fake_now_ns; }
-}  // namespace
-
-TEST(StopwatchTest, ReadsTheInjectableClock) {
-  obs::setClockForTest(&fakeClock);
-  fake_now_ns = 10'000'000;  // 10 ms
-  Stopwatch sw;
-  fake_now_ns = 17'500'000;  // +7.5 ms
-  EXPECT_EQ(sw.ms(), 7.5);   // exact: both reads came from the fake
-  sw.reset();
-  EXPECT_EQ(sw.ms(), 0.0);
-  fake_now_ns += 2'000'000;
-  EXPECT_EQ(sw.ms(), 2.0);
-  obs::setClockForTest(nullptr);
-
-  // Back on the real (steady) clock: time moves forward, never backward.
-  Stopwatch real;
-  EXPECT_GE(real.ms(), 0.0);
 }
 
 }  // namespace

@@ -390,6 +390,10 @@ class Linter {
         inDir(path_, "src/obs") || inDir(path_, "src/testgen");
     const bool exempt_thread =
         inDir(path_, "src/support") || inDir(path_, "src/serve");
+    const bool clock_banned =
+        inDir(path_, "src") && !inDir(path_, "src/obs") &&
+        !inDir(path_, "src/serve") && !inDir(path_, "src/cluster") &&
+        !inDir(path_, "src/support");
     const bool unordered_module = inResultModule(path_);
 
     int depth = 0;
@@ -471,6 +475,17 @@ class Linter {
                "relaxed-ordering atomics are allowed only in src/obs "
                "(metrics/trace fast paths); everything else must state "
                "acquire/release semantics");
+
+      // --- LNT005: a second stopwatch --------------------------------
+      if (clock_banned &&
+          ((t.text == "nowNs" && isPunct(i + 1, "(")) ||
+           (t.text == "steady_clock" && isPunct(i + 1, "::") &&
+            isIdent(i + 2, "now"))))
+        report(5, "raw-clock-read", t.line,
+               "'" + t.text +
+                   "' read outside src/obs, src/serve, src/cluster and "
+                   "src/support; time the scope with an obs::Span and take "
+                   "its duration from Span::end() (one timing source)");
 
       // --- LNT010: raw threads ---------------------------------------
       if (!exempt_thread) {

@@ -19,6 +19,9 @@
 //   LNT003  std::mutex / support::Mutex field in a class with no
 //           GUARDED_BY-annotated member
 //   LNT004  relaxed-ordering atomic outside src/obs
+//   LNT005  clock read (obs::nowNs( / steady_clock::now) in src/ outside
+//           src/obs, src/serve, src/cluster and src/support — wall time
+//           elsewhere is an obs::Span's duration (Span::end)
 //   LNT010  raw std::thread construction or detach() outside src/support
 //           and src/serve
 //   LNT011  catch (...) that neither rethrows nor logs
