@@ -1,13 +1,17 @@
 #include "core/predictor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <functional>
 #include <stdexcept>
+#include <string>
 
+#include "obs/trace.h"
 #include "rc/rc.h"
 #include "route/route.h"
+#include "sta/incremental.h"
 #include "support/thread_pool.h"
 #include "testgen/testgen.h"
 
@@ -641,8 +645,15 @@ bool MoveAnalyzer::readSetChanged(const Move& m,
 std::vector<MoveSample> collectMoveSamples(const Design& d,
                                            const sta::Timer& timer,
                                            const std::vector<Move>& moves) {
-  MoveAnalyzer analyzer(d, timer);
+  // Each move is a golden trial on one working copy, like the local
+  // optimizer's: apply it undoably, retime its dirty subtrees in place,
+  // read the sink latencies, roll the timing back and undo the move.
+  Design work = d;
+  sta::IncrementalTimer timing(timer, work);
+  MoveAnalyzer analyzer(d, timer, &timing.timings());
   const std::vector<sta::CornerTiming>& before = analyzer.baseline();
+  sta::ScopedRetime overlay(timing);
+  UndoRecord undo;
   std::vector<MoveSample> samples;
   samples.reserve(moves.size());
   for (const Move& m : moves) {
@@ -657,9 +668,9 @@ std::vector<MoveSample> collectMoveSamples(const Design& d,
       s.features.push_back(analyzer.features(m, *primary, ki));
 
     const std::vector<int> sinks = subtreeSinks(d.tree, m.node);
-    Design copy = d;
-    applyMove(copy, m);
-    const std::vector<sta::CornerTiming> after = timer.analyzeDesign(copy);
+    applyMoveUndoable(work, m, &undo);
+    overlay.retime(work, undo.dirty);
+    const std::vector<sta::CornerTiming>& after = timing.timings();
     s.golden_delta.assign(d.corners.size(), 0.0);
     for (std::size_t ki = 0; ki < d.corners.size(); ++ki) {
       double acc = 0.0;
@@ -669,6 +680,8 @@ std::vector<MoveSample> collectMoveSamples(const Design& d,
       s.golden_delta[ki] =
           sinks.empty() ? 0.0 : acc / static_cast<double>(sinks.size());
     }
+    overlay.rollback();
+    undoMove(work, undo);
     samples.push_back(std::move(s));
   }
   return samples;
@@ -681,13 +694,24 @@ std::vector<MoveSample> collectMoveSamples(const Design& d,
 std::size_t DeltaLatencyModel::train(const tech::TechModel& tech,
                                      const std::vector<std::size_t>& corners,
                                      const TrainOptions& opts) {
+  std::vector<char> seen(tech.numCorners(), 0);
+  for (const std::size_t k : corners) {
+    if (k >= tech.numCorners())
+      throw std::invalid_argument("DeltaLatencyModel::train: corner " +
+                                  std::to_string(k) + " out of range");
+    if (seen[k]++ != 0)
+      throw std::invalid_argument("DeltaLatencyModel::train: corner " +
+                                  std::to_string(k) + " listed twice");
+  }
+  obs::Span train_span("predictor.train");
+  train_span.arg("corners", static_cast<std::int64_t>(corners.size()));
   per_corner_.clear();
   per_corner_.resize(tech.numCorners());
 
+  // Collect (features, golden) per corner across artificial testcases.
+  obs::Span collect_span("predictor.collect");
   sta::Timer timer(tech);
   geom::Rng rng(opts.seed);
-
-  // Collect (features, golden) per corner across artificial testcases.
   struct Raw {
     std::vector<std::array<double, kNumFeatures>> x;
     std::vector<double> y;
@@ -712,24 +736,40 @@ std::size_t DeltaLatencyModel::train(const tech::TechModel& tech,
       }
     }
   }
+  collect_span.end();
 
+  // Per corner: the scaled residual training set and the model's fit plan.
+  struct Job {
+    std::size_t corner = 0;
+    ml::Dataset scaled;
+    std::vector<std::array<double, kNumFeatures>> hold_x;
+    std::vector<double> hold_y;
+  };
+  struct Task {
+    ml::FitTask fit;
+    std::size_t corner = 0;
+    bool svr = false;
+  };
+  std::vector<Job> jobs;
+  jobs.reserve(corners.size());  // tasks point into the jobs' datasets
+  std::vector<Task> svr_tasks, other_tasks;
   std::size_t per_corner_samples = 0;
   for (const std::size_t k : corners) {
     Raw& r = raw[k];
     if (r.x.size() < 10) continue;
     per_corner_samples = r.x.size();
+    Job& job = jobs.emplace_back();
+    job.corner = k;
 
     // Hold out a deterministic 15% slice for the Figure 5 artifacts.
     const std::size_t nhold = std::max<std::size_t>(1, r.x.size() / 7);
     ml::Dataset train;
     train.x = ml::Matrix(r.x.size() - nhold, kNumFeatures);
-    std::vector<std::array<double, kNumFeatures>> hold_x;
-    std::vector<double> hold_y;
     std::size_t w = 0;
     for (std::size_t i = 0; i < r.x.size(); ++i) {
-      if (i % 7 == 3 && hold_x.size() < nhold) {
-        hold_x.push_back(r.x[i]);
-        hold_y.push_back(r.y[i]);
+      if (i % 7 == 3 && job.hold_x.size() < nhold) {
+        job.hold_x.push_back(r.x[i]);
+        job.hold_y.push_back(r.y[i]);
         continue;
       }
       for (std::size_t j = 0; j < kNumFeatures; ++j)
@@ -748,7 +788,7 @@ std::size_t DeltaLatencyModel::train(const tech::TechModel& tech,
 
     PerCorner& pc = per_corner_[k];
     pc.scaler.fit(train.x);
-    ml::Dataset scaled;
+    ml::Dataset& scaled = job.scaled;
     scaled.x = pc.scaler.transform(train.x);
     // Residual learning: the model corrects the discrepancy between the
     // first analytical estimate and the golden delta (the paper: "we
@@ -776,11 +816,41 @@ std::size_t DeltaLatencyModel::train(const tech::TechModel& tech,
         break;
       }
     }
-    pc.model->fit(scaled);
+    for (const ml::FitTask& t : pc.model->planFit(scaled)) {
+      const bool svr = dynamic_cast<const ml::SvrRbf*>(t.model) != nullptr;
+      (svr ? svr_tasks : other_tasks).push_back({t, k, svr});
+    }
+  }
+  train_span.arg("samples", static_cast<std::int64_t>(per_corner_samples));
 
-    for (std::size_t i = 0; i < hold_x.size(); ++i) {
-      pc.holdout.predicted.push_back(predict(k, hold_x[i]));
-      pc.holdout.golden.push_back(hold_y[i]);
+  // Every fit is its own task. The SVR fits hold the only O(n^2)
+  // allocation (the kernel matrix), so they run one at a time on the
+  // calling slice, which then joins the pool slices draining the other
+  // fits from one counter. Fits write only their own models, so the
+  // schedule cannot change a bit.
+  auto runFit = [](const Task& t) {
+    obs::Span fit_span("ml.fit");
+    fit_span.arg("corner", static_cast<std::int64_t>(t.corner));
+    fit_span.arg("model", static_cast<std::int64_t>(t.svr ? 1 : 0));
+    fit_span.arg("split", static_cast<std::int64_t>(t.fit.validation ? 1 : 0));
+    t.fit.model->fit(*t.fit.data);
+  };
+  support::ThreadPool& pool = support::ThreadPool::shared();
+  std::atomic<std::size_t> next{0};
+  const std::size_t slices = std::min(pool.size(), other_tasks.size()) + 1;
+  pool.runSlices(slices, [&](std::size_t slice) {
+    if (slice == 0)
+      for (const Task& t : svr_tasks) runFit(t);
+    for (std::size_t i = next++; i < other_tasks.size(); i = next++)
+      runFit(other_tasks[i]);
+  });
+
+  for (const Job& job : jobs) {
+    PerCorner& pc = per_corner_[job.corner];
+    pc.model->finishFit();
+    for (std::size_t i = 0; i < job.hold_x.size(); ++i) {
+      pc.holdout.predicted.push_back(predict(job.corner, job.hold_x[i]));
+      pc.holdout.golden.push_back(job.hold_y[i]);
     }
   }
   return per_corner_samples;
@@ -796,7 +866,8 @@ double DeltaLatencyModel::predict(
   const PerCorner& pc = per_corner_[corner];
   if (pc.model == nullptr)
     throw std::logic_error("DeltaLatencyModel: corner not trained");
-  const std::vector<double> scaled = pc.scaler.transformRow(feat.data());
+  std::array<double, kNumFeatures> scaled;
+  pc.scaler.transformRow(feat.data(), scaled.data());
   const double residual = std::clamp(pc.model->predict(scaled.data()),
                                      pc.residual_lo, pc.residual_hi);
   return feat[0] + residual;

@@ -178,7 +178,14 @@ struct TrainOptions {
 class DeltaLatencyModel {
  public:
   /// Trains one model per corner id in `corners`. Returns the number of
-  /// training samples collected per corner.
+  /// training samples collected per corner. Throws std::invalid_argument,
+  /// before any work, when an id is out of range or listed twice.
+  ///
+  /// Samples are collected serially; then every regressor fit (an HSM is
+  /// four) is a task on support::ThreadPool::shared(). SVR fits run one at
+  /// a time on the calling thread, MLP fits on every thread; the models
+  /// are bit-identical to fitting them in order. Like runSlices, train
+  /// must not be called from inside a pool job.
   std::size_t train(const tech::TechModel& tech,
                     const std::vector<std::size_t>& corners,
                     const TrainOptions& opts);
@@ -211,9 +218,10 @@ class DeltaLatencyModel {
 
 /// Collects (features, golden delta) samples for one design's moves —
 /// shared by the trainer and the Figure 5/6 benches. A move's golden delta
-/// applies it to a copy, retimes, and averages the latency change over the
-/// sinks of its primary subtree, one value per active corner; moves with
-/// no primary impact group are skipped.
+/// is a golden trial on one working copy of the design (undoable apply,
+/// in-place retime of its dirty subtrees, rollback, undo) averaging the
+/// latency change over the sinks of its primary subtree, one value per
+/// active corner; moves with no primary impact group are skipped.
 struct MoveSample {
   Move move;
   std::vector<std::array<double, kNumFeatures>> features;  // per active corner

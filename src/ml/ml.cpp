@@ -36,11 +36,9 @@ Matrix StandardScaler::transform(const Matrix& x) const {
   return out;
 }
 
-std::vector<double> StandardScaler::transformRow(const double* row) const {
-  std::vector<double> out(mean_.size());
+void StandardScaler::transformRow(const double* row, double* out) const {
   for (std::size_t j = 0; j < mean_.size(); ++j)
     out[j] = (row[j] - mean_[j]) / scale_[j];
-  return out;
 }
 
 std::vector<double> Regressor::predictAll(const Matrix& x) const {
@@ -110,26 +108,38 @@ void splitDataset(const Dataset& all, double val_fraction, std::uint64_t seed,
 }
 
 void HybridSurrogate::fit(const Dataset& train) {
-  Dataset tr, val;
-  splitDataset(train, opts_.val_fraction, opts_.seed, &tr, &val);
-  if (val.size() < 4) {  // too small to weight: train on everything, 50/50
-    tr = train;
-    val = train;
+  for (const FitTask& t : planFit(train)) t.model->fit(*t.data);
+  finishFit();
+}
+
+std::vector<FitTask> HybridSurrogate::planFit(const Dataset& train) {
+  splitDataset(train, opts_.val_fraction, opts_.seed, &tr_, &val_);
+  if (val_.size() < 4) {  // too small to weight: train on everything, 50/50
+    tr_ = train;
+    val_ = train;
   }
+  val_mlp_ = std::make_unique<MlpRegressor>(opts_.mlp);
+  val_svr_ = std::make_unique<SvrRbf>(opts_.svr);
+  // The final members fit the full training set; the weights come from
+  // the validation-split members alone.
   mlp_ = std::make_unique<MlpRegressor>(opts_.mlp);
   svr_ = std::make_unique<SvrRbf>(opts_.svr);
-  mlp_->fit(tr);
-  svr_->fit(tr);
-  const double e_mlp = rmse(mlp_->predictAll(val.x), val.y);
-  const double e_svr = rmse(svr_->predictAll(val.x), val.y);
+  return {{val_mlp_.get(), &tr_, true},
+          {val_svr_.get(), &tr_, true},
+          {mlp_.get(), &train, false},
+          {svr_.get(), &train, false}};
+}
+
+void HybridSurrogate::finishFit() {
+  const double e_mlp = rmse(val_mlp_->predictAll(val_.x), val_.y);
+  const double e_svr = rmse(val_svr_->predictAll(val_.x), val_.y);
   const double inv_mlp = 1.0 / (e_mlp + 1e-9);
   const double inv_svr = 1.0 / (e_svr + 1e-9);
   w_mlp_ = inv_mlp / (inv_mlp + inv_svr);
-  // Refit both on the full training set with the weights locked.
-  mlp_ = std::make_unique<MlpRegressor>(opts_.mlp);
-  svr_ = std::make_unique<SvrRbf>(opts_.svr);
-  mlp_->fit(train);
-  svr_->fit(train);
+  val_mlp_.reset();
+  val_svr_.reset();
+  tr_ = {};
+  val_ = {};
 }
 
 double HybridSurrogate::predict(const double* row) const {

@@ -58,7 +58,8 @@ class StandardScaler {
  public:
   void fit(const Matrix& x);
   Matrix transform(const Matrix& x) const;
-  std::vector<double> transformRow(const double* row) const;
+  /// Scales one row into `out` (mean().size() slots).
+  void transformRow(const double* row, double* out) const;
   const std::vector<double>& mean() const { return mean_; }
   const std::vector<double>& scale() const { return scale_; }
 
@@ -66,13 +67,33 @@ class StandardScaler {
   std::vector<double> mean_, scale_;
 };
 
+class Regressor;
+
+/// One leaf regressor fit, model->fit(*data): the unit of parallel
+/// training. Fits share no mutable state, so a plan's tasks may run in any
+/// order, on any threads, with the same bits as running them in order.
+struct FitTask {
+  Regressor* model = nullptr;
+  const Dataset* data = nullptr;
+  bool validation = false;  ///< fits an HSM validation split, not the full set
+};
+
 /// Common regressor interface (inputs are pre-scaled feature rows).
+/// predict() is const and thread-safe.
 class Regressor {
  public:
   virtual ~Regressor() = default;
   virtual void fit(const Dataset& train) = 0;
   virtual double predict(const double* row) const = 0;
   std::vector<double> predictAll(const Matrix& x) const;
+
+  /// fit(train) as separable steps: run every returned task, then call
+  /// finishFit() on the planning thread. `train` must outlive the tasks. A
+  /// leaf regressor's plan is one task, itself on `train`.
+  virtual std::vector<FitTask> planFit(const Dataset& train) {
+    return {{this, &train, false}};
+  }
+  virtual void finishFit() {}
 };
 
 // ---------------------------------------------------------------------------
@@ -88,6 +109,8 @@ struct MlpOptions {
   std::uint64_t seed = 7;
 };
 
+/// fit() allocates its buffers once and predict() reuses one per-thread
+/// activation buffer, so neither allocates per sample.
 class MlpRegressor : public Regressor {
  public:
   explicit MlpRegressor(MlpOptions opts = {}) : opts_(std::move(opts)) {}
@@ -97,13 +120,18 @@ class MlpRegressor : public Regressor {
  private:
   struct Layer {
     std::size_t in = 0, out = 0;
-    std::vector<double> w, b;       // weights out x in, biases out
-    std::vector<double> mw, vw, mb, vb;  // Adam moments
+    std::size_t at = 0;        // offset of the layer's input activations
+    std::vector<double> w, b;  // weights out x in, biases out
   };
-  void forward(const double* row, std::vector<std::vector<double>>* acts) const;
+  /// Runs the network on `row` into the flat activation buffer `acts`
+  /// (acts_size_ slots: the input row, then each layer's outputs, so a
+  /// layer reads acts[at, at + in) and writes acts[at + in, at + in + out));
+  /// returns the (linear) output unit.
+  double forward(const double* row, double* acts) const;
 
   MlpOptions opts_;
   std::vector<Layer> layers_;
+  std::size_t acts_size_ = 0;
   double y_mean_ = 0.0, y_scale_ = 1.0;
 };
 
@@ -145,6 +173,9 @@ struct HsmOptions {
 };
 
 /// HSM: trains both families, weights them by inverse validation RMSE.
+/// The fit is four independent leaf fits — an MLP and an SVR on a
+/// validation split (which only set the weights), and both again on the
+/// full set — then the weighting; fit() runs planFit's tasks in order.
 class HybridSurrogate : public Regressor {
  public:
   explicit HybridSurrogate(HsmOptions opts = {}) : opts_(std::move(opts)) {}
@@ -152,11 +183,18 @@ class HybridSurrogate : public Regressor {
   double predict(const double* row) const override;
   double mlpWeight() const { return w_mlp_; }
 
+  std::vector<FitTask> planFit(const Dataset& train) override;
+  void finishFit() override;
+
  private:
   HsmOptions opts_;
   std::unique_ptr<MlpRegressor> mlp_;
   std::unique_ptr<SvrRbf> svr_;
   double w_mlp_ = 0.5;
+  // Between planFit and finishFit: the validation split and its models.
+  Dataset tr_, val_;
+  std::unique_ptr<MlpRegressor> val_mlp_;
+  std::unique_ptr<SvrRbf> val_svr_;
 };
 
 // ---------------------------------------------------------------------------

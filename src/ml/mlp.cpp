@@ -1,4 +1,8 @@
 // Feed-forward tanh MLP trained with Adam and early stopping.
+//
+// All per-sample work runs in buffers sized once per fit (one flat
+// activation buffer, one flat delta buffer at the same offsets, gradient
+// and Adam-moment buffers per layer), so a fit allocates only at set-up.
 #include <algorithm>
 #include <cmath>
 #include <numeric>
@@ -13,25 +17,21 @@ double tanhAct(double v) { return std::tanh(v); }
 double tanhGrad(double a) { return 1.0 - a * a; }  // in terms of activation
 }  // namespace
 
-void MlpRegressor::forward(const double* row,
-                           std::vector<std::vector<double>>* acts) const {
-  // acts[0] is the input; acts[l+1] the activation of layer l. The last
-  // layer is linear.
-  std::vector<double> cur(row, row + layers_.front().in);
-  acts->clear();
-  acts->push_back(cur);
+double MlpRegressor::forward(const double* row, double* acts) const {
+  // The last layer is linear.
+  std::copy_n(row, layers_.front().in, acts);
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     const Layer& L = layers_[l];
-    std::vector<double> next(L.out);
+    const double* cur = acts + L.at;
+    double* next = acts + L.at + L.in;
     for (std::size_t o = 0; o < L.out; ++o) {
       double v = L.b[o];
       const double* w = &L.w[o * L.in];
       for (std::size_t i = 0; i < L.in; ++i) v += w[i] * cur[i];
       next[o] = (l + 1 == layers_.size()) ? v : tanhAct(v);
     }
-    acts->push_back(next);
-    cur = acts->back();
   }
+  return acts[acts_size_ - 1];
 }
 
 void MlpRegressor::fit(const Dataset& all) {
@@ -56,20 +56,33 @@ void MlpRegressor::fit(const Dataset& all) {
   std::vector<std::size_t> sizes = {d};
   for (const std::size_t h : opts_.hidden) sizes.push_back(h);
   sizes.push_back(1);
+  acts_size_ = d;
   for (std::size_t l = 0; l + 1 < sizes.size(); ++l) {
     Layer L;
     L.in = sizes[l];
     L.out = sizes[l + 1];
+    L.at = acts_size_ - L.in;
+    acts_size_ += L.out;
     L.w.resize(L.in * L.out);
     L.b.assign(L.out, 0.0);
     const double s = std::sqrt(2.0 / static_cast<double>(L.in + L.out));
     for (double& w : L.w) w = rng.normal(0.0, s);
-    L.mw.assign(L.w.size(), 0.0);
-    L.vw.assign(L.w.size(), 0.0);
-    L.mb.assign(L.out, 0.0);
-    L.vb.assign(L.out, 0.0);
     layers_.push_back(std::move(L));
   }
+
+  // Per-layer batch gradients and Adam moments.
+  struct Moments {
+    std::vector<double> gw, gb, mw, vw, mb, vb;
+  };
+  std::vector<Moments> mom(layers_.size());
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    const std::size_t nw = layers_[l].w.size(), nb = layers_[l].out;
+    mom[l] = {std::vector<double>(nw), std::vector<double>(nb),
+              std::vector<double>(nw, 0.0), std::vector<double>(nw, 0.0),
+              std::vector<double>(nb, 0.0), std::vector<double>(nb, 0.0)};
+  }
+  // delta[at + in + o] is d(loss)/d(pre-activation o) of the layer at `at`.
+  std::vector<double> acts(acts_size_), delta(acts_size_);
 
   const std::size_t n = train.size();
   std::vector<std::size_t> order(n);
@@ -77,11 +90,9 @@ void MlpRegressor::fit(const Dataset& all) {
 
   auto valLoss = [&]() {
     if (val.size() == 0) return 0.0;
-    std::vector<std::vector<double>> acts;
     double s = 0.0;
     for (std::size_t i = 0; i < val.size(); ++i) {
-      forward(val.x.row(i), &acts);
-      const double p = acts.back()[0];
+      const double p = forward(val.x.row(i), acts.data());
       const double t = (val.y[i] - y_mean_) / y_scale_;
       s += (p - t) * (p - t);
     }
@@ -92,8 +103,6 @@ void MlpRegressor::fit(const Dataset& all) {
   double best_val = valLoss();
   std::size_t since_best = 0;
   std::size_t step = 0;
-  std::vector<std::vector<double>> acts;
-  std::vector<std::vector<double>> delta(layers_.size());
 
   for (std::size_t epoch = 0; epoch < opts_.epochs; ++epoch) {
     // Deterministic shuffle per epoch.
@@ -102,37 +111,36 @@ void MlpRegressor::fit(const Dataset& all) {
     for (std::size_t start = 0; start < n; start += opts_.batch) {
       const std::size_t end = std::min(n, start + opts_.batch);
       // Accumulate gradients over the batch.
-      std::vector<std::vector<double>> gw(layers_.size()), gb(layers_.size());
-      for (std::size_t l = 0; l < layers_.size(); ++l) {
-        gw[l].assign(layers_[l].w.size(), 0.0);
-        gb[l].assign(layers_[l].out, 0.0);
+      for (Moments& m : mom) {
+        std::fill(m.gw.begin(), m.gw.end(), 0.0);
+        std::fill(m.gb.begin(), m.gb.end(), 0.0);
       }
       for (std::size_t bi = start; bi < end; ++bi) {
         const std::size_t i = order[bi];
-        forward(train.x.row(i), &acts);
         const double target = (train.y[i] - y_mean_) / y_scale_;
-        const double err = acts.back()[0] - target;
+        delta[acts_size_ - 1] = forward(train.x.row(i), acts.data()) - target;
         // Backprop.
-        delta.back() = {err};
         for (std::size_t l = layers_.size(); l-- > 0;) {
           const Layer& L = layers_[l];
-          const std::vector<double>& in = acts[l];
-          const std::vector<double>& dl = delta[l];
+          const double* in = acts.data() + L.at;
+          const double* dl = delta.data() + L.at + L.in;
+          double* gw = mom[l].gw.data();
+          double* gb = mom[l].gb.data();
           for (std::size_t o = 0; o < L.out; ++o) {
-            gb[l][o] += dl[o];
-            double* g = &gw[l][o * L.in];
+            gb[o] += dl[o];
+            double* g = &gw[o * L.in];
             for (std::size_t ii = 0; ii < L.in; ++ii) g[ii] += dl[o] * in[ii];
           }
           if (l == 0) break;
-          std::vector<double>& dprev = delta[l - 1];
-          dprev.assign(L.in, 0.0);
+          double* dprev = delta.data() + L.at;
+          std::fill_n(dprev, L.in, 0.0);
           for (std::size_t o = 0; o < L.out; ++o) {
             const double* w = &L.w[o * L.in];
             for (std::size_t ii = 0; ii < L.in; ++ii)
               dprev[ii] += dl[o] * w[ii];
           }
           for (std::size_t ii = 0; ii < L.in; ++ii)
-            dprev[ii] *= tanhGrad(acts[l][ii]);
+            dprev[ii] *= tanhGrad(in[ii]);
         }
       }
       // Adam step.
@@ -143,19 +151,20 @@ void MlpRegressor::fit(const Dataset& all) {
       const double bc2 = 1.0 - std::pow(b2, static_cast<double>(step));
       for (std::size_t l = 0; l < layers_.size(); ++l) {
         Layer& L = layers_[l];
+        Moments& m = mom[l];
         for (std::size_t k = 0; k < L.w.size(); ++k) {
-          const double g = gw[l][k] / bsz + opts_.l2 * L.w[k];
-          L.mw[k] = b1 * L.mw[k] + (1 - b1) * g;
-          L.vw[k] = b2 * L.vw[k] + (1 - b2) * g * g;
-          L.w[k] -= opts_.learning_rate * (L.mw[k] / bc1) /
-                    (std::sqrt(L.vw[k] / bc2) + eps);
+          const double g = m.gw[k] / bsz + opts_.l2 * L.w[k];
+          m.mw[k] = b1 * m.mw[k] + (1 - b1) * g;
+          m.vw[k] = b2 * m.vw[k] + (1 - b2) * g * g;
+          L.w[k] -= opts_.learning_rate * (m.mw[k] / bc1) /
+                    (std::sqrt(m.vw[k] / bc2) + eps);
         }
         for (std::size_t k = 0; k < L.out; ++k) {
-          const double g = gb[l][k] / bsz;
-          L.mb[k] = b1 * L.mb[k] + (1 - b1) * g;
-          L.vb[k] = b2 * L.vb[k] + (1 - b2) * g * g;
-          L.b[k] -= opts_.learning_rate * (L.mb[k] / bc1) /
-                    (std::sqrt(L.vb[k] / bc2) + eps);
+          const double g = m.gb[k] / bsz;
+          m.mb[k] = b1 * m.mb[k] + (1 - b1) * g;
+          m.vb[k] = b2 * m.vb[k] + (1 - b2) * g * g;
+          L.b[k] -= opts_.learning_rate * (m.mb[k] / bc1) /
+                    (std::sqrt(m.vb[k] / bc2) + eps);
         }
       }
     }
@@ -164,7 +173,7 @@ void MlpRegressor::fit(const Dataset& all) {
       const double vl = valLoss();
       if (vl < best_val - 1e-9) {
         best_val = vl;
-        best_layers = layers_;
+        best_layers = layers_;  // same shapes: reuses best_layers' storage
         since_best = 0;
       } else if (++since_best >= opts_.patience) {
         break;  // early stop
@@ -176,9 +185,11 @@ void MlpRegressor::fit(const Dataset& all) {
 
 double MlpRegressor::predict(const double* row) const {
   if (layers_.empty()) return y_mean_;
-  std::vector<std::vector<double>> acts;
-  forward(row, &acts);
-  return acts.back()[0] * y_scale_ + y_mean_;
+  // One buffer per thread: predict stays const and safe to call
+  // concurrently (local scoring runs it on pool slices).
+  thread_local std::vector<double> acts;
+  acts.resize(acts_size_);
+  return forward(row, acts.data()) * y_scale_ + y_mean_;
 }
 
 }  // namespace skewopt::ml

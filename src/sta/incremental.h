@@ -37,7 +37,11 @@ class ScopedRetime;
 class IncrementalTimer {
  public:
   IncrementalTimer(const tech::TechModel& tech, const network::Design& d)
-      : timer_(tech), corners_(d.corners) {
+      : IncrementalTimer(Timer(tech), d) {}
+
+  /// Full analysis with a given timer's settings (its source slew).
+  IncrementalTimer(const Timer& timer, const network::Design& d)
+      : timer_(timer), corners_(d.corners) {
     const std::size_t n = d.tree.numNodes();
     timing_.resize(corners_.size());
     for (std::size_t ki = 0; ki < corners_.size(); ++ki) {

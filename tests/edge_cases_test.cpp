@@ -2,6 +2,7 @@
 // limit behavior, and error paths that the mainline suites do not reach.
 #include <gtest/gtest.h>
 
+#include "core/predictor.h"
 #include "cts/cts.h"
 #include "lp/lp.h"
 #include "ml/ml.h"
@@ -9,6 +10,7 @@
 #include "sta/report.h"
 
 #include <sstream>
+#include <stdexcept>
 #include "testgen/testgen.h"
 
 namespace skewopt {
@@ -17,6 +19,26 @@ namespace {
 const tech::TechModel& sharedTech() {
   static tech::TechModel t = tech::TechModel::make28nm();
   return t;
+}
+
+TEST(PredictorEdge, TrainRejectsBadCornerListsBeforeAnyWork) {
+  core::DeltaLatencyModel model;
+  core::TrainOptions t;
+  t.cases = 4;
+  t.moves_per_case = 8;
+  t.mlp.epochs = 5;
+  t.family = core::TrainOptions::Family::kAnn;
+  model.train(sharedTech(), {1}, t);
+  ASSERT_TRUE(model.trainedFor(1));
+  const std::size_t n = sharedTech().numCorners();
+  // An out-of-range id would index past the per-corner tables; a repeated
+  // one would count each sample twice.
+  EXPECT_THROW(model.train(sharedTech(), {0, n}, t), std::invalid_argument);
+  EXPECT_THROW(model.train(sharedTech(), {0, 0}, t), std::invalid_argument);
+  EXPECT_THROW(model.train(sharedTech(), {2, 1, 2}, t), std::invalid_argument);
+  // Rejected before any work: the previous model is untouched.
+  EXPECT_TRUE(model.trainedFor(1));
+  EXPECT_FALSE(model.trainedFor(0));
 }
 
 TEST(RouteEdge, EmptyPinSet) {

@@ -46,7 +46,8 @@ TEST(Scaler, ZeroMeanUnitVariance) {
   }
   EXPECT_DOUBLE_EQ(t.at(0, 2), 0.0);
   // transformRow matches transform.
-  const std::vector<double> row = s.transformRow(x.row(5));
+  std::vector<double> row(3);
+  s.transformRow(x.row(5), row.data());
   for (std::size_t j = 0; j < 3; ++j) EXPECT_DOUBLE_EQ(row[j], t.at(5, j));
 }
 

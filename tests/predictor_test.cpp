@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <map>
+#include <string>
+#include <tuple>
 
 #include "core/moves.h"
+#include "obs/trace.h"
 #include "support/thread_pool.h"
 #include "testgen/testgen.h"
 
@@ -261,6 +269,203 @@ TEST(GoldenDelta, TinyMoveTinyDelta) {
   ASSERT_EQ(samples[0].golden_delta.size(), 1u);
   // Only legalization + jog noise.
   EXPECT_LT(std::abs(samples[0].golden_delta[0]), 8.0);
+}
+
+
+// ---- sample collection vs. a copy-and-full-analysis reference ------------
+
+/// The golden delta of one move the direct way: apply it to a copy of the
+/// design, re-analyze both designs in full, and average the latency change
+/// over the sinks of the moved node's subtree, per active corner.
+std::vector<double> referenceGoldenDelta(const network::Design& d,
+                                         const sta::Timer& timer,
+                                         const Move& m) {
+  const std::vector<sta::CornerTiming> before = timer.analyzeDesign(d);
+  network::Design copy = d;
+  applyMove(copy, m);
+  const std::vector<sta::CornerTiming> after = timer.analyzeDesign(copy);
+  const std::vector<int> sinks = subtreeSinks(d.tree, m.node);
+  std::vector<double> out(d.corners.size(), 0.0);
+  for (std::size_t ki = 0; ki < d.corners.size(); ++ki) {
+    double acc = 0.0;
+    for (const int snk : sinks)
+      acc += after[ki].arrival[static_cast<std::size_t>(snk)] -
+             before[ki].arrival[static_cast<std::size_t>(snk)];
+    out[ki] = sinks.empty() ? 0.0 : acc / static_cast<double>(sinks.size());
+  }
+  return out;
+}
+
+TEST(CollectMoveSamples, GoldenDeltasMatchCopyAndFullAnalysisBitForBit) {
+  sta::Timer timer(sharedTech());
+  for (const bool last_stage : {false, true}) {
+    geom::Rng rng(last_stage ? 43 : 41);
+    testgen::ArtificialCase ac =
+        testgen::makeArtificialCase(sharedTech(), rng, last_stage);
+    ac.design.corners = {0, 1, 2, 3};
+    const std::vector<Move> moves = enumerateMoves(ac.design, ac.target);
+    ASSERT_GT(moves.size(), 10u);
+    const std::vector<MoveSample> samples =
+        collectMoveSamples(ac.design, timer, moves);
+
+    // Every move with a primary impact group yields one sample, in order.
+    MoveAnalyzer analyzer(ac.design, timer);
+    std::size_t expected = 0;
+    for (const Move& m : moves)
+      for (const ImpactGroup& g : analyzer.analyze(m))
+        if (g.primary) ++expected;
+    ASSERT_EQ(samples.size(), expected) << "last_stage=" << last_stage;
+
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      const std::vector<double> ref =
+          referenceGoldenDelta(ac.design, timer, samples[i].move);
+      ASSERT_EQ(samples[i].golden_delta.size(), ref.size());
+      for (std::size_t ki = 0; ki < ref.size(); ++ki)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(samples[i].golden_delta[ki]),
+                  std::bit_cast<std::uint64_t>(ref[ki]))
+            << "last_stage=" << last_stage << " sample " << i << " corner "
+            << ki;
+    }
+  }
+}
+
+// ---- pinned model bits ----------------------------------------------------
+
+std::string hexBits(double v) {
+  char buf[19];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(v)));
+  return buf;
+}
+
+/// FNV-1a-64 over the bits of a corner's holdout predictions and goldens.
+std::string holdoutDigest(const DeltaLatencyModel::Holdout& h) {
+  std::uint64_t x = 0xcbf29ce484222325ULL;
+  auto mix = [&](double v) {
+    const std::uint64_t b = std::bit_cast<std::uint64_t>(v);
+    for (int i = 0; i < 8; ++i) {
+      x ^= (b >> (8 * i)) & 0xffu;
+      x *= 0x100000001b3ULL;
+    }
+  };
+  for (const double v : h.predicted) mix(v);
+  for (const double v : h.golden) mix(v);
+  char buf[19];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(x));
+  return buf;
+}
+
+/// Fixed model inputs in the feature layout of MoveAnalyzer::features,
+/// shaped like training samples: a small move under a 2-cell fanout and a
+/// large one under a 31-cell fanout.
+constexpr std::array<std::array<double, kNumFeatures>, 2> kPinFeatures = {{
+    {2.5, 2.25, 2.5, 2.25, 2.0, 9000.0, 0.5},
+    {30.0, 31.0, 62.5, 63.5, 31.0, 35000.0, 0.75},
+}};
+
+TrainOptions pinnedTrainOptions(TrainOptions::Family family) {
+  TrainOptions t;
+  t.cases = 10;
+  t.moves_per_case = 16;
+  t.mlp.epochs = 60;
+  t.seed = 29;
+  t.family = family;
+  return t;
+}
+
+// The trained model's bits at a small scale, captured from the serial
+// trainer: training speedups (task scheduling, buffer reuse) must keep
+// every floating-point operation, so these literals change only with a
+// deliberate change of the sample set or of a regressor.
+TEST(DeltaLatencyModelPinned, HsmPredictionsAndHoldoutBits) {
+  DeltaLatencyModel model;
+  const std::vector<std::size_t> corners = {0, 2, 3};
+  EXPECT_EQ(model.train(sharedTech(), corners,
+                        pinnedTrainOptions(TrainOptions::Family::kHsm)),
+            160u);
+  const char* kPredict[3][2] = {{"c014ae49861f1175", "4043cd170f7576b5"},
+                                {"bffdb4c0070e1bf8", "40449a9cc63a9385"},
+                                {"bff2e576205df2d4", "4044b6a7adf066c0"}};
+  const char* kHoldout[3] = {"73655f06f9c4e55b", "32f1b6688248f760",
+                             "c71cb4b8f7452aaa"};
+  for (std::size_t c = 0; c < corners.size(); ++c) {
+    for (std::size_t f = 0; f < kPinFeatures.size(); ++f)
+      EXPECT_EQ(hexBits(model.predict(corners[c], kPinFeatures[f])),
+                kPredict[c][f])
+          << "corner " << corners[c] << " feature " << f;
+    EXPECT_EQ(holdoutDigest(model.holdout(corners[c])), kHoldout[c])
+        << "corner " << corners[c];
+  }
+}
+
+TEST(DeltaLatencyModelPinned, AnnAndSvrFamiliesPredictionBits) {
+  const TrainOptions::Family families[2] = {TrainOptions::Family::kAnn,
+                                            TrainOptions::Family::kSvr};
+  const char* kPredict[2][2] = {{"c029f8ee6257ab36", "4045d0000b6321ea"},
+                                {"c001a41c6bd16c1c", "40416b64d170dc21"}};
+  const char* kHoldout[2] = {"19b16529cd94bc6d", "55becbb6aefdb2e5"};
+  for (std::size_t fam = 0; fam < 2; ++fam) {
+    DeltaLatencyModel model;
+    model.train(sharedTech(), {1}, pinnedTrainOptions(families[fam]));
+    for (std::size_t f = 0; f < kPinFeatures.size(); ++f)
+      EXPECT_EQ(hexBits(model.predict(1, kPinFeatures[f])), kPredict[fam][f])
+          << "family " << fam << " feature " << f;
+    EXPECT_EQ(holdoutDigest(model.holdout(1)), kHoldout[fam])
+        << "family " << fam;
+  }
+}
+
+// Training runs every regressor fit as its own pool task: one `ml.fit`
+// span per fit task (HSM: an MLP and an SVR on the validation split and on
+// the full set; a leaf family: one fit), each (corner, model, split) once,
+// under one `predictor.train` and one `predictor.collect`.
+TEST(DeltaLatencyModelTrace, OneFitSpanPerFitTask) {
+  const std::vector<std::size_t> corners = {0, 2, 3};
+  struct Case {
+    TrainOptions::Family family;
+    std::size_t tasks_per_corner;
+  };
+  for (const Case& c : {Case{TrainOptions::Family::kHsm, 4},
+                        Case{TrainOptions::Family::kSvr, 1}}) {
+    TrainOptions t = pinnedTrainOptions(c.family);
+    t.mlp.epochs = 5;
+    obs::Tracer& tracer = obs::Tracer::global();
+    const std::uint64_t since = obs::nowNs();
+    tracer.start();
+    DeltaLatencyModel model;
+    const std::size_t samples = model.train(sharedTech(), corners, t);
+    tracer.stop();
+
+    std::size_t trains = 0, collects = 0;
+    std::map<std::tuple<std::int64_t, std::int64_t, std::int64_t>, int> fits;
+    for (const obs::TraceEvent& e : tracer.collect(since)) {
+      const std::string name = e.name;
+      if (name == "predictor.train") {
+        ++trains;
+        EXPECT_STREQ(e.args[0].key, "corners");
+        EXPECT_EQ(e.args[0].i, 3);
+        EXPECT_STREQ(e.args[1].key, "samples");
+        EXPECT_EQ(e.args[1].i, static_cast<std::int64_t>(samples));
+      } else if (name == "predictor.collect") {
+        ++collects;
+      } else if (name == "ml.fit") {
+        ASSERT_STREQ(e.args[0].key, "corner");
+        ASSERT_STREQ(e.args[1].key, "model");
+        ASSERT_STREQ(e.args[2].key, "split");
+        ++fits[{e.args[0].i, e.args[1].i, e.args[2].i}];
+      }
+    }
+    EXPECT_EQ(trains, 1u);
+    EXPECT_EQ(collects, 1u);
+    std::size_t total = 0;
+    for (const auto& [key, count] : fits) {
+      EXPECT_EQ(count, 1) << "corner " << std::get<0>(key) << " model "
+                          << std::get<1>(key) << " split "
+                          << std::get<2>(key);
+      total += static_cast<std::size_t>(count);
+    }
+    EXPECT_EQ(total, corners.size() * c.tasks_per_corner);
+  }
 }
 
 }  // namespace
