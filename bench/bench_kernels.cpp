@@ -309,11 +309,12 @@ BENCHMARK(BM_MovePrediction);
 
 // A whole round's candidate table scored in one scoreBatch call (serial —
 // the pool axis is covered by BM_LocalOptRound).
-void BM_MoveScoreBatch(benchmark::State& state) {
+void runMoveScoreBatch(benchmark::State& state,
+                       const core::DeltaLatencyModel* model) {
   const network::Design& d = sharedDesign();
   const sta::Timer timer(sharedTech());
   const core::Objective objective(d, timer);
-  core::MovePredictor predictor(d, timer, objective, nullptr);
+  core::MovePredictor predictor(d, timer, objective, model);
   const std::vector<core::Move> moves = core::enumerateAllMoves(d);
   std::vector<double> scores(moves.size());
   for (auto _ : state) {
@@ -323,7 +324,27 @@ void BM_MoveScoreBatch(benchmark::State& state) {
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * moves.size()));
 }
+
+void BM_MoveScoreBatch(benchmark::State& state) {
+  runMoveScoreBatch(state, nullptr);
+}
 BENCHMARK(BM_MoveScoreBatch)->Unit(benchmark::kMillisecond);
+
+// BM_MoveScoreBatch with a small trained model, as the local loop scores:
+// the per-corner ML predictions are about half of a computed move's cost.
+// Training runs once, outside the timed loop.
+void BM_MoveScoreBatchTrained(benchmark::State& state) {
+  static const core::DeltaLatencyModel model = [] {
+    core::DeltaLatencyModel m;
+    core::TrainOptions t;
+    t.cases = 8;
+    t.moves_per_case = 12;
+    m.train(sharedTech(), {0, 1, 2, 3}, t);
+    return m;
+  }();
+  runMoveScoreBatch(state, &model);
+}
+BENCHMARK(BM_MoveScoreBatchTrained)->Unit(benchmark::kMillisecond);
 
 // Golden trial evaluation: Arg(0) is the seed path (deep-copy the design
 // and the full multi-corner timing per trial), Arg(1) the scoped-overlay

@@ -181,6 +181,7 @@ LocalResult LocalOptimizer::run(Design& d, const Objective& objective,
         moves, scores, &score_cache, opts_.parallel_trials ? &pool : nullptr);
     score_span.arg("computed", static_cast<std::int64_t>(st.computed));
     score_span.arg("reused", static_cast<std::int64_t>(st.reused));
+    score_span.arg("nets", static_cast<std::int64_t>(st.nets));
     score_span.end();
     lobs.scores_computed.add(st.computed);
     lobs.scores_reused.add(st.reused);

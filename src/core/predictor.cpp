@@ -50,25 +50,32 @@ struct MoveAnalyzer::BatchChildSpec {
   std::vector<double> cap;  // pin cap per active corner
 };
 
-/// Per-active-corner lanes of one candidate net's estimates. Lane-
-/// interleaved child arrays: wire_elm[child * lanes + ki].
-struct MoveAnalyzer::NetEstimatesBatch {
-  std::size_t lanes = 0;
-  std::vector<double> load;        // [ki]
-  std::vector<double> gate_delay;  // [ki]
-  std::vector<double> out_slew;    // [ki]
-  std::vector<double> wire_elm;    // [child * lanes + ki]
-  std::vector<double> wire_d2m;    // [child * lanes + ki]
-  std::vector<double> in_slew;     // [child * lanes + ki]
+namespace {
 
-  double wire(std::size_t child, std::size_t ki, int met) const {
-    const std::size_t idx = child * lanes + ki;
-    return met == 0 ? wire_elm[idx] : wire_d2m[idx];
-  }
-  double childSlew(std::size_t child, std::size_t ki) const {
-    return in_slew[child * lanes + ki];
-  }
-};
+// Before-state table slots: not requested, or requested and not built.
+constexpr std::uint32_t kNoNet = ~std::uint32_t{0};
+constexpr std::uint32_t kWanted = kNoNet - 1;
+
+/// One slice per pool thread plus the caller, or a single inline slice
+/// without a pool. Slice s owns the items i = s, s + slices, ...
+std::size_t sliceCount(const support::ThreadPool* pool, std::size_t n) {
+  return (pool != nullptr && n > 1) ? std::min(n, pool->size() + 1) : 1;
+}
+
+void forEachSlice(support::ThreadPool* pool, std::size_t slices,
+                  const std::function<void(std::size_t)>& fn) {
+  if (slices == 1)
+    fn(0);
+  else
+    pool->runSlices(slices, fn);
+}
+
+std::size_t childIndex(const ClockNode& driver, int child) {
+  return static_cast<std::size_t>(
+      std::ranges::find(driver.children, child) - driver.children.begin());
+}
+
+}  // namespace
 
 MoveAnalyzer::MoveAnalyzer(const Design& d, const sta::Timer& timer,
                            const std::vector<sta::CornerTiming>* baseline)
@@ -81,15 +88,15 @@ MoveAnalyzer::MoveAnalyzer(const Design& d, const sta::Timer& timer,
 
 void MoveAnalyzer::refresh() {
   timing_ = timer_->analyzeDesign(*design_);
-  refreshSinkCounts();
+  resetRoundState();
 }
 
 void MoveAnalyzer::refresh(const std::vector<sta::CornerTiming>& baseline) {
   timing_ = baseline;
-  refreshSinkCounts();
+  resetRoundState();
 }
 
-void MoveAnalyzer::refreshSinkCounts() {
+void MoveAnalyzer::resetRoundState() {
   // Subtree sink counts for fanout weighting.
   const ClockTree& tree = design_->tree;
   subtree_sink_count_.assign(tree.numNodes(), 0);
@@ -104,6 +111,10 @@ void MoveAnalyzer::refreshSinkCounts() {
       subtree_sink_count_[static_cast<std::size_t>(n.parent)] +=
           subtree_sink_count_[i];
   }
+  for (std::vector<std::uint32_t>& slot : before_slot_)
+    slot.assign(tree.numNodes(), kNoNet);
+  for (std::vector<int>& ids : wanted_) ids.clear();
+  before_nets_.clear();
 }
 
 MoveAnalyzer::NetEstimatesBatch MoveAnalyzer::estimateNetBatch(
@@ -111,9 +122,16 @@ MoveAnalyzer::NetEstimatesBatch MoveAnalyzer::estimateNetBatch(
     int route_model) const {
   const std::size_t nk = design_->corners.size();
 
+  // One estimate's working buffers, reused by every net on this thread.
+  thread_local struct {
+    std::vector<geom::Point> pins;
+    rc::RcTreeBatch rct;
+    rc::MomentsBatch mom;
+    std::vector<double> lane, scratch;
+  } ws;
   // The route depends only on pin positions — one build serves all corners.
-  std::vector<geom::Point> pins;
-  pins.reserve(children.size());
+  std::vector<geom::Point>& pins = ws.pins;
+  pins.clear();
   for (const BatchChildSpec& c : children) pins.push_back(c.pos);
   const route::SteinerTree net = (route_model == 0)
                                      ? route::greedySteiner(drv.pos, pins)
@@ -121,8 +139,10 @@ MoveAnalyzer::NetEstimatesBatch MoveAnalyzer::estimateNetBatch(
 
   // Shared-topology RC with one lane per corner; RcTreeBatch::addNode
   // appends sequentially, so rc node n == steiner node n.
-  rc::RcTreeBatch rct(nk);
-  std::vector<double> lane(2 * nk);
+  rc::RcTreeBatch& rct = ws.rct;
+  rct.reset(nk);
+  std::vector<double>& lane = ws.lane;
+  lane.resize(2 * nk);
   double* res_l = lane.data();
   double* cap_l = lane.data() + nk;
   for (std::size_t n = 1; n < net.size(); ++n) {
@@ -143,9 +163,8 @@ MoveAnalyzer::NetEstimatesBatch MoveAnalyzer::estimateNetBatch(
   for (std::size_t i = 0; i < children.size(); ++i)
     rct.addCap(net.pin_node[i], children[i].cap.data());
 
-  rc::MomentsBatch mom;
-  std::vector<double> scratch;
-  rc::elmoreMomentsBatch(rct, mom, scratch);
+  const rc::MomentsBatch& mom = ws.mom;
+  rc::elmoreMomentsBatch(rct, ws.mom, ws.scratch);
 
   NetEstimatesBatch est;
   est.lanes = nk;
@@ -183,50 +202,38 @@ MoveAnalyzer::NetEstimatesBatch MoveAnalyzer::estimateNetBatch(
   return est;
 }
 
-std::array<double, kNumAnalytic> MoveAnalyzer::downstreamGateDelta(
-    int node, const std::array<double, kNumAnalytic>& in_slew_new,
-    double in_slew_old, std::size_t ki, int depth) const {
-  std::array<double, kNumAnalytic> out{};
-  const ClockTree& tree = design_->tree;
-  const ClockNode& n = tree.node(node);
-  if (n.kind != NodeKind::Buffer) return out;  // sinks: wire handled upstream
+double MoveAnalyzer::downstreamGateDelta(int node, double in_slew_new,
+                                         double in_slew_old, std::size_t ki,
+                                         int depth) const {
+  const ClockNode& n = design_->tree.node(node);
+  if (n.kind != NodeKind::Buffer) return 0.0;  // sinks: wire handled upstream
   const std::size_t k = design_->corners[ki];
   const tech::Cell& cell =
       design_->tech->cell(static_cast<std::size_t>(n.cell));
   const double load = timing_[ki].driver_load[static_cast<std::size_t>(node)];
   const double gate_old = cell.delay[k].lookup(in_slew_old, load);
-  const double oslew_old = cell.out_slew[k].lookup(in_slew_old, load);
-
-  for (std::size_t m = 0; m < kNumAnalytic; ++m)
-    out[m] = cell.delay[k].lookup(in_slew_new[m], load) - gate_old;
-
+  double out = cell.delay[k].lookup(in_slew_new, load) - gate_old;
   if (depth >= 2 || n.children.empty()) return out;
 
   // Propagate the slew change one level down (wire step slews recovered
   // from the golden analysis since the net itself is untouched).
+  const double oslew_old = cell.out_slew[k].lookup(in_slew_old, load);
+  const double os_new = cell.out_slew[k].lookup(in_slew_new, load);
   std::size_t total = 0;
-  std::array<double, kNumAnalytic> child_acc{};
+  double child_acc = 0.0;
   for (const int c : n.children) {
     const double in_old =
         timing_[ki].in_slew[static_cast<std::size_t>(c)];
     const double step2 =
         std::max(0.0, in_old * in_old - oslew_old * oslew_old);
-    std::array<double, kNumAnalytic> in_new{};
-    for (std::size_t m = 0; m < kNumAnalytic; ++m) {
-      const double os_new = cell.out_slew[k].lookup(in_slew_new[m], load);
-      in_new[m] = std::sqrt(step2 + os_new * os_new);
-    }
-    const std::array<double, kNumAnalytic> sub =
-        downstreamGateDelta(c, in_new, in_old, ki, depth + 1);
+    const double sub = downstreamGateDelta(
+        c, std::sqrt(step2 + os_new * os_new), in_old, ki, depth + 1);
     const std::size_t wgt =
         std::max<std::size_t>(1, subtree_sink_count_[static_cast<std::size_t>(c)]);
-    for (std::size_t m = 0; m < kNumAnalytic; ++m)
-      child_acc[m] += sub[m] * static_cast<double>(wgt);
+    child_acc += sub * static_cast<double>(wgt);
     total += wgt;
   }
-  if (total > 0)
-    for (std::size_t m = 0; m < kNumAnalytic; ++m)
-      out[m] += child_acc[m] / static_cast<double>(total);
+  if (total > 0) out += child_acc / static_cast<double>(total);
   return out;
 }
 
@@ -239,11 +246,120 @@ double pinCapOf(const Design& d, int id, std::size_t k, int cell_override) {
 }
 }  // namespace
 
+MoveAnalyzer::BatchDriverSpec MoveAnalyzer::driverSpec(int id) const {
+  const ClockNode& n = design_->tree.node(id);
+  BatchDriverSpec ds;
+  ds.pos = n.pos;
+  if (n.kind == NodeKind::Source) {
+    ds.is_source = true;
+    ds.source_slew = timer_->sourceSlew();
+  } else {
+    ds.cell = &design_->tech->cell(static_cast<std::size_t>(n.cell));
+    ds.in_slew.resize(timing_.size());
+    for (std::size_t ki = 0; ki < timing_.size(); ++ki)
+      ds.in_slew[ki] = timing_[ki].in_slew[static_cast<std::size_t>(id)];
+  }
+  return ds;
+}
+
+std::vector<double> MoveAnalyzer::capLanes(int id, int cell_override) const {
+  std::vector<double> cap(design_->corners.size());
+  for (std::size_t ki = 0; ki < cap.size(); ++ki)
+    cap[ki] = pinCapOf(*design_, id, design_->corners[ki], cell_override);
+  return cap;
+}
+
+std::vector<MoveAnalyzer::BatchChildSpec> MoveAnalyzer::childSpecs(
+    int driver, int skip, int extra) const {
+  const ClockTree& tree = design_->tree;
+  std::vector<BatchChildSpec> cs;
+  for (const int c : tree.node(driver).children) {
+    if (c == skip) continue;
+    cs.push_back({c, tree.node(c).pos, capLanes(c, -1)});
+  }
+  if (extra >= 0)
+    cs.push_back({extra, tree.node(extra).pos, capLanes(extra, -1)});
+  return cs;
+}
+
+MoveAnalyzer::NetEstimatesBatch MoveAnalyzer::estimateBeforeNet(
+    BeforeKind kind, int id, int rm, const NetEstimatesBatch* p_net) const {
+  if (kind == kDriverNet)
+    return estimateNetBatch(driverSpec(id), childSpecs(id, -1, -1), rm);
+  // Buffer b's current net, fed by its driver net's child slew.
+  const ClockNode& b = design_->tree.node(id);
+  const std::size_t b_idx = childIndex(design_->tree.node(b.parent), id);
+  BatchDriverSpec bd;
+  bd.cell = &design_->tech->cell(static_cast<std::size_t>(b.cell));
+  bd.pos = b.pos;
+  bd.in_slew.resize(timing_.size());
+  for (std::size_t ki = 0; ki < timing_.size(); ++ki)
+    bd.in_slew[ki] = p_net->childSlew(b_idx, ki);
+  return estimateNetBatch(bd, childSpecs(id, -1, -1), rm);
+}
+
+const MoveAnalyzer::NetEstimatesBatch& MoveAnalyzer::beforeNet(
+    BeforeKind kind, int id, int rm, const NetEstimatesBatch* p_net,
+    NetEstimatesBatch& tmp) const {
+  const std::uint32_t slot = before_slot_[kind][static_cast<std::size_t>(id)];
+  if (slot < kWanted)
+    return before_nets_[2 * std::size_t{slot} + static_cast<std::size_t>(rm)];
+  tmp = estimateBeforeNet(kind, id, rm, p_net);
+  return tmp;
+}
+
+void MoveAnalyzer::requestBeforeNets(const Move& m) {
+  const ClockTree& tree = design_->tree;
+  auto want = [&](BeforeKind kind, int id) {
+    std::uint32_t& slot = before_slot_[kind][static_cast<std::size_t>(id)];
+    if (slot != kNoNet) return;
+    slot = kWanted;
+    wanted_[kind].push_back(id);
+  };
+  want(kDriverNet, tree.node(m.node).parent);
+  if (m.type != MoveType::kReassign)
+    want(kBufferNet, m.node);
+  else if (!tree.node(m.new_parent).children.empty())
+    want(kDriverNet, m.new_parent);
+}
+
+std::size_t MoveAnalyzer::buildBeforeNets(support::ThreadPool* pool) {
+  std::size_t built = 0;
+  // Driver nets first: a buffer net reads its driver's from the table.
+  for (const BeforeKind kind : {kDriverNet, kBufferNet}) {
+    std::vector<int>& ids = wanted_[kind];
+    const std::size_t base = before_nets_.size() / 2;
+    before_nets_.resize(2 * (base + ids.size()));
+    const std::size_t slices = sliceCount(pool, ids.size());
+    forEachSlice(pool, slices, [&](std::size_t sl) {
+      NetEstimatesBatch p_tmp;
+      for (std::size_t i = sl; i < ids.size(); i += slices) {
+        for (int rm = 0; rm < 2; ++rm) {
+          const NetEstimatesBatch* p_net =
+              kind == kDriverNet
+                  ? nullptr
+                  : &beforeNet(kDriverNet, design_->tree.node(ids[i]).parent,
+                               rm, nullptr, p_tmp);
+          before_nets_[2 * (base + i) + static_cast<std::size_t>(rm)] =
+              estimateBeforeNet(kind, ids[i], rm, p_net);
+        }
+      }
+    });
+    for (std::size_t i = 0; i < ids.size(); ++i)
+      before_slot_[kind][static_cast<std::size_t>(ids[i])] =
+          static_cast<std::uint32_t>(base + i);
+    built += 2 * ids.size();
+    ids.clear();
+  }
+  return built;
+}
+
 std::vector<ImpactGroup> MoveAnalyzer::analyze(const Move& m) const {
   const Design& d = *design_;
   const ClockTree& tree = d.tree;
   const std::size_t nk = d.corners.size();
   std::vector<ImpactGroup> groups;
+  NetEstimatesBatch tmp[2];  // before-state nets the table lacks
 
   auto weightOf = [&](int id) {
     return static_cast<double>(std::max<std::size_t>(
@@ -261,9 +377,6 @@ std::vector<ImpactGroup> MoveAnalyzer::analyze(const Move& m) const {
                                : tree.node(b).cell;
     const int child_resized =
         (m.type == MoveType::kChildDisplaceSize) ? m.child : -1;
-    const int child_cell_new =
-        (child_resized >= 0) ? tree.node(child_resized).cell + m.size_step
-                             : -1;
 
     ImpactGroup primary;
     primary.root = b;
@@ -273,80 +386,42 @@ std::vector<ImpactGroup> MoveAnalyzer::analyze(const Move& m) const {
     sibling.root = p;
     sibling.exclude = b;
     sibling.delta.assign(nk, {});
-    const bool has_siblings = tree.node(p).children.size() > 1;
+    const std::vector<int>& pk = tree.node(p).children;
+    const std::vector<int>& bk = tree.node(b).children;
+    const bool has_siblings = pk.size() > 1;
 
-    // Driver spec for p, with the per-corner input slews as lanes.
-    BatchDriverSpec pd;
-    pd.pos = tree.node(p).pos;
-    if (tree.node(p).kind == NodeKind::Source) {
-      pd.is_source = true;
-      pd.source_slew = timer_->sourceSlew();
-    } else {
-      pd.cell = &d.tech->cell(static_cast<std::size_t>(tree.node(p).cell));
-      pd.in_slew.resize(nk);
-      for (std::size_t ki = 0; ki < nk; ++ki)
-        pd.in_slew[ki] = timing_[ki].in_slew[static_cast<std::size_t>(p)];
-    }
-    auto capLanes = [&](int id, int cell_override) {
-      std::vector<double> cap(nk);
-      for (std::size_t ki = 0; ki < nk; ++ki)
-        cap[ki] = pinCapOf(d, id, d.corners[ki], cell_override);
-      return cap;
-    };
-    // Children of p: old and new (b moved / resized).
-    std::vector<BatchChildSpec> pk_old, pk_new;
-    std::size_t b_idx = 0;
-    for (std::size_t ci = 0; ci < tree.node(p).children.size(); ++ci) {
-      const int c = tree.node(p).children[ci];
-      BatchChildSpec cs;
-      cs.id = c;
-      cs.pos = tree.node(c).pos;
-      cs.cap = capLanes(c, -1);
-      pk_old.push_back(cs);
-      if (c == b) {
-        b_idx = ci;
-        cs.pos = new_pos;
-        cs.cap = capLanes(c, b_cell_new);
-      }
-      pk_new.push_back(std::move(cs));
-    }
+    // p's net after the move: b moved / resized.
+    const BatchDriverSpec pd = driverSpec(p);
+    const std::size_t b_idx = childIndex(tree.node(p), b);
+    std::vector<BatchChildSpec> pk_new = childSpecs(p, -1, -1);
+    pk_new[b_idx].pos = new_pos;
+    pk_new[b_idx].cap = capLanes(b, b_cell_new);
+    // b's net after the move: type II resizes one child's pin.
+    std::vector<BatchChildSpec> bk_new = childSpecs(b, -1, -1);
+    for (BatchChildSpec& cs : bk_new)
+      if (cs.id == child_resized)
+        cs.cap = capLanes(cs.id, tree.node(cs.id).cell + m.size_step);
 
-    // Children of b: old and new (type II resizes one child's pin).
-    std::vector<BatchChildSpec> bk_old, bk_new;
-    for (const int c : tree.node(b).children) {
-      BatchChildSpec cs;
-      cs.id = c;
-      cs.pos = tree.node(c).pos;
-      cs.cap = capLanes(c, -1);
-      bk_old.push_back(cs);
-      if (c == child_resized) cs.cap = capLanes(c, child_cell_new);
-      bk_new.push_back(std::move(cs));
-    }
-
-    const tech::Cell& bcell_old =
-        d.tech->cell(static_cast<std::size_t>(tree.node(b).cell));
-    const tech::Cell& bcell_new =
-        d.tech->cell(static_cast<std::size_t>(b_cell_new));
+    BatchDriverSpec bd_new;
+    bd_new.cell = &d.tech->cell(static_cast<std::size_t>(b_cell_new));
+    bd_new.pos = new_pos;
+    bd_new.in_slew.resize(nk);
+    std::vector<double> down(bk.size());
 
     for (int rm = 0; rm < 2; ++rm) {
-      const NetEstimatesBatch p_old = estimateNetBatch(pd, pk_old, rm);
+      const NetEstimatesBatch& p_old =
+          beforeNet(kDriverNet, p, rm, nullptr, tmp[0]);
       const NetEstimatesBatch p_new = estimateNetBatch(pd, pk_new, rm);
-
-      BatchDriverSpec bd_old, bd_new;
-      bd_old.cell = &bcell_old;
-      bd_old.pos = tree.node(b).pos;
-      bd_old.in_slew.resize(nk);
-      bd_new.cell = &bcell_new;
-      bd_new.pos = new_pos;
-      bd_new.in_slew.resize(nk);
-      for (std::size_t ki = 0; ki < nk; ++ki) {
-        bd_old.in_slew[ki] = p_old.childSlew(b_idx, ki);
+      for (std::size_t ki = 0; ki < nk; ++ki)
         bd_new.in_slew[ki] = p_new.childSlew(b_idx, ki);
-      }
-      const NetEstimatesBatch b_old = estimateNetBatch(bd_old, bk_old, rm);
+      const NetEstimatesBatch& b_old =
+          beforeNet(kBufferNet, b, rm, &p_old, tmp[1]);
       const NetEstimatesBatch b_new = estimateNetBatch(bd_new, bk_new, rm);
 
       for (std::size_t ki = 0; ki < nk; ++ki) {
+        for (std::size_t ci = 0; ci < bk.size(); ++ci)
+          down[ci] = downstreamGateDelta(bk[ci], b_new.childSlew(ci, ki),
+                                         b_old.childSlew(ci, ki), ki, 1);
         for (int met = 0; met < 2; ++met) {
           const std::size_t mi = static_cast<std::size_t>(rm * 2 + met);
           const double d_chain =
@@ -355,30 +430,24 @@ std::vector<ImpactGroup> MoveAnalyzer::analyze(const Move& m) const {
               (b_new.gate_delay[ki] - b_old.gate_delay[ki]);
           // Primary: weighted mean over b's children paths.
           double acc = 0.0, wsum = 0.0;
-          for (std::size_t ci = 0; ci < bk_old.size(); ++ci) {
+          for (std::size_t ci = 0; ci < bk.size(); ++ci) {
             double v = d_chain +
                        (b_new.wire(ci, ki, met) - b_old.wire(ci, ki, met));
-            const int cid = bk_old[ci].id;
-            if (tree.node(cid).kind == NodeKind::Buffer) {
-              std::array<double, kNumAnalytic> in_new{};
-              in_new.fill(b_new.childSlew(ci, ki));
-              v += downstreamGateDelta(cid, in_new, b_old.childSlew(ci, ki),
-                                       ki, 1)[mi];
-            }
-            const double wgt = weightOf(cid);
+            if (tree.node(bk[ci]).kind == NodeKind::Buffer) v += down[ci];
+            const double wgt = weightOf(bk[ci]);
             acc += v * wgt;
             wsum += wgt;
           }
-          primary.delta[ki][mi] = bk_old.empty() ? d_chain : acc / wsum;
+          primary.delta[ki][mi] = bk.empty() ? d_chain : acc / wsum;
 
           if (has_siblings) {
             double sacc = 0.0, swsum = 0.0;
-            for (std::size_t ci = 0; ci < pk_old.size(); ++ci) {
-              if (pk_old[ci].id == b) continue;
+            for (std::size_t ci = 0; ci < pk.size(); ++ci) {
+              if (pk[ci] == b) continue;
               const double v =
                   (p_new.gate_delay[ki] - p_old.gate_delay[ki]) +
                   (p_new.wire(ci, ki, met) - p_old.wire(ci, ki, met));
-              const double wgt = weightOf(pk_old[ci].id);
+              const double wgt = weightOf(pk[ci]);
               sacc += v * wgt;
               swsum += wgt;
             }
@@ -409,61 +478,30 @@ std::vector<ImpactGroup> MoveAnalyzer::analyze(const Move& m) const {
   new_grp.root = p_new;
   new_grp.delta.assign(nk, {});
 
-  auto driverSpec = [&](int id) {
-    BatchDriverSpec ds;
-    ds.pos = tree.node(id).pos;
-    if (tree.node(id).kind == NodeKind::Source) {
-      ds.is_source = true;
-      ds.source_slew = timer_->sourceSlew();
-    } else {
-      ds.cell = &d.tech->cell(static_cast<std::size_t>(tree.node(id).cell));
-      ds.in_slew.resize(nk);
-      for (std::size_t ki = 0; ki < nk; ++ki)
-        ds.in_slew[ki] = timing_[ki].in_slew[static_cast<std::size_t>(id)];
-    }
-    return ds;
-  };
-  auto capLanes = [&](int id) {
-    std::vector<double> cap(nk);
-    for (std::size_t ki = 0; ki < nk; ++ki)
-      cap[ki] = pinCapOf(d, id, d.corners[ki], -1);
-    return cap;
-  };
-  auto childSpecs = [&](int driver, int skip, int extra) {
-    std::vector<BatchChildSpec> cs;
-    for (const int c : tree.node(driver).children) {
-      if (c == skip) continue;
-      cs.push_back({c, tree.node(c).pos, capLanes(c)});
-    }
-    if (extra >= 0)
-      cs.push_back({extra, tree.node(extra).pos, capLanes(extra)});
-    return cs;
-  };
-
   const BatchDriverSpec po_d = driverSpec(p_old);
   const BatchDriverSpec pn_d = driverSpec(p_new);
-  const std::vector<BatchChildSpec> po_before = childSpecs(p_old, -1, -1);
+  const std::vector<int>& pn_before = tree.node(p_new).children;
   const std::vector<BatchChildSpec> po_after = childSpecs(p_old, b, -1);
-  const std::vector<BatchChildSpec> pn_before = childSpecs(p_new, -1, -1);
   const std::vector<BatchChildSpec> pn_after = childSpecs(p_new, -1, b);
+  // Index of b in the before/after child lists.
+  const std::size_t b_old_idx = childIndex(tree.node(p_old), b);
+  const std::size_t b_new_idx = pn_after.size() - 1;
 
   for (int rm = 0; rm < 2; ++rm) {
-    const NetEstimatesBatch po_o = estimateNetBatch(po_d, po_before, rm);
+    const NetEstimatesBatch& po_o =
+        beforeNet(kDriverNet, p_old, rm, nullptr, tmp[0]);
     const NetEstimatesBatch po_n = po_after.empty()
                                        ? NetEstimatesBatch{}
                                        : estimateNetBatch(po_d, po_after, rm);
-    const NetEstimatesBatch pn_o = pn_before.empty()
-                                       ? NetEstimatesBatch{}
-                                       : estimateNetBatch(pn_d, pn_before, rm);
+    const NetEstimatesBatch& pn_o =
+        pn_before.empty() ? tmp[1]
+                          : beforeNet(kDriverNet, p_new, rm, nullptr, tmp[1]);
     const NetEstimatesBatch pn_n = estimateNetBatch(pn_d, pn_after, rm);
 
-    // Index of b in the before/after child lists.
-    std::size_t b_old_idx = 0;
-    for (std::size_t ci = 0; ci < po_before.size(); ++ci)
-      if (po_before[ci].id == b) b_old_idx = ci;
-    const std::size_t b_new_idx = pn_after.size() - 1;
-
     for (std::size_t ki = 0; ki < nk; ++ki) {
+      const double down_b =
+          downstreamGateDelta(b, pn_n.childSlew(b_new_idx, ki),
+                              po_o.childSlew(b_old_idx, ki), ki, 0);
       for (int met = 0; met < 2; ++met) {
         const std::size_t mi = static_cast<std::size_t>(rm * 2 + met);
         const double in_old =
@@ -474,23 +512,12 @@ std::vector<ImpactGroup> MoveAnalyzer::analyze(const Move& m) const {
             in_old + po_o.gate_delay[ki] + po_o.wire(b_old_idx, ki, met);
         const double path_new =
             in_new + pn_n.gate_delay[ki] + pn_n.wire(b_new_idx, ki, met);
-        double delta_b = path_new - path_old;
-        {
-          std::array<double, kNumAnalytic> in_slew_new{};
-          in_slew_new.fill(pn_n.childSlew(b_new_idx, ki));
-          delta_b += downstreamGateDelta(b, in_slew_new,
-                                         po_o.childSlew(b_old_idx, ki), ki,
-                                         0)[mi];
-        }
-        moved.delta[ki][mi] = delta_b;
+        moved.delta[ki][mi] = path_new - path_old + down_b;
 
         // Remaining children of the old driver speed up.
         double acc = 0.0, wsum = 0.0;
         for (std::size_t ci = 0; ci < po_after.size(); ++ci) {
-          // Locate this child in the before list.
-          std::size_t bi = 0;
-          for (std::size_t cj = 0; cj < po_before.size(); ++cj)
-            if (po_before[cj].id == po_after[ci].id) bi = cj;
+          const std::size_t bi = childIndex(tree.node(p_old), po_after[ci].id);
           const double v = (po_n.gate_delay[ki] - po_o.gate_delay[ki]) +
                            (po_n.wire(ci, ki, met) - po_o.wire(bi, ki, met));
           const double wgt = weightOf(po_after[ci].id);
@@ -505,7 +532,7 @@ std::vector<ImpactGroup> MoveAnalyzer::analyze(const Move& m) const {
         for (std::size_t ci = 0; ci < pn_before.size(); ++ci) {
           const double v = (pn_n.gate_delay[ki] - pn_o.gate_delay[ki]) +
                            (pn_n.wire(ci, ki, met) - pn_o.wire(ci, ki, met));
-          const double wgt = weightOf(pn_before[ci].id);
+          const double wgt = weightOf(pn_before[ci]);
           acc += v * wgt;
           wsum += wgt;
         }
@@ -953,25 +980,6 @@ void MovePredictor::rebuildBase() {
   }
 }
 
-std::vector<double> MovePredictor::predictedPrimaryDelta(
-    const Move& m) const {
-  const std::vector<ImpactGroup> groups = analyzer_.analyze(m);
-  const ImpactGroup* primary = nullptr;
-  for (const ImpactGroup& g : groups)
-    if (g.primary) primary = &g;
-  std::vector<double> out(design_->corners.size(), 0.0);
-  if (primary == nullptr) return out;
-  for (std::size_t ki = 0; ki < design_->corners.size(); ++ki) {
-    const std::size_t k = design_->corners[ki];
-    if (model_ != nullptr && model_->trainedFor(k)) {
-      out[ki] = model_->predict(k, analyzer_.features(m, *primary, ki));
-    } else {
-      out[ki] = primary->delta[ki][fallback_];
-    }
-  }
-  return out;
-}
-
 std::size_t MovePredictor::predictGroups(const Move& m,
                                          GroupPrediction* groups,
                                          double* dval) const {
@@ -1065,28 +1073,11 @@ double MovePredictor::predictedVariationDelta(const Move& m) const {
   return aggregate(s.groups.data(), ng, s.dval.data(), s);
 }
 
-namespace {
-
-/// One slice per pool thread plus the caller, or a single inline slice
-/// without a pool. Slice s owns the moves i = s, s + slices, ... and its
-/// own scratch.
-std::size_t sliceCount(const support::ThreadPool* pool, std::size_t n) {
-  return (pool != nullptr && n > 1) ? std::min(n, pool->size() + 1) : 1;
-}
-
-void forEachSlice(support::ThreadPool* pool, std::size_t slices,
-                  const std::function<void(std::size_t)>& fn) {
-  if (slices == 1)
-    fn(0);
-  else
-    pool->runSlices(slices, fn);
-}
-
-}  // namespace
-
 void MovePredictor::scoreBatch(std::span<const Move> moves,
                                std::span<double> out,
                                support::ThreadPool* pool) const {
+  for (const Move& m : moves) analyzer_.requestBeforeNets(m);
+  analyzer_.buildBeforeNets(pool);
   const std::size_t slices = sliceCount(pool, moves.size());
   std::vector<ScoreCache::Scratch> scratch(slices);
   forEachSlice(pool, slices, [&](std::size_t sl) {
@@ -1142,11 +1133,14 @@ MovePredictor::RoundStats MovePredictor::scoreRound(
           !analyzer_.readSetChanged(m, c.changed_))
         c.source_[i] = it->second;
     }
-    if (c.source_[i] == kStale)
+    if (c.source_[i] == kStale) {
       ++stats.computed;
-    else
+      analyzer_.requestBeforeNets(m);
+    } else {
       ++stats.reused;
+    }
   }
+  stats.nets = analyzer_.buildBeforeNets(pool);
 
   const std::size_t slices = sliceCount(pool, n);
   if (c.scratch_.size() < slices) c.scratch_.resize(slices);

@@ -134,11 +134,29 @@ class MoveAnalyzer {
   /// iff the read set intersects `changed`.
   bool readSetChanged(const Move& m, const ChangedNodes& changed) const;
 
+  /// The before-state net table. Per route model analyze() estimates four
+  /// nets, and two of them describe the design as it stands, not the move:
+  /// a driver's current net fed by its golden input slew (p for types
+  /// I/II; p_old and p_new for type III), and the moved buffer b's current
+  /// net fed by that driver net's child slew (types I/II). Each depends
+  /// only on its node, so analyze() reads it from the table when present
+  /// and estimates it itself otherwise — the same bits either way.
+  /// requestBeforeNets(m) marks the nets analyze(m) reads;
+  /// buildBeforeNets() builds every marked net the table lacks, sliced
+  /// over drivers on `pool` (driver nets first: a buffer net reads its
+  /// driver's), and returns how many nets it built (one per node, kind and
+  /// route model). The table lives for one refresh(), which drops it.
+  /// Build it before a parallel region: analyze() only reads it, so
+  /// slices share it without locks or copies.
+  void requestBeforeNets(const Move& m);
+  std::size_t buildBeforeNets(support::ThreadPool* pool);
+
   const std::vector<sta::CornerTiming>& baseline() const { return timing_; }
   const network::Design& design() const { return *design_; }
 
  private:
-  void refreshSinkCounts();
+  /// Subtree sink counts, and an empty before-state table.
+  void resetRoundState();
 
   // Corner-batched net estimation: the candidate route is a function of
   // pin positions only, so it is built once, and the RC/NLDM evaluation
@@ -148,18 +166,63 @@ class MoveAnalyzer {
   // scalar estimate.
   struct BatchDriverSpec;
   struct BatchChildSpec;
-  struct NetEstimatesBatch;
+  /// Per-active-corner lanes of one candidate net's estimates. Lane-
+  /// interleaved child arrays: wire_elm[child * lanes + ki].
+  struct NetEstimatesBatch {
+    std::size_t lanes = 0;
+    std::vector<double> load;        // [ki]
+    std::vector<double> gate_delay;  // [ki]
+    std::vector<double> out_slew;    // [ki]
+    std::vector<double> wire_elm;    // [child * lanes + ki]
+    std::vector<double> wire_d2m;    // [child * lanes + ki]
+    std::vector<double> in_slew;     // [child * lanes + ki]
+
+    double wire(std::size_t child, std::size_t ki, int met) const {
+      const std::size_t idx = child * lanes + ki;
+      return met == 0 ? wire_elm[idx] : wire_d2m[idx];
+    }
+    double childSlew(std::size_t child, std::size_t ki) const {
+      return in_slew[child * lanes + ki];
+    }
+  };
   NetEstimatesBatch estimateNetBatch(
       const BatchDriverSpec& drv, const std::vector<BatchChildSpec>& children,
       int route_model) const;
-  std::array<double, kNumAnalytic> downstreamGateDelta(
-      int node, const std::array<double, kNumAnalytic>& in_slew_new,
-      double in_slew_old, std::size_t ki, int depth) const;
+  BatchDriverSpec driverSpec(int id) const;
+  std::vector<double> capLanes(int id, int cell_override) const;
+  /// The current children of `driver`, minus `skip`, plus `extra` last.
+  std::vector<BatchChildSpec> childSpecs(int driver, int skip,
+                                         int extra) const;
+
+  enum BeforeKind : std::size_t { kDriverNet = 0, kBufferNet = 1 };
+  /// A before-state net estimated afresh; a buffer net reads its driver's
+  /// net `p_net`.
+  NetEstimatesBatch estimateBeforeNet(BeforeKind kind, int id, int rm,
+                                      const NetEstimatesBatch* p_net) const;
+  /// The before-state net of `id` at route model rm: the table's, or
+  /// estimated into `tmp`.
+  const NetEstimatesBatch& beforeNet(BeforeKind kind, int id, int rm,
+                                     const NetEstimatesBatch* p_net,
+                                     NetEstimatesBatch& tmp) const;
+
+  /// Gate-delay change of `node` and, weighted by subtree sinks, of its
+  /// children (the paper's two stages of downstream update) when its input
+  /// slew moves from `in_slew_old` to `in_slew_new`. Every call site feeds
+  /// one new slew to all four estimators, and the window reads neither the
+  /// route model nor the delay metric, so it is one scalar walk per route
+  /// model, corner and child, shared by both metrics.
+  double downstreamGateDelta(int node, double in_slew_new, double in_slew_old,
+                             std::size_t ki, int depth) const;
 
   const network::Design* design_;
   const sta::Timer* timer_;
   std::vector<sta::CornerTiming> timing_;
   std::vector<std::size_t> subtree_sink_count_;
+  // Per kind and node: kNoNet, kWanted, or the slot s of its nets
+  // (before_nets_[2 * s + route model]); the marked nodes not yet built.
+  std::array<std::vector<std::uint32_t>, 2> before_slot_;
+  std::array<std::vector<int>, 2> wanted_;
+  std::vector<NetEstimatesBatch> before_nets_;
 };
 
 // ---------------------------------------------------------------------------
@@ -290,33 +353,34 @@ class MovePredictor {
   /// refresh() adopting an externally computed baseline timing.
   void refresh(const std::vector<sta::CornerTiming>& baseline);
 
-  /// Predicted per-active-corner delta-latency of the move's primary group
-  /// (ML-corrected when a model is present).
-  std::vector<double> predictedPrimaryDelta(const Move& m) const;
-
   /// Predicted change of the sum of normalized skew variations (ps;
   /// negative is an improvement).
   double predictedVariationDelta(const Move& m) const;
 
   /// Scores a whole round's candidate table in one call:
-  /// out[i] = predictedVariationDelta(moves[i]). With a pool the moves are
-  /// scored on its threads (scoring is const and shares no mutable state);
-  /// results are identical either way. `out` must have `moves.size()`
-  /// slots. Memo-free: every move is analyzed afresh — the reference
-  /// scoreRound is checked against.
+  /// out[i] = predictedVariationDelta(moves[i]). It first builds the
+  /// analyzer's before-state nets for every move (MoveAnalyzer::
+  /// buildBeforeNets); then, with a pool, the moves are scored on its
+  /// threads, which only read that table. Results are identical either
+  /// way. `out` must have `moves.size()` slots. Keeps nothing across
+  /// rounds: every move is analyzed afresh — the reference scoreRound is
+  /// checked against. Scoring calls fill the table, so they must not run
+  /// concurrently on one predictor.
   void scoreBatch(std::span<const Move> moves, std::span<double> out,
                   support::ThreadPool* pool = nullptr) const;
 
   struct RoundStats {
     std::size_t computed = 0;  ///< moves whose groups were predicted afresh
     std::size_t reused = 0;    ///< moves whose cached groups were kept
+    std::size_t nets = 0;      ///< before-state nets built for the stale moves
   };
   /// The local optimizer's round scorer: same scores as scoreBatch, bit for
   /// bit, but a move's group predictions (analyze + model) are kept in
   /// `cache` across rounds and recomputed only when the move is new or its
   /// read set (MoveAnalyzer::readSetChanged) intersects the nodes whose
-  /// inputs changed since the previous call. The pair aggregation always
-  /// reruns against the refreshed baseline. Call refresh() between rounds.
+  /// inputs changed since the previous call; the before-state table is
+  /// built for those stale moves only. The pair aggregation always reruns
+  /// against the refreshed baseline. Call refresh() between rounds.
   RoundStats scoreRound(std::span<const Move> moves, std::span<double> out,
                         ScoreCache* cache,
                         support::ThreadPool* pool = nullptr) const;
@@ -341,7 +405,8 @@ class MovePredictor {
   const Objective* objective_;
   const DeltaLatencyModel* model_;
   std::size_t fallback_;
-  MoveAnalyzer analyzer_;
+  // mutable: the const scorers fill its before-state table.
+  mutable MoveAnalyzer analyzer_;
   VariationReport base_report_;
   // Per round: sinks in DFS order, so every node's subtree sinks are the
   // contiguous span [span_begin_[n], span_end_[n]) of dfs_sinks_; and the

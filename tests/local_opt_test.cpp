@@ -13,6 +13,7 @@
 #include "core/global_opt.h"
 #include "core/moves.h"
 #include "core/predictor.h"
+#include "obs/trace.h"
 #include "sta/incremental.h"
 #include "support/thread_pool.h"
 #include "testgen/testgen.h"
@@ -432,6 +433,38 @@ TEST_F(LocalOptTest, IncrementalReuseFloorOnCls1v2) {
   LocalOptimizer(sharedTech(), o).run(d, objective, nullptr);
   ASSERT_GT(later, 0u) << "the run never reached a second round";
   EXPECT_GE(2 * reused, later) << reused << " of " << later << " reused";
+}
+
+TEST_F(LocalOptTest, ScoreSpanCountsBeforeStateNetsRepeatably) {
+  // The local.score span's `nets` arg is the number of before-state nets
+  // the round built for its stale moves: the round's RoundStats::nets, and
+  // the same sequence on every run of a fixed seed.
+  std::vector<std::int64_t> spans[2];
+  std::vector<std::int64_t> stats[2];
+  for (int run = 0; run < 2; ++run) {
+    network::Design d = makeDesign(70, 5);
+    const Objective objective(d, timer_);
+    LocalOptions o;
+    o.max_iterations = 4;
+    o.threads = 4;
+    o.on_scored = [&](const LocalRoundView& v) {
+      stats[run].push_back(static_cast<std::int64_t>(v.stats.nets));
+    };
+    obs::Tracer& tracer = obs::Tracer::global();
+    const std::uint64_t since = obs::nowNs();
+    tracer.start();
+    LocalOptimizer(sharedTech(), o).run(d, objective, &smallModel());
+    tracer.stop();
+    for (const obs::TraceEvent& e : tracer.collect(since)) {
+      if (std::string(e.name) != "local.score") continue;
+      ASSERT_STREQ(e.args[2].key, "nets");
+      spans[run].push_back(e.args[2].i);
+    }
+  }
+  ASSERT_GT(spans[0].size(), 1u);
+  EXPECT_GT(spans[0][0], 0);
+  EXPECT_EQ(spans[0], stats[0]);
+  EXPECT_EQ(spans[0], spans[1]);
 }
 
 TEST_F(LocalOptTest, ZeroIterationsIsNoOp) {

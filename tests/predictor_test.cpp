@@ -8,8 +8,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/moves.h"
 #include "obs/trace.h"
@@ -338,21 +340,36 @@ std::string hexBits(double v) {
   return buf;
 }
 
+/// FNV-1a-64 over the bits of a stream of doubles and integers.
+class Fnv64 {
+ public:
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  void add(std::uint64_t b) {
+    for (int i = 0; i < 8; ++i) {
+      x_ ^= (b >> (8 * i)) & 0xffu;
+      x_ *= 0x100000001b3ULL;
+    }
+  }
+  void add(int v) {
+    add(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
+  }
+  std::string hex() const {
+    char buf[19];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(x_));
+    return buf;
+  }
+
+ private:
+  std::uint64_t x_ = 0xcbf29ce484222325ULL;
+};
+
 /// FNV-1a-64 over the bits of a corner's holdout predictions and goldens.
 std::string holdoutDigest(const DeltaLatencyModel::Holdout& h) {
-  std::uint64_t x = 0xcbf29ce484222325ULL;
-  auto mix = [&](double v) {
-    const std::uint64_t b = std::bit_cast<std::uint64_t>(v);
-    for (int i = 0; i < 8; ++i) {
-      x ^= (b >> (8 * i)) & 0xffu;
-      x *= 0x100000001b3ULL;
-    }
-  };
-  for (const double v : h.predicted) mix(v);
-  for (const double v : h.golden) mix(v);
-  char buf[19];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(x));
-  return buf;
+  Fnv64 x;
+  for (const double v : h.predicted) x.add(v);
+  for (const double v : h.golden) x.add(v);
+  return x.hex();
 }
 
 /// Fixed model inputs in the feature layout of MoveAnalyzer::features,
@@ -465,6 +482,202 @@ TEST(DeltaLatencyModelTrace, OneFitSpanPerFitTask) {
       total += static_cast<std::size_t>(count);
     }
     EXPECT_EQ(total, corners.size() * c.tasks_per_corner);
+  }
+}
+
+// ---- pinned analysis bits ---------------------------------------------------
+
+/// A small HSM model for corners 0 and 2; a design's other active corners
+/// score with the analytical fallback.
+const DeltaLatencyModel& pinnedScoringModel() {
+  static const DeltaLatencyModel m = [] {
+    DeltaLatencyModel model;
+    TrainOptions t = pinnedTrainOptions(TrainOptions::Family::kHsm);
+    t.cases = 6;
+    t.mlp.epochs = 20;
+    model.train(sharedTech(), {0, 2}, t);
+    return model;
+  }();
+  return m;
+}
+
+/// A type-III search box wide enough that reassignments are common.
+MoveEnumOptions surgeryEnumeration() {
+  MoveEnumOptions e;
+  e.surgery_box_um = 800.0;
+  e.max_reassign = 40;
+  return e;
+}
+
+/// Two designs: CLS1v1 with the default enumeration, and a larger CLS1v2
+/// with a wide type-III search box, where about one move in six is a
+/// reassignment (one in ~3000 under the default box).
+struct PinnedCase {
+  network::Design design;
+  std::vector<Move> moves;
+};
+PinnedCase pinnedCase(bool reassign_heavy) {
+  testgen::TestcaseOptions o;
+  o.sinks = reassign_heavy ? 200 : 60;
+  o.max_pairs = 80;
+  o.seed = 7;
+  PinnedCase c{testgen::makeCls1(sharedTech(), reassign_heavy ? "v2" : "v1", o),
+               {}};
+  c.moves = enumerateAllMoves(
+      c.design, reassign_heavy ? surgeryEnumeration() : MoveEnumOptions{});
+  return c;
+}
+
+// The analysis bits of every move of two designs. Speedups of the analysis
+// (the before-state net table, the scalar downstream window) must keep
+// every floating-point operation a score depends on, in order, so these
+// literals change only with a deliberate change of the estimators.
+TEST(MoveAnalyzerPinned, GroupFeatureAndScoreBits) {
+  const char* kWant[2][3] = {
+      {"77302de94691d1e5", "01e6460b9a6cfc6a", "38b46e291103beac"},
+      {"3a6d08ceb7137446", "3e3c9f49344a1bb2", "966025603509b0c3"}};
+  sta::Timer timer(sharedTech());
+  for (const bool heavy : {false, true}) {
+    const PinnedCase c = pinnedCase(heavy);
+    const MoveAnalyzer analyzer(c.design, timer);
+    Fnv64 groups, features;
+    for (const Move& m : c.moves) {
+      for (const ImpactGroup& g : analyzer.analyze(m)) {
+        groups.add(g.root);
+        groups.add(g.exclude);
+        groups.add(g.primary ? 1 : 0);
+        for (const auto& per_corner : g.delta)
+          for (const double v : per_corner) groups.add(v);
+        if (!g.primary) continue;
+        for (std::size_t ki = 0; ki < c.design.corners.size(); ++ki)
+          for (const double v : analyzer.features(m, g, ki)) features.add(v);
+      }
+    }
+    const Objective objective(c.design, timer);
+    const MovePredictor predictor(c.design, timer, objective,
+                                  &pinnedScoringModel());
+    std::vector<double> scores(c.moves.size());
+    predictor.scoreBatch(c.moves, scores);
+    Fnv64 score_bits;
+    for (const double v : scores) score_bits.add(v);
+    const std::size_t ci = heavy ? 1 : 0;
+    EXPECT_EQ(groups.hex(), kWant[ci][0]) << "impact groups, case " << ci;
+    EXPECT_EQ(features.hex(), kWant[ci][1]) << "features, case " << ci;
+    EXPECT_EQ(score_bits.hex(), kWant[ci][2]) << "scores, case " << ci;
+  }
+}
+
+// ---- the before-state net table ---------------------------------------------
+
+/// CLS1v1 with a wide type-III search box: every move type, and
+/// reassignments that rewire two drivers' nets when committed.
+PinnedCase surgeryCase() {
+  testgen::TestcaseOptions o;
+  o.sinks = 60;
+  o.max_pairs = 80;
+  o.seed = 7;
+  PinnedCase c{testgen::makeCls1(sharedTech(), "v1", o), {}};
+  c.moves = enumerateAllMoves(c.design, surgeryEnumeration());
+  return c;
+}
+
+bool sameGroupBits(const std::vector<ImpactGroup>& a,
+                   const std::vector<ImpactGroup>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t g = 0; g < a.size(); ++g) {
+    if (a[g].root != b[g].root || a[g].exclude != b[g].exclude ||
+        a[g].primary != b[g].primary || a[g].delta.size() != b[g].delta.size())
+      return false;
+    for (std::size_t ki = 0; ki < a[g].delta.size(); ++ki)
+      for (std::size_t e = 0; e < kNumAnalytic; ++e)
+        if (std::bit_cast<std::uint64_t>(a[g].delta[ki][e]) !=
+            std::bit_cast<std::uint64_t>(b[g].delta[ki][e]))
+          return false;
+  }
+  return true;
+}
+
+/// The middle move of a type, as the optimizer could commit it.
+const Move& middleOfType(const std::vector<Move>& moves, MoveType type) {
+  std::vector<const Move*> of_type;
+  for (const Move& m : moves)
+    if (m.type == type) of_type.push_back(&m);
+  if (of_type.empty()) throw std::logic_error("no move of the wanted type");
+  return *of_type[of_type.size() / 2];
+}
+
+// The table lives for one refresh(): after a commit and a refresh(), the
+// analyzer's table-backed analyze() equals a freshly constructed
+// analyzer's, bit for bit, for every move. Only every other move requests
+// its nets, so table reads and the analyzer's own estimates mix.
+TEST(MoveAnalyzer, BeforeNetTableAfterCommitAndRefreshMatchesFreshAnalyzer) {
+  PinnedCase c = surgeryCase();
+  sta::Timer timer(sharedTech());
+  support::ThreadPool pool(4);
+  MoveAnalyzer analyzer(c.design, timer);
+  for (const MoveType commit :
+       {MoveType::kReassign, MoveType::kSizeDisplace,
+        MoveType::kChildDisplaceSize}) {
+    for (const Move& m : c.moves) analyzer.requestBeforeNets(m);
+    EXPECT_GT(analyzer.buildBeforeNets(&pool), 0u);
+    applyMove(c.design, middleOfType(c.moves, commit));
+    analyzer.refresh();
+    c.moves = enumerateAllMoves(c.design, surgeryEnumeration());
+    for (std::size_t i = 0; i < c.moves.size(); i += 2)
+      analyzer.requestBeforeNets(c.moves[i]);
+    EXPECT_GT(analyzer.buildBeforeNets(&pool), 0u);
+
+    const MoveAnalyzer fresh(c.design, timer);
+    std::size_t bad = 0;
+    for (const Move& m : c.moves)
+      if (!sameGroupBits(analyzer.analyze(m), fresh.analyze(m))) ++bad;
+    EXPECT_EQ(bad, 0u) << bad << " of " << c.moves.size()
+                       << " moves differ after a type "
+                       << static_cast<int>(commit) << " commit";
+  }
+}
+
+// Pool slices share the table read-only: scoreRound scores bit for bit the
+// same on one slice as on a 4-thread pool, on a cold cache and after a
+// commit, and builds the same number of before-state nets. A round whose
+// every move is reused builds none.
+TEST(MovePredictor, ScoreRoundSerialEqualsPooledWithBeforeNetTable) {
+  PinnedCase c = surgeryCase();
+  sta::Timer timer(sharedTech());
+  const Objective objective(c.design, timer);
+  support::ThreadPool pool(4);
+  MovePredictor serial(c.design, timer, objective, &pinnedScoringModel());
+  MovePredictor pooled(c.design, timer, objective, &pinnedScoringModel());
+  ScoreCache serial_cache, pooled_cache;
+  std::vector<double> a, b;
+  for (int step = 0; step < 3; ++step) {
+    if (step == 1)
+      applyMove(c.design, middleOfType(c.moves, MoveType::kReassign));
+    if (step > 0) {
+      serial.refresh();
+      pooled.refresh();
+      c.moves = enumerateAllMoves(c.design, surgeryEnumeration());
+    }
+    a.assign(c.moves.size(), 0.0);
+    b.assign(c.moves.size(), 1.0);
+    const MovePredictor::RoundStats sa =
+        serial.scoreRound(c.moves, a, &serial_cache, nullptr);
+    const MovePredictor::RoundStats sb =
+        pooled.scoreRound(c.moves, b, &pooled_cache, &pool);
+    std::size_t bad = 0;
+    for (std::size_t i = 0; i < a.size(); ++i)
+      if (std::bit_cast<std::uint64_t>(a[i]) !=
+          std::bit_cast<std::uint64_t>(b[i]))
+        ++bad;
+    EXPECT_EQ(bad, 0u) << "step " << step;
+    EXPECT_EQ(sa.computed, sb.computed) << "step " << step;
+    EXPECT_EQ(sa.nets, sb.nets) << "step " << step;
+    if (step < 2) {
+      EXPECT_GT(sa.nets, 0u) << "step " << step;
+    } else {
+      EXPECT_EQ(sa.reused, c.moves.size());
+      EXPECT_EQ(sa.nets, 0u);
+    }
   }
 }
 
