@@ -1,8 +1,11 @@
 // google-benchmark microbenchmarks of the computational kernels underneath
 // the reproduction: NLDM lookup, Elmore/D2M moment analysis, Steiner
 // construction, full multi-corner STA, stage-LUT arc evaluation, the
-// simplex, and move prediction.
+// simplex, move prediction, and the delta-latency regressors' fit and
+// predict.
 #include <benchmark/benchmark.h>
+
+#include <cmath>
 
 #include "bench_common.h"
 #include "core/global_opt.h"
@@ -11,6 +14,7 @@
 #include "sta/incremental.h"
 #include "eco/stage_lut.h"
 #include "lp/lp.h"
+#include "ml/ml.h"
 #include "rc/rc.h"
 #include "route/route.h"
 #include "sta/timer.h"
@@ -345,6 +349,58 @@ void BM_MoveScoreBatchTrained(benchmark::State& state) {
   runMoveScoreBatch(state, &model);
 }
 BENCHMARK(BM_MoveScoreBatchTrained)->Unit(benchmark::kMillisecond);
+
+// Regressor fits and an SVR prediction on a fixed synthetic dataset of
+// Table 5's per-corner shape: 400 standardized rows of 7 features, a smooth
+// nonlinear target plus noise (the MLP and SVR defaults, as in training).
+const ml::Dataset& mlDataset() {
+  static const ml::Dataset ds = [] {
+    geom::Rng rng(17);
+    ml::Dataset d;
+    d.x = ml::Matrix(400, core::kNumFeatures);
+    for (std::size_t i = 0; i < d.x.rows(); ++i) {
+      double* x = d.x.row(i);
+      for (std::size_t j = 0; j < d.x.cols(); ++j) x[j] = rng.normal(0.0, 1.0);
+      d.y.push_back(0.8 * x[0] - 0.3 * x[1] * x[2] + std::tanh(x[3] + x[4]) +
+                    0.1 * x[5] * x[6] + rng.normal(0.0, 0.05));
+    }
+    return d;
+  }();
+  return ds;
+}
+
+void BM_MlpFit(benchmark::State& state) {
+  for (auto _ : state) {
+    ml::MlpRegressor mlp;
+    mlp.fit(mlDataset());
+    benchmark::DoNotOptimize(mlp.predict(mlDataset().x.row(0)));
+  }
+}
+BENCHMARK(BM_MlpFit)->Unit(benchmark::kMillisecond);
+
+void BM_SvrFit(benchmark::State& state) {
+  for (auto _ : state) {
+    ml::SvrRbf svr;
+    svr.fit(mlDataset());
+    benchmark::DoNotOptimize(svr.numSupportVectors());
+  }
+}
+BENCHMARK(BM_SvrFit)->Unit(benchmark::kMillisecond);
+
+void BM_SvrPredict(benchmark::State& state) {
+  static const ml::SvrRbf svr = [] {
+    ml::SvrRbf s;
+    s.fit(mlDataset());
+    return s;
+  }();
+  const ml::Matrix& x = mlDataset().x;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(svr.predict(x.row(i % x.rows())));
+    ++i;
+  }
+}
+BENCHMARK(BM_SvrPredict);
 
 // Golden trial evaluation: Arg(0) is the seed path (deep-copy the design
 // and the full multi-corner timing per trial), Arg(1) the scoped-overlay

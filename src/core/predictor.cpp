@@ -861,6 +861,11 @@ std::size_t DeltaLatencyModel::train(const tech::TechModel& tech,
     fit_span.arg("model", static_cast<std::int64_t>(t.svr ? 1 : 0));
     fit_span.arg("split", static_cast<std::int64_t>(t.fit.validation ? 1 : 0));
     t.fit.model->fit(*t.fit.data);
+    // MLP epochs or SVR sweeps (every leaf fit but an SVR is an MLP).
+    const std::size_t iters =
+        t.svr ? static_cast<const ml::SvrRbf*>(t.fit.model)->iterations()
+              : static_cast<const ml::MlpRegressor*>(t.fit.model)->iterations();
+    fit_span.arg("iters", static_cast<std::int64_t>(iters));
   };
   support::ThreadPool& pool = support::ThreadPool::shared();
   std::atomic<std::size_t> next{0};

@@ -15,6 +15,12 @@
 //
 // Inputs must be standardized with StandardScaler before training; the
 // regressors are deterministic for a fixed seed.
+//
+// fit() and predict() run on 4-lane kernels (support/simd.h): an MLP lane
+// is one sample, an SVR lane one retained training row. Lanes are
+// elementwise IEEE with no FMA, every sum keeps its scalar order, and
+// std::tanh/std::exp/std::sqrt stay scalar, so the model bits are those of
+// a scalar loop.
 #pragma once
 
 #include <cstddef>
@@ -116,23 +122,28 @@ class MlpRegressor : public Regressor {
   explicit MlpRegressor(MlpOptions opts = {}) : opts_(std::move(opts)) {}
   void fit(const Dataset& train) override;
   double predict(const double* row) const override;
+  /// Epochs the last fit() ran, the one that stopped it early included.
+  std::size_t iterations() const { return iterations_; }
 
  private:
   struct Layer {
     std::size_t in = 0, out = 0;
-    std::size_t at = 0;        // offset of the layer's input activations
+    std::size_t at = 0;        // first unit of the layer's input activations
     std::vector<double> w, b;  // weights out x in, biases out
   };
-  /// Runs the network on `row` into the flat activation buffer `acts`
-  /// (acts_size_ slots: the input row, then each layer's outputs, so a
-  /// layer reads acts[at, at + in) and writes acts[at + in, at + in + out));
-  /// returns the (linear) output unit.
-  double forward(const double* row, double* acts) const;
+  /// Runs the network on rows[0..lanes), lanes <= 4, one per lane of the
+  /// lane-major buffer `acts` (4 x acts_size_ slots, unit u of lane s at
+  /// [u * 4 + s]): the input row, then each layer's outputs, so a layer
+  /// reads units [at, at + in) and writes [at + in, at + in + out). The
+  /// last unit is the (linear) output.
+  void forward(const double* const* rows, std::size_t lanes,
+               double* acts) const;
 
   MlpOptions opts_;
   std::vector<Layer> layers_;
-  std::size_t acts_size_ = 0;
+  std::size_t acts_size_ = 0;  // units per lane
   double y_mean_ = 0.0, y_scale_ = 1.0;
+  std::size_t iterations_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -152,15 +163,18 @@ class SvrRbf : public Regressor {
   explicit SvrRbf(SvrOptions opts = {}) : opts_(std::move(opts)) {}
   void fit(const Dataset& train) override;
   double predict(const double* row) const override;
-  std::size_t numSupportVectors() const;
+  std::size_t numSupportVectors() const { return beta_.size(); }
+  /// Coordinate-descent sweeps the last fit() ran, the converged one
+  /// included.
+  std::size_t iterations() const { return iterations_; }
 
  private:
-  double kernel(const double* a, const double* b) const;
   SvrOptions opts_;
-  Matrix sv_;                  // retained training rows
-  std::vector<double> beta_;   // dual coefficients
+  Matrix sv_;  // retained rows, column-major: at(j, i) is row i's feature j
+  std::vector<double> beta_;  // dual coefficients, one per retained row
   double gamma_ = 1.0;
   double y_mean_ = 0.0, y_scale_ = 1.0;
+  std::size_t iterations_ = 0;
 };
 
 // ---------------------------------------------------------------------------

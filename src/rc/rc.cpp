@@ -5,6 +5,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "support/simd.h"
+
 namespace skewopt::rc {
 
 std::size_t RcTree::addNode(std::size_t parent, double res_kohm,
@@ -94,34 +96,9 @@ void RcTreeBatch::totalCapInto(double* out) const {
 
 namespace {
 
-// 4-lane vector step built on GCC vector extensions. Vector adds/mults are
-// elementwise IEEE operations — lane k of a v4df op is the identical
-// scalar operation — so the vector pass stays bit-identical per lane. The
-// unaligned load/store go through memcpy (the SoA arrays have no 32-byte
-// alignment guarantee). target_clones dispatches an AVX2 copy at load time
-// where the host supports it; neither clone enables FMA contraction.
-#if defined(__GNUC__)
-#pragma GCC diagnostic ignored "-Wpsabi"
-#endif
-typedef double v4df __attribute__((vector_size(32)));
-
-// target_clones is disabled under TSan/ASan: the generated ifunc
-// resolvers run during relocation, before the sanitizer runtime is
-// initialized, and the instrumented function entries crash at load.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_THREAD__) && !defined(__SANITIZE_ADDRESS__)
-#define SKEWOPT_VEC_CLONES __attribute__((target_clones("avx2", "default")))
-#else
-#define SKEWOPT_VEC_CLONES
-#endif
-
-inline v4df load4(const double* p) {
-  v4df v;
-  __builtin_memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-inline void store4(double* p, v4df v) { __builtin_memcpy(p, &v, sizeof(v)); }
+using support::load4;
+using support::store4;
+using support::v4df;
 
 // Bottom-up accumulation of per-lane weights, then top-down moments, for
 // the hot 4-lane (= 4-corner) case: one vector op per node replaces the

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "support/simd.h"
+
 namespace skewopt::tech {
 
 DelayTable::DelayTable(std::vector<double> slews, std::vector<double> loads,
@@ -96,36 +98,13 @@ inline std::size_t intervalIndexCount(const double* axis, std::size_t top,
   return i;
 }
 
-// target_clones is disabled under TSan/ASan: the generated ifunc
-// resolvers run during relocation, before the sanitizer runtime is
-// initialized, and the instrumented function entries crash at load.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_THREAD__) && !defined(__SANITIZE_ADDRESS__)
-#define SKEWOPT_VEC_CLONES __attribute__((target_clones("avx2", "default")))
-#else
-#define SKEWOPT_VEC_CLONES
-#endif
-
-// GCC vector extensions. All vector arithmetic is elementwise IEEE — each
-// lane evaluates the bilinear expression tree above operation for
-// operation, so results stay bit-identical to the scalar path (no FMA
-// contraction: none of the clone targets enables -mfma). The unaligned
-// loads/stores go through memcpy; vector ABI warnings are moot since
-// everything inlines within this TU.
-#if defined(__GNUC__)
-#pragma GCC diagnostic ignored "-Wpsabi"
-#endif
-typedef double v4df __attribute__((vector_size(32)));
+// Vector lanes (support/simd.h) evaluate the bilinear expression tree above
+// operation for operation, so results stay bit-identical to the scalar path.
+using support::load4;
+using support::store4;
+using support::v4df;
 typedef double v2df __attribute__((vector_size(16)));
 typedef long long v4di __attribute__((vector_size(32)));
-
-inline v4df load4d(const double* p) {
-  v4df v;
-  __builtin_memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-inline void store4d(double* p, v4df v) { __builtin_memcpy(p, &v, sizeof(v)); }
 
 inline v2df load2d(const double* p) {
   v2df v;
@@ -172,7 +151,7 @@ __attribute__((always_inline)) inline void lookupQuad(
   const v4df tl = (lv - l0) / (l1 - l0);
   const v4df a = v00 + (v01 - v00) * tl;
   const v4df b = v10 + (v11 - v10) * tl;
-  store4d(out, a + (b - a) * ts);
+  store4(out, a + (b - a) * ts);
 }
 
 // A run of bilinear lookups, eight per step: SIMD interval counts shared
@@ -186,8 +165,8 @@ __attribute__((always_inline)) inline void lookupRunImpl(
     double* out, std::size_t n) {
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    const v4df sva = load4d(slews + i), svb = load4d(slews + i + 4);
-    const v4df lva = load4d(loads + i), lvb = load4d(loads + i + 4);
+    const v4df sva = load4(slews + i), svb = load4(slews + i + 4);
+    const v4df lva = load4(loads + i), lvb = load4(loads + i + 4);
     // intervalIndexCount across eight lanes: a <=-mask is all-ones (-1),
     // so subtracting it counts the axis points at or below each value.
     v4di sca = {0, 0, 0, 0}, scb = {0, 0, 0, 0};

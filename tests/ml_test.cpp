@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <string>
 
 namespace skewopt::ml {
 namespace {
@@ -224,6 +228,132 @@ TEST_P(FamilyBeatsBaseline, AllThreeFamilies) {
   EXPECT_LT(rmse(hsm.predictAll(test.x), test.y), e_base);
 }
 INSTANTIATE_TEST_SUITE_P(Seeds, FamilyBeatsBaseline, ::testing::Range(0, 3));
+
+// ---- MlKernelPinned: lane-remainder bit pins ------------------------------
+//
+// The MLP and SVR kernels run four lanes at a time (an MLP lane is one
+// sample of a batch, an SVR lane one support-vector row), so every tail
+// size 0-3 must give the bits a scalar loop gives. These fits hit each
+// remainder: MLP batches of 1, 5, 7, 32 and 33 over 37, 47 and 200 rows,
+// with and without a validation split; SVR fits of n % 4 = 1, 2 and 3
+// rows, one subsampled and one epsilon-compacted, keeping 14-40 support
+// vectors. The literals, captured from the scalar kernels, are FNV-1a-64
+// digests of each model's predictions over a fixed query grid, plus the
+// support-vector count. On a mismatch the test prints one line
+// `MlKernelPinned literal <case> <digest> <nsv>`.
+
+std::uint64_t fnv1a64(const std::vector<double>& v) {
+  std::uint64_t x = 0xcbf29ce484222325ULL;
+  for (const double d : v) {
+    const std::uint64_t b = std::bit_cast<std::uint64_t>(d);
+    for (int i = 0; i < 8; ++i) {
+      x ^= (b >> (8 * i)) & 0xffu;
+      x *= 0x100000001b3ULL;
+    }
+  }
+  return x;
+}
+
+/// 5^3 = 125 query rows spanning the training range [-2, 2]^3 and past it.
+Matrix pinQueryGrid() {
+  Matrix q(125, 3);
+  for (std::size_t i = 0; i < 125; ++i) {
+    q.at(i, 0) = -2.5 + 1.25 * static_cast<double>(i % 5);
+    q.at(i, 1) = -2.5 + 1.25 * static_cast<double>((i / 5) % 5);
+    q.at(i, 2) = -2.5 + 1.25 * static_cast<double>(i / 25);
+  }
+  return q;
+}
+
+double pinTarget(const double* x) {
+  return x[0] * x[0] - 1.5 * x[1] + std::sin(x[2]) + 0.4 * x[0] * x[2];
+}
+
+void expectPinned(const std::string& name, const Regressor& model,
+                  const char* want, std::size_t nsv = 0,
+                  std::size_t want_nsv = 0) {
+  char got[17];
+  std::snprintf(got, sizeof got, "%016llx",
+                static_cast<unsigned long long>(
+                    fnv1a64(model.predictAll(pinQueryGrid()))));
+  EXPECT_EQ(std::string(got), want) << name;
+  EXPECT_EQ(nsv, want_nsv) << name;
+  if (std::string(got) != want || nsv != want_nsv)
+    std::printf("MlKernelPinned literal %s %s %zu\n", name.c_str(), got, nsv);
+}
+
+TEST(MlKernelPinned, MlpBatchAndValidationRemainders) {
+  struct Case {
+    std::size_t n, batch;
+    bool val;
+    const char* digest;
+  };
+  const Case cases[] = {
+      {37, 1, true, "ee757f8debb88958"},
+      {37, 5, true, "382a9f3f80c028b3"},
+      {37, 32, true, "e7d501abb75eb7fb"},
+      {37, 33, true, "e7d501abb75eb7fb"},
+      {37, 1, false, "0a582fc775080e30"},
+      {37, 5, false, "c8b2af4584505a43"},
+      {37, 32, false, "eae401af1bb91140"},
+      {37, 33, false, "fbb362baeba10133"},
+      {200, 1, true, "d00f3d84c3a127d6"},
+      {200, 5, true, "6202b6f3aa03ea94"},
+      {200, 32, true, "c9df3b6b9076f452"},
+      {200, 33, true, "a5a4d45ba3ee4ec3"},
+      {200, 1, false, "8f28f859daa7493e"},
+      {200, 5, false, "6db934d09eb66534"},
+      {200, 32, false, "444533d2d238a6b7"},
+      {200, 33, false, "80d50b8fc7baf93b"},
+      // Remainder 3: a 4+3 batch of 7, and 7 validation rows.
+      {37, 7, true, "fe5551bae30eb4e4"},
+      {47, 33, true, "f9b85c2b625e73bb"},
+  };
+  for (const Case& c : cases) {
+    geom::Rng rng(100 + c.n);
+    const Dataset train = makeDataset(c.n, 3, rng, pinTarget, 0.05);
+    MlpOptions o;
+    o.hidden = {7, 5};
+    o.epochs = 30;
+    o.patience = 6;
+    o.batch = c.batch;
+    o.val_fraction = c.val ? 0.15 : 0.0;
+    MlpRegressor mlp(o);
+    mlp.fit(train);
+    expectPinned("mlp_n" + std::to_string(c.n) + "_b" +
+                     std::to_string(c.batch) + (c.val ? "_val" : "_noval"),
+                 mlp, c.digest);
+  }
+}
+
+TEST(MlKernelPinned, SvrRowRemainders) {
+  struct Case {
+    const char* name;
+    std::size_t n, max_samples;
+    double epsilon;
+    const char* digest;
+    std::size_t nsv;
+  };
+  const Case cases[] = {
+      {"svr_n41", 41, 2500, 0.05, "fd8bf6fb6bfa621a", 33},
+      {"svr_n42", 42, 2500, 0.05, "59b93bd0af32fe74", 30},
+      {"svr_n43", 43, 2500, 0.05, "f7aeb6fab0fe2c43", 32},
+      {"svr_subsampled", 120, 61, 0.05, "913d7196552e1d8c", 40},
+      {"svr_compacted", 90, 2500, 0.6, "7627afa3ee9ee8cb", 14},
+      // 35 support vectors: a predict tail of 3.
+      {"svr_n38", 38, 2500, 0.05, "5fe5d5bc829e449e", 35},
+  };
+  for (const Case& c : cases) {
+    geom::Rng rng(200 + c.n);
+    const Dataset train = makeDataset(c.n, 3, rng, pinTarget, 0.05);
+    SvrOptions o;
+    o.max_samples = c.max_samples;
+    o.epsilon = c.epsilon;
+    SvrRbf svr(o);
+    svr.fit(train);
+    expectPinned(c.name, svr, c.digest, svr.numSupportVectors(), c.nsv);
+  }
+}
 
 }  // namespace
 }  // namespace skewopt::ml

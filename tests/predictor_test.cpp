@@ -469,6 +469,8 @@ TEST(DeltaLatencyModelTrace, OneFitSpanPerFitTask) {
         ASSERT_STREQ(e.args[0].key, "corner");
         ASSERT_STREQ(e.args[1].key, "model");
         ASSERT_STREQ(e.args[2].key, "split");
+        ASSERT_STREQ(e.args[3].key, "iters");
+        EXPECT_GE(e.args[3].i, 1);
         ++fits[{e.args[0].i, e.args[1].i, e.args[2].i}];
       }
     }
@@ -483,6 +485,37 @@ TEST(DeltaLatencyModelTrace, OneFitSpanPerFitTask) {
     }
     EXPECT_EQ(total, corners.size() * c.tasks_per_corner);
   }
+}
+
+// Each `ml.fit` span's `iters` (MLP epochs run before early stop, SVR
+// coordinate-descent sweeps) is a function of the data and the seed alone:
+// two trainings with the same options report the same count per fit,
+// whichever pool thread ran it.
+TEST(DeltaLatencyModelTrace, FitItersRepeatAcrossTrainings) {
+  const TrainOptions t = pinnedTrainOptions(TrainOptions::Family::kHsm);
+  using Key = std::tuple<std::int64_t, std::int64_t, std::int64_t>;
+  auto trainIters = [&] {
+    obs::Tracer& tracer = obs::Tracer::global();
+    const std::uint64_t since = obs::nowNs();
+    tracer.start();
+    DeltaLatencyModel model;
+    model.train(sharedTech(), {0, 2}, t);
+    tracer.stop();
+    std::map<Key, std::int64_t> iters;
+    for (const obs::TraceEvent& e : tracer.collect(since))
+      if (std::string(e.name) == "ml.fit")
+        iters[{e.args[0].i, e.args[1].i, e.args[2].i}] = e.args[3].i;
+    return iters;
+  };
+  const std::map<Key, std::int64_t> first = trainIters();
+  ASSERT_EQ(first.size(), 8u);  // 2 corners x HSM's 4 fits
+  for (const auto& [key, n] : first) {
+    const bool svr = std::get<1>(key) == 1;
+    EXPECT_GE(n, 1);
+    EXPECT_LE(n, static_cast<std::int64_t>(svr ? t.svr.max_sweeps
+                                                : t.mlp.epochs));
+  }
+  EXPECT_EQ(trainIters(), first);
 }
 
 // ---- pinned analysis bits ---------------------------------------------------
