@@ -402,6 +402,50 @@ void BM_SvrPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_SvrPredict);
 
+// One HSM prediction per row on a model of a Table 5 corner's shape (the
+// default HSM, a 7-32-16-1 MLP and an RBF SVR, on mlDataset()), a row at
+// a time and 32 rows per predictBatch call (one scoring chunk's rows at
+// one corner). Both count rows as items, so items/s compare directly.
+const ml::HybridSurrogate& hsmModel() {
+  static const ml::HybridSurrogate hsm = [] {
+    ml::HybridSurrogate h;
+    h.fit(mlDataset());
+    return h;
+  }();
+  return hsm;
+}
+
+void BM_HsmPredict(benchmark::State& state) {
+  const ml::HybridSurrogate& hsm = hsmModel();  // fit outside the loop
+  const ml::Matrix& x = mlDataset().x;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hsm.predict(x.row(i % x.rows())));
+    ++i;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_HsmPredict);
+
+void BM_HsmPredictBatch(benchmark::State& state) {
+  constexpr std::size_t kRows = 32;
+  const ml::HybridSurrogate& hsm = hsmModel();
+  const ml::Matrix& x = mlDataset().x;
+  const double* rows[kRows];
+  double out[kRows];
+  std::size_t i = 0;
+  for (auto _ : state) {
+    for (std::size_t r = 0; r < kRows; ++r)
+      rows[r] = x.row((i + r) % x.rows());
+    hsm.predictBatch(rows, kRows, out);
+    benchmark::DoNotOptimize(out);
+    i += kRows;
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * kRows));
+}
+BENCHMARK(BM_HsmPredictBatch);
+
 // Golden trial evaluation: Arg(0) is the seed path (deep-copy the design
 // and the full multi-corner timing per trial), Arg(1) the scoped-overlay
 // path (apply/retime-in-place/rollback/undo) the trial engine now uses.

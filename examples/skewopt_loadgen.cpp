@@ -11,6 +11,8 @@
 // the CI loadgen-smoke gate. With --verify the same deterministic job
 // plan is replayed against a single-shard frontend and the result digests
 // are compared: sharding must not change a single bit of any result.
+// --digests FILE writes each completed spec's result digest, so two builds
+// can be compared bit for bit.
 //
 //   skewopt_loadgen --jobs 100000 --shards 4 --clients 8 --verify
 //   skewopt_loadgen --jobs 2000 --shards 3 --transport tcp
@@ -34,6 +36,7 @@
 #include "cluster/frontend.h"
 #include "obs/log.h"
 #include "cluster/protocol.h"
+#include "cluster/router.h"
 #include "serve/client.h"
 #include "serve/server.h"
 
@@ -54,6 +57,7 @@ struct Options {
   bool tcp = false;
   bool verify = false;
   std::string log_path;        // empty = logging off
+  std::string digests_path;    // empty = no digest file
 };
 
 void usage() {
@@ -63,7 +67,7 @@ void usage() {
       "                       [--clients N] [--hot-pool N] [--sinks N]\n"
       "                       [--seed S] [--rate JOBS_PER_S]\n"
       "                       [--transport inproc|tcp] [--verify]\n"
-      "                       [--log FILE.jsonl]\n");
+      "                       [--log FILE.jsonl] [--digests FILE]\n");
 }
 
 bool parseArgs(int argc, char** argv, Options* o) {
@@ -105,6 +109,9 @@ bool parseArgs(int argc, char** argv, Options* o) {
     } else if (a == "--log") {
       if (++i >= argc) return false;
       o->log_path = argv[i];
+    } else if (a == "--digests") {
+      if (++i >= argc) return false;
+      o->digests_path = argv[i];
     } else {
       usage();
       return false;
@@ -239,6 +246,18 @@ class DigestMap {
   std::mutex mu_;
   std::map<std::string, std::string> map_;
 };
+
+/// The --digests file: one `<spec-hash> <digest>` line per completed spec
+/// of the run, sorted by hash, where <digest> is the FNV-1a-64 of the
+/// spec's canonical result; then, with --verify, the replay's lines, each
+/// prefixed `verify `. Two builds that agree bit for bit write the same
+/// file.
+void writeDigests(std::FILE* f, const char* prefix,
+                  const std::map<std::string, std::string>& digests) {
+  for (const auto& [hash, digest] : digests)
+    std::fprintf(f, "%s%s %s\n", prefix, hash.c_str(),
+                 hashHex(cluster::fnv1a64(digest)).c_str());
+}
 
 // ---------------------------------------------------------------------------
 // Workload runner
@@ -483,6 +502,17 @@ int main(int argc, char** argv) {
     }
   }
 
+  std::unique_ptr<std::FILE, int (*)(std::FILE*)> digest_file(nullptr,
+                                                              &std::fclose);
+  if (!o.digests_path.empty()) {
+    digest_file.reset(std::fopen(o.digests_path.c_str(), "w"));
+    if (digest_file == nullptr) {
+      std::fprintf(stderr, "loadgen: cannot open digest file: %s\n",
+                   o.digests_path.c_str());
+      return 2;
+    }
+  }
+
   const tech::TechModel tech = tech::TechModel::make28nm();
   const eco::StageDelayLut lut(tech);
   const std::vector<PlanEntry> plan = makePlan(o);
@@ -548,6 +578,9 @@ int main(int argc, char** argv) {
     emitter.record(name, "warm_hit_rate", rate(s.warm.hits, s.warm.misses));
   }
 
+  const std::map<std::string, std::string> sharded = digests.take();
+  if (digest_file) writeDigests(digest_file.get(), "", sharded);
+
   int exit_code = 0;
   if (stats.digest_conflicts > 0) {
     std::fprintf(stderr, "loadgen: %zu digest conflicts within the run\n",
@@ -573,8 +606,8 @@ int main(int argc, char** argv) {
       });
       single.drain();
     }
-    const std::map<std::string, std::string> sharded = digests.take();
     const std::map<std::string, std::string> solo = verify_digests.take();
+    if (digest_file) writeDigests(digest_file.get(), "verify ", solo);
     std::size_t compared = 0, mismatched = 0;
     for (const auto& [hash, digest] : sharded) {
       const auto it = solo.find(hash);

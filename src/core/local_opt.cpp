@@ -182,6 +182,7 @@ LocalResult LocalOptimizer::run(Design& d, const Objective& objective,
     score_span.arg("computed", static_cast<std::int64_t>(st.computed));
     score_span.arg("reused", static_cast<std::int64_t>(st.reused));
     score_span.arg("nets", static_cast<std::int64_t>(st.nets));
+    score_span.arg("kept", static_cast<std::int64_t>(st.kept));
     score_span.end();
     lobs.scores_computed.add(st.computed);
     lobs.scores_reused.add(st.reused);

@@ -56,6 +56,9 @@ namespace {
 constexpr std::uint32_t kNoNet = ~std::uint32_t{0};
 constexpr std::uint32_t kWanted = kNoNet - 1;
 
+// ScoreCache::source_ of a move with no reusable cached groups.
+constexpr std::uint32_t kStale = ~std::uint32_t{0};
+
 /// One slice per pool thread plus the caller, or a single inline slice
 /// without a pool. Slice s owns the items i = s, s + slices, ...
 std::size_t sliceCount(const support::ThreadPool* pool, std::size_t n) {
@@ -117,9 +120,9 @@ void MoveAnalyzer::resetRoundState() {
   before_nets_.clear();
 }
 
-MoveAnalyzer::NetEstimatesBatch MoveAnalyzer::estimateNetBatch(
+void MoveAnalyzer::estimateNetBatch(
     const BatchDriverSpec& drv, const std::vector<BatchChildSpec>& children,
-    int route_model) const {
+    int route_model, NetEstimatesBatch& est) const {
   const std::size_t nk = design_->corners.size();
 
   // One estimate's working buffers, reused by every net on this thread.
@@ -166,7 +169,6 @@ MoveAnalyzer::NetEstimatesBatch MoveAnalyzer::estimateNetBatch(
   const rc::MomentsBatch& mom = ws.mom;
   rc::elmoreMomentsBatch(rct, ws.mom, ws.scratch);
 
-  NetEstimatesBatch est;
   est.lanes = nk;
   est.load.resize(nk);
   rct.totalCapInto(est.load.data());
@@ -199,7 +201,6 @@ MoveAnalyzer::NetEstimatesBatch MoveAnalyzer::estimateNetBatch(
           rc::periSlew(est.out_slew[ki], rc::wireSlewFromElmore(elm));
     }
   }
-  return est;
 }
 
 double MoveAnalyzer::downstreamGateDelta(int node, double in_slew_new,
@@ -284,8 +285,11 @@ std::vector<MoveAnalyzer::BatchChildSpec> MoveAnalyzer::childSpecs(
 
 MoveAnalyzer::NetEstimatesBatch MoveAnalyzer::estimateBeforeNet(
     BeforeKind kind, int id, int rm, const NetEstimatesBatch* p_net) const {
-  if (kind == kDriverNet)
-    return estimateNetBatch(driverSpec(id), childSpecs(id, -1, -1), rm);
+  NetEstimatesBatch est;
+  if (kind == kDriverNet) {
+    estimateNetBatch(driverSpec(id), childSpecs(id, -1, -1), rm, est);
+    return est;
+  }
   // Buffer b's current net, fed by its driver net's child slew.
   const ClockNode& b = design_->tree.node(id);
   const std::size_t b_idx = childIndex(design_->tree.node(b.parent), id);
@@ -295,7 +299,8 @@ MoveAnalyzer::NetEstimatesBatch MoveAnalyzer::estimateBeforeNet(
   bd.in_slew.resize(timing_.size());
   for (std::size_t ki = 0; ki < timing_.size(); ++ki)
     bd.in_slew[ki] = p_net->childSlew(b_idx, ki);
-  return estimateNetBatch(bd, childSpecs(id, -1, -1), rm);
+  estimateNetBatch(bd, childSpecs(id, -1, -1), rm, est);
+  return est;
 }
 
 const MoveAnalyzer::NetEstimatesBatch& MoveAnalyzer::beforeNet(
@@ -360,6 +365,8 @@ std::vector<ImpactGroup> MoveAnalyzer::analyze(const Move& m) const {
   const std::size_t nk = d.corners.size();
   std::vector<ImpactGroup> groups;
   NetEstimatesBatch tmp[2];  // before-state nets the table lacks
+  // The after-move nets, in one set of buffers per thread.
+  thread_local NetEstimatesBatch after[2];
 
   auto weightOf = [&](int id) {
     return static_cast<double>(std::max<std::size_t>(
@@ -411,12 +418,14 @@ std::vector<ImpactGroup> MoveAnalyzer::analyze(const Move& m) const {
     for (int rm = 0; rm < 2; ++rm) {
       const NetEstimatesBatch& p_old =
           beforeNet(kDriverNet, p, rm, nullptr, tmp[0]);
-      const NetEstimatesBatch p_new = estimateNetBatch(pd, pk_new, rm);
+      NetEstimatesBatch& p_new = after[0];
+      estimateNetBatch(pd, pk_new, rm, p_new);
       for (std::size_t ki = 0; ki < nk; ++ki)
         bd_new.in_slew[ki] = p_new.childSlew(b_idx, ki);
       const NetEstimatesBatch& b_old =
           beforeNet(kBufferNet, b, rm, &p_old, tmp[1]);
-      const NetEstimatesBatch b_new = estimateNetBatch(bd_new, bk_new, rm);
+      NetEstimatesBatch& b_new = after[1];
+      estimateNetBatch(bd_new, bk_new, rm, b_new);
 
       for (std::size_t ki = 0; ki < nk; ++ki) {
         for (std::size_t ci = 0; ci < bk.size(); ++ci)
@@ -490,13 +499,13 @@ std::vector<ImpactGroup> MoveAnalyzer::analyze(const Move& m) const {
   for (int rm = 0; rm < 2; ++rm) {
     const NetEstimatesBatch& po_o =
         beforeNet(kDriverNet, p_old, rm, nullptr, tmp[0]);
-    const NetEstimatesBatch po_n = po_after.empty()
-                                       ? NetEstimatesBatch{}
-                                       : estimateNetBatch(po_d, po_after, rm);
+    NetEstimatesBatch& po_n = after[0];  // read only when po_after is not empty
+    if (!po_after.empty()) estimateNetBatch(po_d, po_after, rm, po_n);
     const NetEstimatesBatch& pn_o =
         pn_before.empty() ? tmp[1]
                           : beforeNet(kDriverNet, p_new, rm, nullptr, tmp[1]);
-    const NetEstimatesBatch pn_n = estimateNetBatch(pn_d, pn_after, rm);
+    NetEstimatesBatch& pn_n = after[1];
+    estimateNetBatch(pn_d, pn_after, rm, pn_n);
 
     for (std::size_t ki = 0; ki < nk; ++ki) {
       const double down_b =
@@ -895,14 +904,29 @@ bool DeltaLatencyModel::trainedFor(std::size_t corner) const {
 
 double DeltaLatencyModel::predict(
     std::size_t corner, const std::array<double, kNumFeatures>& feat) const {
+  double out;
+  predictBatch(corner, &feat, 1, &out);
+  return out;
+}
+
+void DeltaLatencyModel::predictBatch(
+    std::size_t corner, const std::array<double, kNumFeatures>* rows,
+    std::size_t n, double* out) const {
   const PerCorner& pc = per_corner_[corner];
   if (pc.model == nullptr)
     throw std::logic_error("DeltaLatencyModel: corner not trained");
-  std::array<double, kNumFeatures> scaled;
-  pc.scaler.transformRow(feat.data(), scaled.data());
-  const double residual = std::clamp(pc.model->predict(scaled.data()),
-                                     pc.residual_lo, pc.residual_hi);
-  return feat[0] + residual;
+  // One buffer per thread: scoring slices predict concurrently.
+  thread_local std::vector<std::array<double, kNumFeatures>> scaled;
+  thread_local std::vector<const double*> ptrs;
+  scaled.resize(n);
+  ptrs.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    pc.scaler.transformRow(rows[i].data(), scaled[i].data());
+    ptrs[i] = scaled[i].data();
+  }
+  pc.model->predictBatch(ptrs.data(), n, out);
+  for (std::size_t i = 0; i < n; ++i)
+    out[i] = rows[i][0] + std::clamp(out[i], pc.residual_lo, pc.residual_hi);
 }
 
 const DeltaLatencyModel::Holdout& DeltaLatencyModel::holdout(
@@ -987,7 +1011,8 @@ void MovePredictor::rebuildBase() {
 
 std::size_t MovePredictor::predictGroups(const Move& m,
                                          GroupPrediction* groups,
-                                         double* dval) const {
+                                         double* dval,
+                                         ScoreCache::Scratch* batch) const {
   const std::size_t nk = design_->corners.size();
   const std::vector<ImpactGroup> impact = analyzer_.analyze(m);
   if (impact.size() > kMaxImpactGroups)
@@ -997,13 +1022,30 @@ std::size_t MovePredictor::predictGroups(const Move& m,
     groups[gi] = {g.root, g.exclude};
     for (std::size_t ki = 0; ki < nk; ++ki) {
       const std::size_t k = design_->corners[ki];
-      if (g.primary && model_ != nullptr && model_->trainedFor(k))
-        dval[gi * nk + ki] = model_->predict(k, analyzer_.features(m, g, ki));
-      else
-        dval[gi * nk + ki] = g.delta[ki][fallback_];
+      double* slot = &dval[gi * nk + ki];
+      if (!g.primary || model_ == nullptr || !model_->trainedFor(k)) {
+        *slot = g.delta[ki][fallback_];
+      } else if (batch == nullptr) {
+        *slot = model_->predict(k, analyzer_.features(m, g, ki));
+      } else {
+        const std::size_t r = ki * ScoreCache::kChunk + batch->nrows[ki]++;
+        batch->rows[r] = analyzer_.features(m, g, ki);
+        batch->dest[r] = slot;
+      }
     }
   }
   return impact.size();
+}
+
+void MovePredictor::predictQueued(ScoreCache::Scratch& s) const {
+  for (std::size_t ki = 0; ki < s.nrows.size(); ++ki) {
+    const std::size_t n = s.nrows[ki];
+    if (n == 0) continue;
+    const std::size_t at = ki * ScoreCache::kChunk;
+    model_->predictBatch(design_->corners[ki], &s.rows[at], n, s.pred.data());
+    for (std::size_t r = 0; r < n; ++r) *s.dest[at + r] = s.pred[r];
+    s.nrows[ki] = 0;
+  }
 }
 
 double MovePredictor::aggregate(const GroupPrediction* groups,
@@ -1096,80 +1138,193 @@ void MovePredictor::scoreBatch(std::span<const Move> moves,
   });
 }
 
+bool MovePredictor::markChangedSinks(ScoreCache& c) const {
+  ScoreCache::Layout& was = c.layout_;
+  const std::vector<network::SinkPair>& pairs = design_->pairs;
+  const std::size_t nk = base_report_.skew_ps.size();
+  const bool same =
+      was.dfs_sinks == dfs_sinks_ && was.span_begin == span_begin_ &&
+      was.span_end == span_end_ && was.pairs.size() == pairs.size() &&
+      was.report.skew_ps.size() == nk &&
+      std::ranges::equal(was.pairs, pairs, {}, {}, [](const auto& p) {
+        return std::pair<int, int>{p.launch, p.capture};
+      });
+  if (!same) return false;
+  std::vector<char>& mark = c.sink_changed_;
+  mark.assign(design_->tree.numNodes(), 0);
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::size_t pi = 0; pi < pairs.size(); ++pi) {
+    bool changed = bits(was.report.v_pair_ps[pi]) !=
+                   bits(base_report_.v_pair_ps[pi]);
+    for (std::size_t ki = 0; ki < nk && !changed; ++ki)
+      changed = bits(was.report.skew_ps[ki][pi]) !=
+                bits(base_report_.skew_ps[ki][pi]);
+    if (!changed) continue;
+    mark[static_cast<std::size_t>(pairs[pi].launch)] = 1;
+    mark[static_cast<std::size_t>(pairs[pi].capture)] = 1;
+  }
+  c.changed_prefix_.assign(dfs_sinks_.size() + 1, 0);
+  for (std::size_t pos = 0; pos < dfs_sinks_.size(); ++pos)
+    c.changed_prefix_[pos + 1] =
+        c.changed_prefix_[pos] +
+        mark[static_cast<std::size_t>(dfs_sinks_[pos])];
+  return true;
+}
+
+void MovePredictor::scoreChunk(std::span<const Move> moves, std::size_t lo,
+                               std::size_t hi, ScoreCache& c,
+                               ScoreCache::Scratch& s,
+                               std::span<double> out) const {
+  constexpr std::size_t kG = kMaxImpactGroups;
+  const std::size_t nk = design_->corners.size();
+  ScoreCache::Table& next = c.next_;
+  const ScoreCache::Table& prev = c.prev_;
+  s.rows.resize(nk * ScoreCache::kChunk);
+  s.dest.resize(nk * ScoreCache::kChunk);
+  s.nrows.resize(nk);
+
+  // Analyze: the stale moves' groups and analytical shifts, their model
+  // inputs queued per corner; the reused moves' cached groups.
+  for (std::size_t i = lo; i < hi; ++i) {
+    GroupPrediction* groups = &next.groups[i * kG];
+    double* dval = &next.dval[i * kG * nk];
+    const std::uint32_t src = c.source_[i];
+    if (src == kStale) {
+      next.ngroups[i] = static_cast<std::uint8_t>(
+          predictGroups(moves[i], groups, dval, &s));
+    } else {
+      next.ngroups[i] = prev.ngroups[src];
+      std::copy_n(&prev.groups[src * kG], kG, groups);
+      std::copy_n(&prev.dval[src * kG * nk], kG * nk, dval);
+    }
+  }
+  // Fill: the queued model shifts, one batch per corner.
+  predictQueued(s);
+  for (std::size_t i = lo; i < hi; ++i) {
+    next.score[i] =
+        c.keep_[i] != 0
+            ? prev.score[c.source_[i]]
+            : aggregate(&next.groups[i * kG], next.ngroups[i],
+                        &next.dval[i * kG * nk], s);
+    out[i] = next.score[i];
+  }
+}
+
 MovePredictor::RoundStats MovePredictor::scoreRound(
     std::span<const Move> moves, std::span<double> out, ScoreCache* cache,
     support::ThreadPool* pool) const {
-  constexpr std::uint32_t kStale = ~std::uint32_t{0};
   constexpr std::size_t kG = kMaxImpactGroups;
+  constexpr std::size_t kChunk = ScoreCache::kChunk;
   ScoreCache& c = *cache;
   const std::size_t nk = design_->corners.size();
   const std::size_t n = moves.size();
 
-  // Which nodes' analyzer inputs changed since the cached predictions.
+  // Which nodes' analyzer inputs changed since the cached predictions, and
+  // which sinks' pairs changed since the cached scores.
   analyzer_.captureInputs(&c.now_inputs_);
   const bool comparable =
       c.primed_ && MoveAnalyzer::diffInputs(c.inputs_, c.now_inputs_,
                                             &c.changed_);
+  const bool same_layout = comparable && markChangedSinks(c);
 
-  // Reuse decisions: a move keeps its cached groups iff the same move was
-  // scored last round and nothing it reads changed.
   ScoreCache::Table& next = c.next_;
   const ScoreCache::Table& prev = c.prev_;
   next.index.resize(n);
   next.groups.resize(n * kG);
   next.ngroups.resize(n);
   next.dval.resize(n * kG * nk);
+  next.score.resize(n);
   c.source_.assign(n, kStale);
-  RoundStats stats;
-  for (std::size_t i = 0; i < n; ++i) {
-    const Move& m = moves[i];
-    const ScoreCache::Key key{static_cast<int>(m.type),
-                              m.node,
-                              m.size_step,
-                              m.child,
-                              m.new_parent,
-                              std::bit_cast<std::uint64_t>(m.delta.x),
-                              std::bit_cast<std::uint64_t>(m.delta.y)};
-    next.index[i] = {key, static_cast<std::uint32_t>(i)};
-    if (comparable) {
+  c.keep_.assign(n, 0);
+
+  // Chunks of kChunk moves from one counter over `slices` slices; `first`
+  // runs on slice 0 before it takes chunks. A move's result does not
+  // depend on the slice that computes it.
+  const std::size_t slices =
+      sliceCount(pool, (n + kChunk - 1) / kChunk);
+  if (c.scratch_.size() < slices) c.scratch_.resize(slices);
+  auto forEachChunk = [&](const std::function<void()>& first,
+                          const std::function<void(std::size_t, std::size_t,
+                                                   ScoreCache::Scratch&)>& fn) {
+    std::atomic<std::size_t> next_lo{0};
+    forEachSlice(pool, slices, [&](std::size_t sl) {
+      if (sl == 0 && first) first();
+      for (std::size_t lo = next_lo.fetch_add(kChunk); lo < n;
+           lo = next_lo.fetch_add(kChunk))
+        fn(lo, std::min(n, lo + kChunk), c.scratch_[sl]);
+    });
+  };
+
+  // Reuse decisions: a move keeps its cached groups iff the same move was
+  // scored last round and nothing it reads changed; it keeps its cached
+  // score too iff no sink its groups shift has a changed pair.
+  const std::vector<std::uint32_t>& changed = c.changed_prefix_;
+  auto marked = [&](const GroupPrediction& g) {  // changed sinks it shifts
+    const std::size_t lo = span_begin_[static_cast<std::size_t>(g.root)];
+    const std::size_t hi = span_end_[static_cast<std::size_t>(g.root)];
+    std::uint32_t count = changed[hi] - changed[lo];
+    if (g.exclude >= 0) {
+      const std::size_t xlo =
+          std::max(lo, span_begin_[static_cast<std::size_t>(g.exclude)]);
+      const std::size_t xhi =
+          std::min(hi, span_end_[static_cast<std::size_t>(g.exclude)]);
+      if (xlo < xhi) count -= changed[xhi] - changed[xlo];
+    }
+    return count != 0;
+  };
+  forEachChunk(nullptr, [&](std::size_t lo, std::size_t hi,
+                            ScoreCache::Scratch&) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      const Move& m = moves[i];
+      const ScoreCache::Key key{static_cast<int>(m.type),
+                                m.node,
+                                m.size_step,
+                                m.child,
+                                m.new_parent,
+                                std::bit_cast<std::uint64_t>(m.delta.x),
+                                std::bit_cast<std::uint64_t>(m.delta.y)};
+      next.index[i] = {key, static_cast<std::uint32_t>(i)};
+      if (!comparable) continue;
       const auto it = std::ranges::lower_bound(
           prev.index, key, {}, [](const auto& e) { return e.first; });
-      if (it != prev.index.end() && it->first == key &&
-          !analyzer_.readSetChanged(m, c.changed_))
-        c.source_[i] = it->second;
+      if (it == prev.index.end() || it->first != key ||
+          analyzer_.readSetChanged(m, c.changed_))
+        continue;
+      const std::uint32_t src = it->second;
+      c.source_[i] = src;
+      c.keep_[i] =
+          same_layout &&
+          std::ranges::none_of(
+              std::span(&prev.groups[src * kG], prev.ngroups[src]), marked);
     }
+  });
+  RoundStats stats;
+  for (std::size_t i = 0; i < n; ++i) {
     if (c.source_[i] == kStale) {
       ++stats.computed;
-      analyzer_.requestBeforeNets(m);
+      analyzer_.requestBeforeNets(moves[i]);
     } else {
       ++stats.reused;
+      stats.kept += static_cast<std::size_t>(c.keep_[i]);
     }
   }
   stats.nets = analyzer_.buildBeforeNets(pool);
 
-  const std::size_t slices = sliceCount(pool, n);
-  if (c.scratch_.size() < slices) c.scratch_.resize(slices);
-  forEachSlice(pool, slices, [&](std::size_t sl) {
-    ScoreCache::Scratch& s = c.scratch_[sl];
-    for (std::size_t i = sl; i < n; i += slices) {
-      GroupPrediction* groups = &next.groups[i * kG];
-      double* dval = &next.dval[i * kG * nk];
-      const std::uint32_t src = c.source_[i];
-      if (src == kStale) {
-        next.ngroups[i] =
-            static_cast<std::uint8_t>(predictGroups(moves[i], groups, dval));
-      } else {
-        next.ngroups[i] = prev.ngroups[src];
-        std::copy_n(&prev.groups[src * kG], kG, groups);
-        std::copy_n(&prev.dval[src * kG * nk], kG * nk, dval);
-      }
-      out[i] = aggregate(groups, next.ngroups[i], dval, s);
-    }
-  });
+  // Score; slice 0 first sorts the index, which only the next round reads.
+  forEachChunk([&] { std::sort(next.index.begin(), next.index.end()); },
+               [&](std::size_t lo, std::size_t hi, ScoreCache::Scratch& s) {
+                 scoreChunk(moves, lo, hi, c, s, out);
+               });
 
-  std::sort(next.index.begin(), next.index.end());
   std::swap(c.prev_, c.next_);
   std::swap(c.inputs_, c.now_inputs_);
+  c.layout_.dfs_sinks = dfs_sinks_;
+  c.layout_.span_begin = span_begin_;
+  c.layout_.span_end = span_end_;
+  c.layout_.pairs.clear();
+  for (const network::SinkPair& p : design_->pairs)
+    c.layout_.pairs.emplace_back(p.launch, p.capture);
+  c.layout_.report = base_report_;
   c.primed_ = true;
   return stats;
 }

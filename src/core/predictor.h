@@ -185,9 +185,10 @@ class MoveAnalyzer {
       return in_slew[child * lanes + ki];
     }
   };
-  NetEstimatesBatch estimateNetBatch(
-      const BatchDriverSpec& drv, const std::vector<BatchChildSpec>& children,
-      int route_model) const;
+  /// Fills `est`, reusing its buffers.
+  void estimateNetBatch(const BatchDriverSpec& drv,
+                        const std::vector<BatchChildSpec>& children,
+                        int route_model, NetEstimatesBatch& est) const;
   BatchDriverSpec driverSpec(int id) const;
   std::vector<double> capLanes(int id, int cell_override) const;
   /// The current children of `driver`, minus `skip`, plus `extra` last.
@@ -258,6 +259,11 @@ class DeltaLatencyModel {
   /// Corrected delta-latency (ps) at a corner from the feature vector.
   double predict(std::size_t corner,
                  const std::array<double, kNumFeatures>& feat) const;
+  /// out[i] = predict(corner, rows[i]) for i in [0, n), bit for bit, in
+  /// one Regressor::predictBatch call.
+  void predictBatch(std::size_t corner,
+                    const std::array<double, kNumFeatures>* rows,
+                    std::size_t n, double* out) const;
 
   /// Training-set evaluation artifacts for the Figure 5 bench: predicted
   /// and golden deltas of a held-out sample set.
@@ -297,16 +303,25 @@ std::vector<MoveSample> collectMoveSamples(const network::Design& d,
 // ---------------------------------------------------------------------------
 
 /// Cross-round state of MovePredictor::scoreRound, owned by one
-/// optimization run: every candidate move's group predictions from the
-/// previous round, keyed by full move identity, plus the analyzer inputs
-/// they were computed from. Stored flat, kMaxImpactGroups slots per move.
+/// optimization run: every candidate move's group predictions and score
+/// from the previous round, keyed by full move identity, plus the analyzer
+/// inputs, sink layout and base report they were computed from. Stored
+/// flat, kMaxImpactGroups slots per move.
 class ScoreCache {
+ public:
+  /// Whether move i of the last scoreRound kept its cached score.
+  bool kept(std::size_t move) const { return keep_[move] != 0; }
+
  private:
   friend class MovePredictor;
+  /// Moves per scheduling chunk of scoreRound.
+  static constexpr std::size_t kChunk = 32;
   /// Per-thread buffers of the flat pair aggregation: per-sink summed
   /// deltas, epoch stamps marking the sinks and pairs the current move
   /// touches (no clearing between moves), the touched pair list, and one
-  /// move's group predictions.
+  /// move's group predictions. A chunk's batched inference queues, per
+  /// corner, the feature rows of its stale moves' primary groups and the
+  /// dval slot each prediction fills.
   struct Scratch {
     std::vector<double> acc;  // [node * corners + ki]
     std::vector<std::uint32_t> sink_stamp;
@@ -316,6 +331,10 @@ class ScoreCache {
     std::vector<double> skew;
     std::array<GroupPrediction, kMaxImpactGroups> groups;
     std::vector<double> dval;  // [group * corners + ki]
+    std::vector<std::array<double, kNumFeatures>> rows;  // [ki * kChunk + r]
+    std::vector<double*> dest;                           // [ki * kChunk + r]
+    std::vector<std::size_t> nrows;                      // [ki]
+    std::array<double, kChunk> pred;
   };
   struct Key {
     int type = 0, node = -1, size_step = 0, child = -1, new_parent = -1;
@@ -327,12 +346,26 @@ class ScoreCache {
     std::vector<GroupPrediction> groups;  // [move * kMaxImpactGroups + g]
     std::vector<std::uint8_t> ngroups;
     std::vector<double> dval;  // [(move * kMaxImpactGroups + g) * corners + ki]
+    std::vector<double> score;  // [move], as scoreRound returned it
+  };
+  /// What prev_'s scores were aggregated against: the sink layout, the
+  /// pair endpoints and the base report.
+  struct Layout {
+    std::vector<int> dfs_sinks;
+    std::vector<std::size_t> span_begin, span_end;
+    std::vector<std::pair<int, int>> pairs;  // (launch, capture)
+    VariationReport report;
   };
   Table prev_, next_;
+  Layout layout_;
   MoveAnalyzer::Inputs inputs_, now_inputs_;  // prev_'s inputs, this round's
   MoveAnalyzer::ChangedNodes changed_;
   bool primed_ = false;
   std::vector<std::uint32_t> source_;  // per move: prev_ slot or kStale
+  std::vector<char> keep_;  // per move: its prev_ score is its score
+  /// Sinks at DFS positions [0, p) incident to a pair whose base changed.
+  std::vector<std::uint32_t> changed_prefix_;
+  std::vector<char> sink_changed_;  // per node, scratch
   std::vector<Scratch> scratch_;  // per slice
 };
 
@@ -373,14 +406,22 @@ class MovePredictor {
     std::size_t computed = 0;  ///< moves whose groups were predicted afresh
     std::size_t reused = 0;    ///< moves whose cached groups were kept
     std::size_t nets = 0;      ///< before-state nets built for the stale moves
+    std::size_t kept = 0;      ///< reused moves whose cached score was kept
   };
   /// The local optimizer's round scorer: same scores as scoreBatch, bit for
   /// bit, but a move's group predictions (analyze + model) are kept in
   /// `cache` across rounds and recomputed only when the move is new or its
   /// read set (MoveAnalyzer::readSetChanged) intersects the nodes whose
   /// inputs changed since the previous call; the before-state table is
-  /// built for those stale moves only. The pair aggregation always reruns
-  /// against the refreshed baseline. Call refresh() between rounds.
+  /// built for those stale moves only. A reused move also keeps its cached
+  /// score when the sink DFS order, the spans and the pairs are those of
+  /// the cached round and no sink it shifts is an endpoint of a pair whose
+  /// base skew or variation changed: its aggregation would repeat every
+  /// operand. Every other move is aggregated against the refreshed
+  /// baseline. The moves are scored in ScoreCache::kChunk-move chunks
+  /// handed to the pool's threads from one counter, and a chunk's model
+  /// predictions run as one DeltaLatencyModel::predictBatch per corner.
+  /// Call refresh() between rounds.
   RoundStats scoreRound(std::span<const Move> moves, std::span<double> out,
                         ScoreCache* cache,
                         support::ThreadPool* pool = nullptr) const;
@@ -391,9 +432,23 @@ class MovePredictor {
   void rebuildBase();
   /// analyze(m) plus the per-corner shift of each group (ML-corrected for
   /// the primary group where a model covers the corner); returns the group
-  /// count. `dval` has kMaxImpactGroups * corners slots.
+  /// count. `dval` has kMaxImpactGroups * corners slots. With a non-null
+  /// `batch` the model shifts are not predicted here: their feature rows
+  /// are queued on it for predictQueued().
   std::size_t predictGroups(const Move& m, GroupPrediction* groups,
-                            double* dval) const;
+                            double* dval,
+                            ScoreCache::Scratch* batch = nullptr) const;
+  /// One DeltaLatencyModel::predictBatch per corner over the rows queued
+  /// on `s`, each prediction written to its dval slot.
+  void predictQueued(ScoreCache::Scratch& s) const;
+  /// Marks the sinks incident to a pair whose base skew or variation
+  /// differs from `c`'s cached report, as DFS-position prefix counts. False
+  /// when the sink layout or the pairs changed: then no score is kept.
+  bool markChangedSinks(ScoreCache& c) const;
+  /// Scores moves [lo, hi) of a scoreRound.
+  void scoreChunk(std::span<const Move> moves, std::size_t lo, std::size_t hi,
+                  ScoreCache& c, ScoreCache::Scratch& s,
+                  std::span<double> out) const;
   /// Predicted change of the sum of variations from a move's groups:
   /// per-sink shifts summed in group order, then every touched pair
   /// re-evaluated in ascending pair order.

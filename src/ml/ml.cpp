@@ -41,6 +41,11 @@ void StandardScaler::transformRow(const double* row, double* out) const {
     out[j] = (row[j] - mean_[j]) / scale_[j];
 }
 
+void Regressor::predictBatch(const double* const* rows, std::size_t n,
+                             double* out) const {
+  for (std::size_t i = 0; i < n; ++i) out[i] = predict(rows[i]);
+}
+
 std::vector<double> Regressor::predictAll(const Matrix& x) const {
   std::vector<double> out(x.rows());
   for (std::size_t i = 0; i < x.rows(); ++i) out[i] = predict(x.row(i));
@@ -143,7 +148,20 @@ void HybridSurrogate::finishFit() {
 }
 
 double HybridSurrogate::predict(const double* row) const {
-  return w_mlp_ * mlp_->predict(row) + (1.0 - w_mlp_) * svr_->predict(row);
+  double out;
+  predictBatch(&row, 1, &out);
+  return out;
+}
+
+void HybridSurrogate::predictBatch(const double* const* rows, std::size_t n,
+                                   double* out) const {
+  // One buffer per thread, as in MlpRegressor::predict.
+  thread_local std::vector<double> svr;
+  svr.resize(n);
+  mlp_->predictBatch(rows, n, out);
+  svr_->predictBatch(rows, n, svr.data());
+  for (std::size_t i = 0; i < n; ++i)
+    out[i] = w_mlp_ * out[i] + (1.0 - w_mlp_) * svr[i];
 }
 
 }  // namespace skewopt::ml

@@ -85,12 +85,17 @@ struct FitTask {
 };
 
 /// Common regressor interface (inputs are pre-scaled feature rows).
-/// predict() is const and thread-safe.
+/// predict() and predictBatch() are const and thread-safe.
 class Regressor {
  public:
   virtual ~Regressor() = default;
   virtual void fit(const Dataset& train) = 0;
   virtual double predict(const double* row) const = 0;
+  /// out[i] = predict(rows[i]) for i in [0, n), bit for bit. The default
+  /// loops over predict(); the MLP, SVR and HSM run four rows per kernel
+  /// call.
+  virtual void predictBatch(const double* const* rows, std::size_t n,
+                            double* out) const;
   std::vector<double> predictAll(const Matrix& x) const;
 
   /// fit(train) as separable steps: run every returned task, then call
@@ -122,6 +127,9 @@ class MlpRegressor : public Regressor {
   explicit MlpRegressor(MlpOptions opts = {}) : opts_(std::move(opts)) {}
   void fit(const Dataset& train) override;
   double predict(const double* row) const override;
+  /// One forward() per four rows.
+  void predictBatch(const double* const* rows, std::size_t n,
+                    double* out) const override;
   /// Epochs the last fit() ran, the one that stopped it early included.
   std::size_t iterations() const { return iterations_; }
 
@@ -163,6 +171,10 @@ class SvrRbf : public Regressor {
   explicit SvrRbf(SvrOptions opts = {}) : opts_(std::move(opts)) {}
   void fit(const Dataset& train) override;
   double predict(const double* row) const override;
+  /// Per row the distance kernel of predict(); four rows' sums of
+  /// beta_i * exp(-gamma * d_i) are interleaved, each in row order.
+  void predictBatch(const double* const* rows, std::size_t n,
+                    double* out) const override;
   std::size_t numSupportVectors() const { return beta_.size(); }
   /// Coordinate-descent sweeps the last fit() ran, the converged one
   /// included.
@@ -195,6 +207,9 @@ class HybridSurrogate : public Regressor {
   explicit HybridSurrogate(HsmOptions opts = {}) : opts_(std::move(opts)) {}
   void fit(const Dataset& train) override;
   double predict(const double* row) const override;
+  /// Both members' batches, blended per row as predict() blends.
+  void predictBatch(const double* const* rows, std::size_t n,
+                    double* out) const override;
   double mlpWeight() const { return w_mlp_; }
 
   std::vector<FitTask> planFit(const Dataset& train) override;

@@ -2,12 +2,13 @@
 //
 // Every pass over the network runs four samples at once, one per lane of
 // the support/simd.h kernels below (the training batches, the validation
-// loss, and predict() on one lane). Activations and deltas are lane-major:
-// unit u of lane s sits at [u * 4 + s]. Each lane repeats the scalar
-// network's operations on its sample in the scalar order, and each weight's
-// batch gradient adds its samples' terms in batch order, so the model bits
-// are those of a one-sample-at-a-time loop (DESIGN.md, "4-lane ML
-// kernels"). A fit allocates its buffers only at set-up.
+// loss, and predictBatch(), whose one-row call is predict()). Activations
+// and deltas are lane-major: unit u of lane s sits at [u * 4 + s]. Each
+// lane repeats the scalar network's operations on its sample in the scalar
+// order, and each weight's batch gradient adds its samples' terms in batch
+// order, so the model bits are those of a one-sample-at-a-time loop
+// (DESIGN.md, "4-lane ML kernels"). A fit allocates its buffers only at
+// set-up.
 #include <algorithm>
 #include <cmath>
 #include <numeric>
@@ -266,13 +267,28 @@ void MlpRegressor::fit(const Dataset& all) {
 }
 
 double MlpRegressor::predict(const double* row) const {
-  if (layers_.empty()) return y_mean_;
+  double out;
+  predictBatch(&row, 1, &out);
+  return out;
+}
+
+void MlpRegressor::predictBatch(const double* const* rows, std::size_t n,
+                                double* out) const {
+  if (layers_.empty()) {
+    std::fill_n(out, n, y_mean_);
+    return;
+  }
   // One buffer per thread: predict stays const and safe to call
   // concurrently (local scoring runs it on pool slices).
   thread_local std::vector<double> acts;
   acts.resize(acts_size_ * kLanes);
-  forward(&row, 1, acts.data());
-  return acts[(acts_size_ - 1) * kLanes] * y_scale_ + y_mean_;
+  const std::size_t out_at = (acts_size_ - 1) * kLanes;
+  for (std::size_t i = 0; i < n; i += kLanes) {
+    const std::size_t lanes = std::min(kLanes, n - i);
+    forward(rows + i, lanes, acts.data());
+    for (std::size_t s = 0; s < lanes; ++s)
+      out[i + s] = acts[out_at + s] * y_scale_ + y_mean_;
+  }
 }
 
 }  // namespace skewopt::ml

@@ -165,15 +165,31 @@ void SvrRbf::fit(const Dataset& train) {
 }
 
 double SvrRbf::predict(const double* row) const {
-  // One buffer per thread, as in MlpRegressor::predict.
-  const std::size_t n = beta_.size();
+  double out;
+  predictBatch(&row, 1, &out);
+  return out;
+}
+
+void SvrRbf::predictBatch(const double* const* rows, std::size_t n,
+                          double* out) const {
+  // One buffer per thread, as in MlpRegressor::predict: the distances of
+  // up to four rows, row s at [s * nsv, (s + 1) * nsv).
+  const std::size_t nsv = beta_.size();
   thread_local std::vector<double> dist;
-  dist.resize(n);
-  squaredDistances(sv_.data().data(), n, n, sv_.rows(), row, dist.data());
-  double s = 0.0;
-  for (std::size_t i = 0; i < n; ++i)
-    s += beta_[i] * std::exp(-gamma_ * dist[i]);
-  return s * y_scale_ + y_mean_;
+  dist.resize(kLanes * nsv);
+  for (std::size_t i = 0; i < n; i += kLanes) {
+    const std::size_t lanes = std::min(kLanes, n - i);
+    for (std::size_t s = 0; s < lanes; ++s)
+      squaredDistances(sv_.data().data(), nsv, nsv, sv_.rows(), rows[i + s],
+                       dist.data() + s * nsv);
+    // The rows' exp chains interleave; each sums its terms in row order.
+    double acc[kLanes] = {0.0, 0.0, 0.0, 0.0};
+    for (std::size_t j = 0; j < nsv; ++j)
+      for (std::size_t s = 0; s < lanes; ++s)
+        acc[s] += beta_[j] * std::exp(-gamma_ * dist[s * nsv + j]);
+    for (std::size_t s = 0; s < lanes; ++s)
+      out[i + s] = acc[s] * y_scale_ + y_mean_;
+  }
 }
 
 }  // namespace skewopt::ml

@@ -105,10 +105,21 @@ std::size_t connect(SteinerTree& tree, const Point& t, const Attach& at) {
   return addTreeNode(tree, t, static_cast<int>(anchor));
 }
 
+/// An empty tree with room for `nodes` nodes: building it never
+/// reallocates.
+SteinerTree treeWithCapacity(std::size_t nodes) {
+  SteinerTree tree;
+  tree.nodes.reserve(nodes);
+  tree.parent.reserve(nodes);
+  tree.extra.reserve(nodes);
+  return tree;
+}
+
 SteinerTree greedySteinerOrdered(const Point& driver,
                                  const std::vector<Point>& pins,
                                  const std::vector<std::size_t>& order) {
-  SteinerTree tree;
+  // A pin adds at most three nodes: a split, an L-corner and itself.
+  SteinerTree tree = treeWithCapacity(1 + 3 * pins.size());
   addTreeNode(tree, driver, -1);
   tree.pin_node.assign(pins.size(), 0);
   for (const std::size_t i : order) {
@@ -147,7 +158,8 @@ SteinerTree greedySteiner(const Point& driver, const std::vector<Point>& pins) {
 }
 
 SteinerTree singleTrunk(const Point& driver, const std::vector<Point>& pins) {
-  SteinerTree tree;
+  // The driver, a trunk node per distinct tap, and a stub per pin.
+  SteinerTree tree = treeWithCapacity(2 + 2 * pins.size());
   addTreeNode(tree, driver, -1);
   tree.pin_node.assign(pins.size(), 0);
   if (pins.empty()) return tree;
@@ -166,6 +178,7 @@ SteinerTree singleTrunk(const Point& driver, const std::vector<Point>& pins) {
     int pin;  // -1 for the driver tap
   };
   std::vector<Tap> taps;
+  taps.reserve(pins.size() + 1);
   taps.push_back({driver.y, -1});
   for (std::size_t i = 0; i < pins.size(); ++i)
     taps.push_back({pins[i].y, static_cast<int>(i)});
@@ -176,6 +189,8 @@ SteinerTree singleTrunk(const Point& driver, const std::vector<Point>& pins) {
   // Create trunk nodes (deduplicated by y) in sorted order.
   std::vector<std::size_t> trunk_node;
   std::vector<double> trunk_y;
+  trunk_node.reserve(taps.size());
+  trunk_y.reserve(taps.size());
   std::size_t driver_tap = 0;
   std::vector<std::size_t> pin_tap(pins.size());
   for (const Tap& t : taps) {

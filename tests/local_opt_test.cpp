@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
+#include <iterator>
+#include <map>
 #include <cstdio>
 #include <span>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/global_opt.h"
@@ -412,6 +417,145 @@ TEST_F(LocalOptTest, IncrementalScoringAcrossForcedCommitsOfEveryType) {
   }
 }
 
+/// The sinks a move's groups shift, sorted, by a subtree walk.
+std::vector<int> touchedSinks(const network::ClockTree& tree,
+                              const MoveAnalyzer& analyzer, const Move& m) {
+  std::vector<int> out;
+  for (const ImpactGroup& g : analyzer.analyze(m)) {
+    std::vector<int> under = subtreeSinks(tree, g.root);
+    std::ranges::sort(under);
+    if (g.exclude >= 0) {
+      std::vector<int> skip = subtreeSinks(tree, g.exclude);
+      std::ranges::sort(skip);
+      std::vector<int> rest;
+      std::ranges::set_difference(under, skip, std::back_inserter(rest));
+      under = std::move(rest);
+    }
+    out.insert(out.end(), under.begin(), under.end());
+  }
+  std::ranges::sort(out);
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+using MoveId = std::tuple<int, int, int, int, int, double, double>;
+MoveId moveId(const Move& m) {
+  return {static_cast<int>(m.type), m.node, m.size_step, m.child,
+          m.new_parent, m.delta.x, m.delta.y};
+}
+
+TEST_F(LocalOptTest, IncrementalKeptScoresTouchOnlyUnchangedPairs) {
+  // A kept score is last round's score of the same move. An independent
+  // walk shows why that is exact: the move shifts the same sinks as last
+  // round, and every pair at those sinks has last round's base skews and
+  // variation. Commits of types III, I and II; after I and II some scores
+  // must be kept.
+  network::Design d = benchCase("CLS1v1");
+  const Objective objective(d, timer_);
+  sta::IncrementalTimer base(sharedTech(), d);
+  MovePredictor predictor(d, timer_, objective, &smallModel(), 0,
+                          &base.timings());
+  ScoreCache cache;
+  support::ThreadPool pool(3);
+  const MoveType kCommits[] = {MoveType::kReassign, MoveType::kSizeDisplace,
+                               MoveType::kChildDisplaceSize};
+  std::map<MoveId, std::pair<std::uint64_t, std::vector<int>>> last;
+  VariationReport last_report;
+  std::vector<double> got, want;
+  for (std::size_t step = 0; step <= std::size(kCommits); ++step) {
+    if (step > 0) predictor.refresh(base.timings());
+    const std::vector<Move> moves = enumerateAllMoves(d);
+    got.assign(moves.size(), 0.0);
+    want.assign(moves.size(), 0.0);
+    const MovePredictor::RoundStats st =
+        predictor.scoreRound(moves, got, &cache, &pool);
+    predictor.scoreBatch(moves, want);
+    expectScoresEqual(got, want, "after commit " + std::to_string(step));
+    const VariationReport report =
+        objective.evaluateFromTimings(d, base.timings());
+    std::vector<std::vector<std::size_t>> pairs_of(d.tree.numNodes());
+    for (std::size_t pi = 0; pi < d.pairs.size(); ++pi) {
+      pairs_of[static_cast<std::size_t>(d.pairs[pi].launch)].push_back(pi);
+      pairs_of[static_cast<std::size_t>(d.pairs[pi].capture)].push_back(pi);
+    }
+    std::map<MoveId, std::pair<std::uint64_t, std::vector<int>>> now;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < moves.size(); ++i) {
+      std::vector<int> sinks =
+          touchedSinks(d.tree, predictor.analyzer(), moves[i]);
+      if (cache.kept(i)) {
+        ++kept;
+        const auto it = last.find(moveId(moves[i]));
+        ASSERT_NE(it, last.end()) << "kept a move new this round";
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]), it->second.first);
+        EXPECT_EQ(sinks, it->second.second) << "move " << i;
+        for (const int snk : sinks)
+          for (const std::size_t pi : pairs_of[static_cast<std::size_t>(snk)]) {
+            EXPECT_EQ(report.v_pair_ps[pi], last_report.v_pair_ps[pi]);
+            for (std::size_t ki = 0; ki < report.skew_ps.size(); ++ki)
+              EXPECT_EQ(report.skew_ps[ki][pi], last_report.skew_ps[ki][pi]);
+          }
+      }
+      now[moveId(moves[i])] = {std::bit_cast<std::uint64_t>(got[i]),
+                               std::move(sinks)};
+    }
+    EXPECT_EQ(kept, st.kept) << "commit " << step;
+    EXPECT_LE(st.kept, st.reused) << "commit " << step;
+    if (step >= 2) {
+      EXPECT_GT(st.kept, 0u) << "commit " << step;
+    }
+    last = std::move(now);
+    last_report = report;
+    if (step == std::size(kCommits)) break;
+    std::vector<std::size_t> of_type;
+    for (std::size_t i = 0; i < moves.size(); ++i)
+      if (moves[i].type == kCommits[step]) of_type.push_back(i);
+    ASSERT_FALSE(of_type.empty());
+    base.update(d, applyMoveTracked(d, moves[of_type[of_type.size() / 2]]));
+  }
+}
+
+TEST_F(LocalOptTest, IncrementalScoreRoundBitsEqualAcrossSliceCounts) {
+  // scoreRound hands out move chunks from one counter, so which slice
+  // scores a move varies run to run; the scores and counts must not. One
+  // run per slice count (no pool: 1; pools of 1, 3 and 4 threads: 2, 4
+  // and 5), each through the same commits.
+  std::vector<std::vector<std::uint64_t>> bits[4];
+  std::vector<std::array<std::size_t, 4>> counts[4];
+  support::ThreadPool p1(1), p3(3), p4(4);
+  support::ThreadPool* pools[4] = {nullptr, &p1, &p3, &p4};
+  for (std::size_t run = 0; run < 4; ++run) {
+    network::Design d = benchCase("CLS1v2");
+    const Objective objective(d, timer_);
+    sta::IncrementalTimer base(sharedTech(), d);
+    MovePredictor predictor(d, timer_, objective, &smallModel(), 0,
+                            &base.timings());
+    ScoreCache cache;
+    const MoveType kCommits[] = {MoveType::kSizeDisplace, MoveType::kReassign,
+                                 MoveType::kChildDisplaceSize};
+    for (std::size_t step = 0; step <= std::size(kCommits); ++step) {
+      if (step > 0) predictor.refresh(base.timings());
+      const std::vector<Move> moves = enumerateAllMoves(d);
+      std::vector<double> out(moves.size(), 0.0);
+      const MovePredictor::RoundStats st =
+          predictor.scoreRound(moves, out, &cache, pools[run]);
+      std::vector<std::uint64_t>& b = bits[run].emplace_back();
+      for (const double v : out) b.push_back(std::bit_cast<std::uint64_t>(v));
+      counts[run].push_back({st.computed, st.reused, st.kept, st.nets});
+      if (step == std::size(kCommits)) break;
+      std::vector<std::size_t> of_type;
+      for (std::size_t i = 0; i < moves.size(); ++i)
+        if (moves[i].type == kCommits[step]) of_type.push_back(i);
+      ASSERT_FALSE(of_type.empty());
+      base.update(d, applyMoveTracked(d, moves[of_type[of_type.size() / 2]]));
+    }
+  }
+  for (std::size_t run = 1; run < 4; ++run) {
+    EXPECT_EQ(bits[run], bits[0]) << "pool " << run;
+    EXPECT_EQ(counts[run], counts[0]) << "pool " << run;
+  }
+}
+
 TEST_F(LocalOptTest, IncrementalReuseFloorOnCls1v2) {
   // A regression to "invalidate everything" stays correct and silently
   // slow; this deterministic count catches it. On bench-scale CLS1v2 at
@@ -421,26 +565,31 @@ TEST_F(LocalOptTest, IncrementalReuseFloorOnCls1v2) {
   const Objective objective(d, timer_);
   LocalOptions o;
   o.max_iterations = 6;
-  std::size_t later = 0, reused = 0;
+  std::size_t later = 0, reused = 0, kept = 0;
   o.on_scored = [&](const LocalRoundView& v) {
     if (v.round == 0) {
       EXPECT_EQ(v.stats.reused, 0u);
+      EXPECT_EQ(v.stats.kept, 0u);
       return;
     }
     later += v.moves.size();
     reused += v.stats.reused;
+    kept += v.stats.kept;
   };
   LocalOptimizer(sharedTech(), o).run(d, objective, nullptr);
   ASSERT_GT(later, 0u) << "the run never reached a second round";
   EXPECT_GE(2 * reused, later) << reused << " of " << later << " reused";
+  EXPECT_GT(kept, 0u) << "no cached score was kept";
 }
 
 TEST_F(LocalOptTest, ScoreSpanCountsBeforeStateNetsRepeatably) {
   // The local.score span's `nets` arg is the number of before-state nets
-  // the round built for its stale moves: the round's RoundStats::nets, and
-  // the same sequence on every run of a fixed seed.
-  std::vector<std::int64_t> spans[2];
-  std::vector<std::int64_t> stats[2];
+  // the round built for its stale moves and its `kept` arg the number of
+  // cached scores kept: the round's RoundStats, and the same sequences on
+  // every run of a fixed seed.
+  using Counts = std::pair<std::int64_t, std::int64_t>;  // (nets, kept)
+  std::vector<Counts> spans[2];
+  std::vector<Counts> stats[2];
   for (int run = 0; run < 2; ++run) {
     network::Design d = makeDesign(70, 5);
     const Objective objective(d, timer_);
@@ -448,7 +597,8 @@ TEST_F(LocalOptTest, ScoreSpanCountsBeforeStateNetsRepeatably) {
     o.max_iterations = 4;
     o.threads = 4;
     o.on_scored = [&](const LocalRoundView& v) {
-      stats[run].push_back(static_cast<std::int64_t>(v.stats.nets));
+      stats[run].emplace_back(static_cast<std::int64_t>(v.stats.nets),
+                              static_cast<std::int64_t>(v.stats.kept));
     };
     obs::Tracer& tracer = obs::Tracer::global();
     const std::uint64_t since = obs::nowNs();
@@ -458,11 +608,13 @@ TEST_F(LocalOptTest, ScoreSpanCountsBeforeStateNetsRepeatably) {
     for (const obs::TraceEvent& e : tracer.collect(since)) {
       if (std::string(e.name) != "local.score") continue;
       ASSERT_STREQ(e.args[2].key, "nets");
-      spans[run].push_back(e.args[2].i);
+      ASSERT_STREQ(e.args[3].key, "kept");
+      spans[run].emplace_back(e.args[2].i, e.args[3].i);
     }
   }
   ASSERT_GT(spans[0].size(), 1u);
-  EXPECT_GT(spans[0][0], 0);
+  EXPECT_GT(spans[0][0].first, 0);
+  EXPECT_EQ(spans[0][0].second, 0);
   EXPECT_EQ(spans[0], stats[0]);
   EXPECT_EQ(spans[0], spans[1]);
 }

@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace skewopt::ml {
 namespace {
@@ -352,6 +354,43 @@ TEST(MlKernelPinned, SvrRowRemainders) {
     SvrRbf svr(o);
     svr.fit(train);
     expectPinned(c.name, svr, c.digest, svr.numSupportVectors(), c.nsv);
+  }
+}
+
+// predictBatch runs four rows per kernel call; for every batch size 1..9
+// (each lane remainder, one and two full groups) every row's prediction
+// must carry predict()'s bits, for each family and the default loop.
+TEST(PredictBatch, EqualsPredictForEveryLaneRemainder) {
+  geom::Rng rng(301);
+  const Dataset train = makeDataset(60, 3, rng, pinTarget, 0.05);
+  MlpOptions mo;
+  mo.hidden = {7, 5};
+  mo.epochs = 20;
+  SvrOptions so;
+  HsmOptions ho;
+  ho.mlp = mo;
+  ho.svr = so;
+  MlpRegressor mlp(mo);
+  SvrRbf svr(so);
+  HybridSurrogate hsm(ho);
+  MeanRegressor mean;
+  const std::pair<const char*, Regressor*> models[] = {
+      {"mlp", &mlp}, {"svr", &svr}, {"hsm", &hsm}, {"mean", &mean}};
+  const Matrix q = pinQueryGrid();
+  for (const auto& [name, model] : models) {
+    model->fit(train);
+    for (std::size_t n = 1; n <= 9; ++n) {
+      for (const std::size_t at : {std::size_t{0}, std::size_t{57}}) {
+        std::vector<const double*> rows(n);
+        for (std::size_t i = 0; i < n; ++i) rows[i] = q.row(at + 7 * i);
+        std::vector<double> got(n, -1.0);
+        model->predictBatch(rows.data(), n, got.data());
+        for (std::size_t i = 0; i < n; ++i)
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                    std::bit_cast<std::uint64_t>(model->predict(rows[i])))
+              << name << " n=" << n << " row " << i;
+      }
+    }
   }
 }
 

@@ -432,6 +432,41 @@ TEST(DeltaLatencyModelPinned, AnnAndSvrFamiliesPredictionBits) {
   }
 }
 
+// DeltaLatencyModel::predictBatch runs a corner's rows four at a time
+// through the regressor; for every batch size 1..9 each row must carry
+// predict()'s bits, for all three families at every trained corner.
+TEST(DeltaLatencyModel, PredictBatchEqualsPredictForEveryLaneRemainder) {
+  const TrainOptions::Family families[3] = {TrainOptions::Family::kHsm,
+                                            TrainOptions::Family::kAnn,
+                                            TrainOptions::Family::kSvr};
+  const std::vector<std::size_t> corners = {0, 1, 2, 3};
+  // Rows between and beyond the two pinned feature vectors.
+  std::vector<std::array<double, kNumFeatures>> rows(9);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const double t = 0.15 * static_cast<double>(i) - 0.1;
+    for (std::size_t j = 0; j < kNumFeatures; ++j)
+      rows[i][j] = kPinFeatures[0][j] +
+                   t * (kPinFeatures[1][j] - kPinFeatures[0][j]);
+  }
+  for (const TrainOptions::Family family : families) {
+    TrainOptions t = pinnedTrainOptions(family);
+    t.cases = 6;
+    DeltaLatencyModel model;
+    model.train(sharedTech(), corners, t);
+    for (const std::size_t k : corners) {
+      ASSERT_TRUE(model.trainedFor(k));
+      for (std::size_t n = 1; n <= rows.size(); ++n) {
+        std::vector<double> got(n, -1.0);
+        model.predictBatch(k, rows.data(), n, got.data());
+        for (std::size_t i = 0; i < n; ++i)
+          EXPECT_EQ(hexBits(got[i]), hexBits(model.predict(k, rows[i])))
+              << "family " << static_cast<int>(family) << " corner " << k
+              << " n=" << n << " row " << i;
+      }
+    }
+  }
+}
+
 // Training runs every regressor fit as its own pool task: one `ml.fit`
 // span per fit task (HSM: an MLP and an SVR on the validation split and on
 // the full set; a leaf family: one fit), each (corner, model, split) once,
