@@ -29,6 +29,7 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "serve/server.h"
 #include "sta/report.h"
 #include "testgen/testgen.h"
 
@@ -194,7 +195,7 @@ int usage() {
       "docs/static_analysis.md); SKEWOPT_CHECK_LEVEL overrides it.\n"
       "--trace exports a Chrome trace-event JSON (open in Perfetto);\n"
       "--metrics exports a Prometheus text snapshot (docs/observability.md);\n"
-      "--record exports the flight-recorder JSON of the optimization run;\n"
+      "--record exports the flight record JSON of the optimization run;\n"
       "--log FILE|- / --log-level enable JSON-lines structured logging\n"
       "(report and optimize; docs/observability.md \"Job telemetry\").\n");
   return 2;
@@ -327,16 +328,16 @@ int run(int argc, char** argv) {
     // The flow's stage gates throw check::CheckFailure on a violation;
     // main()'s std::exception handler prints the SKW report and exits 1.
     fopts.check_level = parseCheckFlag(flags, fopts.check_level);
-    fopts.record = flags.count("record") != 0;
     const core::Flow flow(tech, lut, fopts);
     const core::FlowResult r = flow.run(d, mode, model_ptr);
 
-    if (fopts.record) {
+    if (flags.count("record")) {
       const std::string& path = flags.at("record");
+      const std::string doc =
+          serve::json::dump(serve::flightRecordToJson(r));
       std::FILE* f = std::fopen(path.c_str(), "w");
       if (f == nullptr ||
-          std::fwrite(r.flight_record.data(), 1, r.flight_record.size(), f) !=
-              r.flight_record.size() ||
+          std::fwrite(doc.data(), 1, doc.size(), f) != doc.size() ||
           std::fputc('\n', f) == EOF || std::fclose(f) != 0)
         throw std::runtime_error("cannot write flight record: " + path);
       std::printf("wrote flight record %s\n", path.c_str());

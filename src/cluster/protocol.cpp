@@ -229,7 +229,7 @@ json::Value resultEvent(ClusterFrontend& fe, const serve::JobStatus& s) {
     v.set("state", serve::jobStateName(s.state));
     v.set("cached", s.cached);
     v.set("result", serve::resultToJson(fe.result(s.id),
-                                        fe.jobSpec(s.id).options.record));
+                                        fe.jobSpec(s.id).record));
   } else {
     v.set("ok", false);
     v.set("event", "result");
@@ -388,7 +388,7 @@ json::Value dispatchClusterRequest(ClusterFrontend& fe,
       v.set("state", serve::jobStateName(s.state));
       v.set("cached", s.cached);
       v.set("result", serve::resultToJson(fe.result(id),
-                                          fe.jobSpec(id).options.record));
+                                          fe.jobSpec(id).record));
       return v;
     }
 

@@ -5,7 +5,6 @@
 
 #include "check/check.h"
 #include "obs/metrics.h"
-#include "obs/recorder.h"
 #include "obs/trace.h"
 
 namespace skewopt::core {
@@ -69,23 +68,6 @@ DesignMetrics computeMetrics(const network::Design& d,
   return metricsFromReport(d, objective.evaluate(d, timer));
 }
 
-namespace {
-
-/// One Table-5 row into the flight record: the skew-variation objective
-/// plus the per-corner local skews (deterministic fields only).
-void recordMetrics(obs::FlightRecorder& rec, const char* key,
-                   const DesignMetrics& m) {
-  rec.beginObject(key);
-  rec.field("sum_variation_ps", m.sum_variation_ps);
-  rec.beginArray("local_skew_ps");
-  for (const double v : m.local_skew_ps) rec.value(v);
-  rec.endArray();
-  rec.field("clock_cells", static_cast<std::int64_t>(m.clock_cells));
-  rec.endObject();
-}
-
-}  // namespace
-
 FlowResult Flow::run(network::Design& d, FlowMode mode,
                      const DeltaLatencyModel* model) const {
   return run(d, mode, model, /*warm_in=*/nullptr, /*warm_out=*/nullptr);
@@ -107,17 +89,6 @@ FlowResult Flow::run(network::Design& d, FlowMode mode,
 
   obs::Span flow_span("flow.run");
   flow_span.arg("mode", static_cast<std::int64_t>(mode));
-
-  // Flight recorder: the optimizers append their sections through the
-  // thread-local current recorder; a null install masks any outer one so
-  // recording stays strictly per-run.
-  obs::FlightRecorder recorder;
-  obs::FlightRecorder* rec = opts_.record ? &recorder : nullptr;
-  obs::ScopedFlightRecorder rec_scope(rec);
-  if (rec != nullptr) {
-    rec->field("v", std::int64_t{1});
-    rec->field("mode", flowModeName(mode));
-  }
 
   const check::Level chk = check::effectiveLevel(opts_.check_level);
   {
@@ -144,14 +115,12 @@ FlowResult Flow::run(network::Design& d, FlowMode mode,
   // the formulation).
   const Objective objective(d, timing->timings());
   FlowResult res;
+  res.mode = mode;
+  res.warm_start = warm_start;
   {
     obs::Span metrics_span("flow.metrics_before");
     res.before = metricsFromReport(
         d, objective.evaluateFromTimings(d, timing->timings()));
-  }
-  if (rec != nullptr) {
-    rec->field("warm_start", warm_start);
-    recordMetrics(*rec, "before", res.before);
   }
 
   // The outgoing snapshot describes the *initial* design, so capture it
@@ -188,10 +157,6 @@ FlowResult Flow::run(network::Design& d, FlowMode mode,
   {
     obs::Span metrics_span("flow.metrics_after");
     res.after = computeMetrics(d, objective, timer_);
-  }
-  if (rec != nullptr) {
-    recordMetrics(*rec, "after", res.after);
-    res.flight_record = rec->json();
   }
   {
     obs::Span gate_span("flow.gate_output");

@@ -3,8 +3,6 @@
 // Table 5 metric set collected before and after.
 #pragma once
 
-#include <string>
-
 #include "core/global_opt.h"
 #include "core/local_opt.h"
 #include "core/objective.h"
@@ -38,11 +36,6 @@ struct FlowOptions {
   /// global and local stages; a gate with errors throws
   /// check::CheckFailure. SKEWOPT_CHECK_LEVEL overrides.
   check::Level check_level = check::Level::kCheap;
-  /// Record the job's optimization trajectory into
-  /// FlowResult::flight_record (obs::FlightRecorder — deterministic JSON,
-  /// bit-identical across serial/parallel runs). Off by default; never
-  /// affects the optimization result.
-  bool record = false;
 };
 
 /// Wall-clock stage breakdown of one Flow::run, always measured: each
@@ -57,16 +50,13 @@ struct StageTimings {
 };
 
 struct FlowResult {
+  FlowMode mode = FlowMode::kGlobalLocal;  ///< the flow that ran
+  bool warm_start = false;  ///< timer seeded from a prior run's warm state
   DesignMetrics before;
   DesignMetrics after;
   GlobalResult global;  ///< meaningful for kGlobal / kGlobalLocal
   LocalResult local;    ///< meaningful for kLocal / kGlobalLocal
   StageTimings stage_ms;
-  /// Deterministic JSON flight record of the run (empty unless
-  /// FlowOptions::record was set; see docs/observability.md for the
-  /// schema). Excluded from wall-time fields by construction, so the
-  /// bytes are identical between serial and parallel runs.
-  std::string flight_record;
 };
 
 /// Everything one completed flow run leaves behind for a later run over the

@@ -3,7 +3,6 @@
 #include "check/check.h"
 #include "cts/cts.h"
 #include "obs/metrics.h"
-#include "obs/recorder.h"
 #include "obs/trace.h"
 #include "support/thread_pool.h"
 
@@ -1000,49 +999,6 @@ GlobalResult GlobalOptimizer::run(Design& d, const Objective& objective,
     res.improved = true;
   }
 
-  // Flight record: the whole stage from the final result, on the
-  // orchestrating thread after the realize barrier (pool workers write
-  // realize_ms into res.lp_solves above). Deterministic fields only —
-  // solve_ms/realize_ms stay out so the record is bit-identical between
-  // serial and parallel realization.
-  if (obs::FlightRecorder* rec = obs::currentFlightRecorder();
-      rec != nullptr) {
-    rec->beginObject("global");
-    rec->field("sum_before_ps", res.sum_before_ps);
-    rec->field("sum_after_ps", res.sum_after_ps);
-    rec->field("lp_min_sum_ps", res.lp_min_sum_ps);
-    rec->field("lp_orig_sum_ps", res.lp_orig_sum_ps);
-    rec->field("chosen_u_ps", res.chosen_u_ps);
-    rec->field("arcs_in_lp", static_cast<std::int64_t>(res.arcs_in_lp));
-    rec->field("arcs_changed", static_cast<std::int64_t>(res.arcs_changed));
-    rec->field("lp_rows", static_cast<std::int64_t>(res.lp_rows));
-    rec->field("lp_vars", static_cast<std::int64_t>(res.lp_vars));
-    rec->field("lp_warm_hits", std::int64_t{res.lp_warm_hits});
-    rec->field("lp_warm_misses", std::int64_t{res.lp_warm_misses});
-    rec->field("lp_replays", std::int64_t{res.lp_replays});
-    rec->field("realize_memo_hits", std::int64_t{res.realize_memo_hits});
-    rec->field("improved", res.improved);
-    rec->beginArray("lp_solves");
-    for (const LpSolveStats& s : res.lp_solves) {
-      rec->beginObject();
-      rec->field("u_ps", s.u_ps);
-      rec->field("iterations", std::int64_t{s.iterations});
-      rec->field("refactorizations", std::int64_t{s.refactorizations});
-      rec->field("warm_started", s.warm_started);
-      rec->field("optimal", s.optimal);
-      rec->endObject();
-    }
-    rec->endArray();
-    rec->beginArray("candidates");
-    for (const auto& [u, sum] : res.candidates) {
-      rec->beginObject();
-      rec->field("u_ps", u);
-      rec->field("realized_sum_ps", sum);
-      rec->endObject();
-    }
-    rec->endArray();
-    rec->endObject();
-  }
   check::gateDesign(d, timer_, chk, "global:output");
   return res;
 }

@@ -6,7 +6,6 @@
 
 #include "check/check.h"
 #include "obs/metrics.h"
-#include "obs/recorder.h"
 #include "obs/trace.h"
 #include "sta/incremental.h"
 #include "support/thread_pool.h"
@@ -73,15 +72,6 @@ struct LocalObs {
   }
 };
 
-const char* moveTypeLabel(MoveType t) {
-  switch (t) {
-    case MoveType::kSizeDisplace: return "size_displace";
-    case MoveType::kChildDisplaceSize: return "child_displace_size";
-    case MoveType::kReassign: return "reassign";
-  }
-  return "?";
-}
-
 bool skewOk(const std::vector<double>& before_local_skew,
             const std::vector<double>& after_local_skew, double tol) {
   for (std::size_t ki = 0; ki < before_local_skew.size(); ++ki)
@@ -137,15 +127,6 @@ LocalResult LocalOptimizer::run(Design& d, const Objective& objective,
   res.sum_after_ps = current_sum;
   if (opts_.max_iterations == 0) return res;
 
-  // Flight record: round/commit trajectory, written only from this
-  // (orchestrating) thread — the parallel trial slices never touch it.
-  obs::FlightRecorder* rec = obs::currentFlightRecorder();
-  if (rec != nullptr) {
-    rec->beginObject("local");
-    rec->field("sum_before_ps", res.sum_before_ps);
-    rec->beginArray("rounds");
-  }
-
   MovePredictor predictor(d, timer_, objective, model, analytic_fallback,
                           &base_timing.timings());
 
@@ -169,11 +150,6 @@ LocalResult LocalOptimizer::run(Design& d, const Objective& objective,
     std::vector<Move> moves = enumerateAllMoves(d, opts_.enumerate);
     res.candidate_moves = moves.size();
     std::size_t round_trials = 0;
-    if (rec != nullptr) {
-      rec->beginObject();
-      rec->field("round", static_cast<std::int64_t>(round));
-      rec->field("candidates", static_cast<std::int64_t>(moves.size()));
-    }
 
     scores.resize(moves.size());
     obs::Span score_span("local.score");
@@ -257,20 +233,10 @@ LocalResult LocalOptimizer::run(Design& d, const Objective& objective,
         it.predicted_delta_ps = scored[best_idx].first;
         it.realized_delta_ps = reports[best_t].sum_variation_ps - current_sum;
         it.sum_after_ps = reports[best_t].sum_variation_ps;
-        res.history.push_back(it);
+        it.local_skew_ps = reports[best_t].local_skew_ps;
+        res.history.push_back(std::move(it));
         lobs.accepted.add();
         lobs.acceptedByType(mv.type).add();
-        if (rec != nullptr) {
-          rec->beginObject("commit");
-          rec->field("type", moveTypeLabel(mv.type));
-          rec->field("predicted_delta_ps", it.predicted_delta_ps);
-          rec->field("realized_delta_ps", it.realized_delta_ps);
-          rec->field("sum_after_ps", it.sum_after_ps);
-          rec->beginArray("local_skew_ps");
-          for (const double v : reports[best_t].local_skew_ps) rec->value(v);
-          rec->endArray();
-          rec->endObject();
-        }
         // Commit: re-apply the move to the design and every replica and
         // retime just the dirty subtrees — no full STA, no design copies.
         const std::vector<int> dirty = applyMoveTracked(d, mv);
@@ -283,25 +249,11 @@ LocalResult LocalOptimizer::run(Design& d, const Objective& objective,
         committed = true;
       }
     }
-    if (rec != nullptr) {
-      rec->field("trials", static_cast<std::int64_t>(round_trials));
-      rec->field("committed", committed);
-      rec->endObject();
-    }
+    res.rounds.push_back({moves.size(), round_trials});
     if (!committed) break;  // predictor shows no further reduction
   }
   res.sum_after_ps = current_sum;
   res.improved = res.sum_after_ps < res.sum_before_ps - 1e-9;
-  if (rec != nullptr) {
-    rec->endArray();
-    rec->field("sum_after_ps", res.sum_after_ps);
-    rec->field("accepted_moves",
-               static_cast<std::int64_t>(res.history.size()));
-    rec->field("golden_evaluations",
-               static_cast<std::int64_t>(res.golden_evaluations));
-    rec->field("improved", res.improved);
-    rec->endObject();
-  }
   check::gateDesign(d, timer_, check::effectiveLevel(opts_.check_level),
                     "local:output");
   return res;
@@ -352,7 +304,8 @@ LocalResult LocalOptimizer::runRandom(Design& d, const Objective& objective,
     it.type = best_move->type;
     it.realized_delta_ps = best.sum_variation_ps - current_sum;
     it.sum_after_ps = best.sum_variation_ps;
-    res.history.push_back(it);
+    it.local_skew_ps = best.local_skew_ps;
+    res.history.push_back(std::move(it));
     lobs.accepted.add();
     lobs.acceptedByType(best_move->type).add();
     timing.update(d, applyMoveTracked(d, *best_move));

@@ -65,12 +65,22 @@ struct LocalIteration {
   double predicted_delta_ps = 0.0;  ///< predicted objective change
   double realized_delta_ps = 0.0;   ///< golden objective change
   double sum_after_ps = 0.0;
+  std::vector<double> local_skew_ps;  ///< per active corner, after the move
+};
+
+/// One round of the move loop.
+struct LocalRound {
+  std::size_t candidates = 0;  ///< moves enumerated and scored
+  std::size_t trials = 0;      ///< golden trials run
 };
 
 struct LocalResult {
   double sum_before_ps = 0.0;
   double sum_after_ps = 0.0;
   std::vector<LocalIteration> history;  ///< committed moves, in order
+  /// Every round run() entered, in order; a round's commit (at most one)
+  /// is the history entry with its index.
+  std::vector<LocalRound> rounds;
   std::size_t golden_evaluations = 0;
   std::size_t candidate_moves = 0;  ///< enumerated+scored in the last round
   bool improved = false;

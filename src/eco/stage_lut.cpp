@@ -24,14 +24,6 @@ StageDelayLut::StageDelayLut(const tech::TechModel& tech, LutKnobs knobs)
   fitBounds();
 }
 
-std::size_t StageDelayLut::qIndex(double q_um) const {
-  const double t = (q_um - knobs_.wl_min_um) / knobs_.wl_step_um;
-  const long i = std::lround(t);
-  if (i < 0 || static_cast<std::size_t>(i) >= wls_.size())
-    throw std::out_of_range("StageDelayLut: wirelength off grid");
-  return static_cast<std::size_t>(i);
-}
-
 double StageDelayLut::pairDelayOnce(std::size_t p, double q_um,
                                     std::size_t corner, double slew_in,
                                     double next_pin_load_ff,
@@ -147,11 +139,6 @@ double StageDelayLut::minAchievableDelay(double arc_len_um,
     }
   }
   return best;
-}
-
-double StageDelayLut::wireCapPerPair(std::size_t q_idx,
-                                     std::size_t corner) const {
-  return 2.0 * wls_[q_idx] * tech_->wire(corner).cap_ff_per_um;
 }
 
 bool StageDelayLut::comboLegal(std::size_t p, std::size_t q_idx) const {

@@ -96,14 +96,11 @@ class StageDelayLut {
   /// bench and by tests that check the envelope actually envelopes.
   std::vector<RatioSample> ratioScatter(std::size_t k, std::size_t k2) const;
 
-  double wireCapPerPair(std::size_t q_idx, std::size_t corner) const;
-
   /// True iff a (size, spacing) combo keeps every inverter in the chain
   /// within its max-cap limit at every corner (worst case: Cmax BEOL).
   bool comboLegal(std::size_t p, std::size_t q_idx) const;
 
  private:
-  std::size_t qIndex(double q_um) const;
   double pairDelayOnce(std::size_t p, double q_um, std::size_t corner,
                        double slew_in, double next_pin_load_ff,
                        double* out_slew) const;

@@ -41,9 +41,10 @@ void StandardScaler::transformRow(const double* row, double* out) const {
     out[j] = (row[j] - mean_[j]) / scale_[j];
 }
 
-void Regressor::predictBatch(const double* const* rows, std::size_t n,
-                             double* out) const {
-  for (std::size_t i = 0; i < n; ++i) out[i] = predict(rows[i]);
+double Regressor::predict(const double* row) const {
+  double out;
+  predictBatch(&row, 1, &out);
+  return out;
 }
 
 std::vector<double> Regressor::predictAll(const Matrix& x) const {
@@ -57,6 +58,11 @@ void MeanRegressor::fit(const Dataset& train) {
               ? 0.0
               : std::accumulate(train.y.begin(), train.y.end(), 0.0) /
                     static_cast<double>(train.y.size());
+}
+
+void MeanRegressor::predictBatch(const double* const*, std::size_t n,
+                                 double* out) const {
+  std::fill_n(out, n, mean_);
 }
 
 double rmse(const std::vector<double>& pred,
@@ -147,15 +153,9 @@ void HybridSurrogate::finishFit() {
   val_ = {};
 }
 
-double HybridSurrogate::predict(const double* row) const {
-  double out;
-  predictBatch(&row, 1, &out);
-  return out;
-}
-
 void HybridSurrogate::predictBatch(const double* const* rows, std::size_t n,
                                    double* out) const {
-  // One buffer per thread, as in MlpRegressor::predict.
+  // One buffer per thread, as in MlpRegressor::predictBatch.
   thread_local std::vector<double> svr;
   svr.resize(n);
   mlp_->predictBatch(rows, n, out);

@@ -90,12 +90,13 @@ class Regressor {
  public:
   virtual ~Regressor() = default;
   virtual void fit(const Dataset& train) = 0;
-  virtual double predict(const double* row) const = 0;
-  /// out[i] = predict(rows[i]) for i in [0, n), bit for bit. The default
-  /// loops over predict(); the MLP, SVR and HSM run four rows per kernel
-  /// call.
+  /// out[i] = the prediction for rows[i], i in [0, n). A row's bits never
+  /// depend on the batch it is in; the MLP, SVR and HSM run four rows per
+  /// kernel call.
   virtual void predictBatch(const double* const* rows, std::size_t n,
-                            double* out) const;
+                            double* out) const = 0;
+  /// One row: predictBatch(&row, 1, ...).
+  double predict(const double* row) const;
   std::vector<double> predictAll(const Matrix& x) const;
 
   /// fit(train) as separable steps: run every returned task, then call
@@ -126,7 +127,6 @@ class MlpRegressor : public Regressor {
  public:
   explicit MlpRegressor(MlpOptions opts = {}) : opts_(std::move(opts)) {}
   void fit(const Dataset& train) override;
-  double predict(const double* row) const override;
   /// One forward() per four rows.
   void predictBatch(const double* const* rows, std::size_t n,
                     double* out) const override;
@@ -170,7 +170,6 @@ class SvrRbf : public Regressor {
  public:
   explicit SvrRbf(SvrOptions opts = {}) : opts_(std::move(opts)) {}
   void fit(const Dataset& train) override;
-  double predict(const double* row) const override;
   /// Per row the distance kernel of predict(); four rows' sums of
   /// beta_i * exp(-gamma * d_i) are interleaved, each in row order.
   void predictBatch(const double* const* rows, std::size_t n,
@@ -206,8 +205,7 @@ class HybridSurrogate : public Regressor {
  public:
   explicit HybridSurrogate(HsmOptions opts = {}) : opts_(std::move(opts)) {}
   void fit(const Dataset& train) override;
-  double predict(const double* row) const override;
-  /// Both members' batches, blended per row as predict() blends.
+  /// Both members' batches, blended per row by the validation weights.
   void predictBatch(const double* const* rows, std::size_t n,
                     double* out) const override;
   double mlpWeight() const { return w_mlp_; }
@@ -232,7 +230,8 @@ class HybridSurrogate : public Regressor {
 class MeanRegressor : public Regressor {
  public:
   void fit(const Dataset& train) override;
-  double predict(const double*) const override { return mean_; }
+  void predictBatch(const double* const* rows, std::size_t n,
+                    double* out) const override;
 
  private:
   double mean_ = 0.0;

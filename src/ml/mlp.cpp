@@ -266,12 +266,6 @@ void MlpRegressor::fit(const Dataset& all) {
   if (val.size() > 0) layers_ = best_layers;
 }
 
-double MlpRegressor::predict(const double* row) const {
-  double out;
-  predictBatch(&row, 1, &out);
-  return out;
-}
-
 void MlpRegressor::predictBatch(const double* const* rows, std::size_t n,
                                 double* out) const {
   if (layers_.empty()) {

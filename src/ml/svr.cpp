@@ -164,15 +164,9 @@ void SvrRbf::fit(const Dataset& train) {
   }
 }
 
-double SvrRbf::predict(const double* row) const {
-  double out;
-  predictBatch(&row, 1, &out);
-  return out;
-}
-
 void SvrRbf::predictBatch(const double* const* rows, std::size_t n,
                           double* out) const {
-  // One buffer per thread, as in MlpRegressor::predict: the distances of
+  // One buffer per thread, as in MlpRegressor::predictBatch: the distances of
   // up to four rows, row s at [s * nsv, (s + 1) * nsv).
   const std::size_t nsv = beta_.size();
   thread_local std::vector<double> dist;

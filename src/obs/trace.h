@@ -47,7 +47,7 @@ namespace skewopt::obs {
 
 namespace detail {
 extern std::atomic<bool> g_tracing_enabled;
-/// JSON string escaper shared by the trace/log/recorder exporters.
+/// JSON string escaper shared by the trace and log exporters.
 void appendJsonString(std::string& out, const char* s);
 }  // namespace detail
 

@@ -93,9 +93,10 @@ struct JobSpec {
   /// otherwise active, a deterministic per-job id
   /// (obs::traceIdFor(hash, id)) is stamped instead.
   std::uint64_t trace_id = 0;
-  /// Observability-only: spec-level alias of options.record (the flight
-  /// recorder). Lives in FlowOptions so the flow sees it; excluded from
-  /// the content key like every other observability field.
+  /// Observability-only: RESULT replies carry the flight record
+  /// (flightRecordToJson, a view of the finished FlowResult). Never reaches
+  /// the flow; excluded from the content key like trace_id.
+  bool record = false;
 };
 
 /// Versioned serialization of every result-affecting field (see file

@@ -200,7 +200,7 @@ json::Value specToJson(const JobSpec& spec) {
   v.set("deadline_ms", spec.deadline_ms);
   v.set("max_retries", spec.max_retries);
   if (spec.trace_id != 0) v.set("trace_id", obs::traceIdHex(spec.trace_id));
-  if (spec.options.record) v.set("record", true);
+  if (spec.record) v.set("record", true);
   return v;
 }
 
@@ -320,7 +320,7 @@ JobSpec specFromJson(const json::Value& v) {
   spec.max_retries = static_cast<int>(v.num("max_retries", 0));
   if (const json::Value* tid = v.find("trace_id"))
     spec.trace_id = traceIdFromJson(*tid);
-  spec.options.record = v.boolean("record", false);
+  spec.record = v.boolean("record", false);
   return spec;
 }
 
@@ -340,15 +340,126 @@ std::uint64_t traceIdFromJson(const json::Value& v) {
   return id;
 }
 
+namespace {
+
+json::Value doublesToJson(const std::vector<double>& xs) {
+  json::Value a = json::Value::array();
+  for (const double x : xs) a.push(x);
+  return a;
+}
+
+const char* moveTypeLabel(core::MoveType t) {
+  switch (t) {
+    case core::MoveType::kSizeDisplace: return "size_displace";
+    case core::MoveType::kChildDisplaceSize: return "child_displace_size";
+    case core::MoveType::kReassign: return "reassign";
+  }
+  return "?";
+}
+
+/// The record's Table 5 row: the objective and the per-corner local skews.
+json::Value recordMetricsToJson(const core::DesignMetrics& m) {
+  json::Value v = json::Value::object();
+  v.set("sum_variation_ps", m.sum_variation_ps);
+  v.set("local_skew_ps", doublesToJson(m.local_skew_ps));
+  v.set("clock_cells", m.clock_cells);
+  return v;
+}
+
+json::Value globalRecordToJson(const core::GlobalResult& g) {
+  json::Value v = json::Value::object();
+  v.set("sum_before_ps", g.sum_before_ps);
+  v.set("sum_after_ps", g.sum_after_ps);
+  v.set("lp_min_sum_ps", g.lp_min_sum_ps);
+  v.set("lp_orig_sum_ps", g.lp_orig_sum_ps);
+  v.set("chosen_u_ps", g.chosen_u_ps);
+  v.set("arcs_in_lp", g.arcs_in_lp);
+  v.set("arcs_changed", g.arcs_changed);
+  v.set("lp_rows", g.lp_rows);
+  v.set("lp_vars", g.lp_vars);
+  v.set("lp_warm_hits", g.lp_warm_hits);
+  v.set("lp_warm_misses", g.lp_warm_misses);
+  v.set("lp_replays", g.lp_replays);
+  v.set("realize_memo_hits", g.realize_memo_hits);
+  v.set("improved", g.improved);
+  json::Value solves = json::Value::array();
+  for (const core::LpSolveStats& s : g.lp_solves) {
+    json::Value sv = json::Value::object();
+    sv.set("u_ps", s.u_ps);
+    sv.set("iterations", s.iterations);
+    sv.set("refactorizations", s.refactorizations);
+    sv.set("warm_started", s.warm_started);
+    sv.set("optimal", s.optimal);
+    solves.push(std::move(sv));
+  }
+  v.set("lp_solves", std::move(solves));
+  json::Value candidates = json::Value::array();
+  for (const auto& [u, sum] : g.candidates) {
+    json::Value cv = json::Value::object();
+    cv.set("u_ps", u);
+    cv.set("realized_sum_ps", sum);
+    candidates.push(std::move(cv));
+  }
+  v.set("candidates", std::move(candidates));
+  return v;
+}
+
+json::Value localRecordToJson(const core::LocalResult& l) {
+  json::Value v = json::Value::object();
+  v.set("sum_before_ps", l.sum_before_ps);
+  json::Value rounds = json::Value::array();
+  std::size_t h = 0;  // history is in round order, at most one per round
+  for (std::size_t i = 0; i < l.rounds.size(); ++i) {
+    json::Value rv = json::Value::object();
+    rv.set("round", i);
+    rv.set("candidates", l.rounds[i].candidates);
+    const bool committed = h < l.history.size() && l.history[h].round == i;
+    if (committed) {
+      const core::LocalIteration& it = l.history[h++];
+      json::Value cv = json::Value::object();
+      cv.set("type", moveTypeLabel(it.type));
+      cv.set("predicted_delta_ps", it.predicted_delta_ps);
+      cv.set("realized_delta_ps", it.realized_delta_ps);
+      cv.set("sum_after_ps", it.sum_after_ps);
+      cv.set("local_skew_ps", doublesToJson(it.local_skew_ps));
+      rv.set("commit", std::move(cv));
+    }
+    rv.set("trials", l.rounds[i].trials);
+    rv.set("committed", committed);
+    rounds.push(std::move(rv));
+  }
+  v.set("rounds", std::move(rounds));
+  v.set("sum_after_ps", l.sum_after_ps);
+  v.set("accepted_moves", l.history.size());
+  v.set("golden_evaluations", l.golden_evaluations);
+  v.set("improved", l.improved);
+  return v;
+}
+
+}  // namespace
+
 json::Value metricsToJson(const core::DesignMetrics& m) {
   json::Value v = json::Value::object();
   v.set("sum_variation_ps", m.sum_variation_ps);
-  json::Value skews = json::Value::array();
-  for (const double s : m.local_skew_ps) skews.push(s);
-  v.set("local_skew_ps", std::move(skews));
+  v.set("local_skew_ps", doublesToJson(m.local_skew_ps));
   v.set("clock_cells", m.clock_cells);
   v.set("power_mw", m.power_mw);
   v.set("area_um2", m.area_um2);
+  return v;
+}
+
+json::Value flightRecordToJson(const core::FlowResult& r) {
+  json::Value v = json::Value::object();
+  v.set("v", 1);
+  v.set("mode", core::flowModeName(r.mode));
+  v.set("warm_start", r.warm_start);
+  v.set("before", recordMetricsToJson(r.before));
+  // A global stage that returned before its LP sweep (no pairs, no arcs,
+  // or a failed pass-1 solve) has nothing to show.
+  if (!r.global.lp_solves.empty() && r.global.lp_solves.front().optimal)
+    v.set("global", globalRecordToJson(r.global));
+  if (!r.local.rounds.empty()) v.set("local", localRecordToJson(r.local));
+  v.set("after", recordMetricsToJson(r.after));
   return v;
 }
 
@@ -380,11 +491,7 @@ json::Value resultToJson(const core::FlowResult& r, bool include_record) {
   t.set("local_ms", r.stage_ms.local_ms);
   t.set("total_ms", r.stage_ms.total_ms);
   v.set("stage_ms", std::move(t));
-  // A recorded result re-served from a cache entry written by an
-  // unrecorded run legitimately has no flight record; the member is
-  // simply absent then.
-  if (include_record && !r.flight_record.empty())
-    v.set("record", json::parse(r.flight_record));
+  if (include_record) v.set("record", flightRecordToJson(r));
   return v;
 }
 

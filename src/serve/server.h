@@ -36,9 +36,14 @@ json::Value specToJson(const JobSpec& spec);
 JobSpec specFromJson(const json::Value& v);
 
 json::Value metricsToJson(const core::DesignMetrics& m);
-/// `include_record` additionally emits the flight record (parsed back to a
-/// JSON object under "record") when the result carries one; the default
-/// keeps the wire bytes identical to pre-recorder servers.
+/// The run's flight record: its algorithmic trajectory (U-sweep LP effort,
+/// realized candidates, local rounds and commits, the per-corner skew
+/// curve), built from the finished result. Deterministic fields only, so
+/// it is bit-identical between serial and parallel runs and across shard
+/// counts; schema in docs/observability.md.
+json::Value flightRecordToJson(const core::FlowResult& r);
+/// `include_record` additionally emits flightRecordToJson(r) under
+/// "record"; the default leaves the member out.
 json::Value resultToJson(const core::FlowResult& r,
                          bool include_record = false);
 

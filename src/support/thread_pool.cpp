@@ -1,6 +1,5 @@
 #include "support/thread_pool.h"
 
-#include <algorithm>
 #include <exception>
 
 #include "obs/clock.h"
@@ -122,14 +121,6 @@ void ThreadPool::runSlices(std::size_t slices,
   guarded(0);
   wg.wait();
   if (err) std::rethrow_exception(err);
-}
-
-void ThreadPool::parallelFor(std::size_t n,
-                             const std::function<void(std::size_t)>& fn) {
-  const std::size_t slices = std::min(n, size() + 1);
-  runSlices(slices, [&](std::size_t s) {
-    for (std::size_t i = s; i < n; i += slices) fn(i);
-  });
 }
 
 ThreadPool& ThreadPool::shared() {

@@ -7,17 +7,16 @@
 // lazily sized to hardware_concurrency, and reused across every chunk,
 // round, and run.
 //
-// Two dispatch primitives:
-//   * runSlices(S, fn)  — invokes fn(0..S-1); slice 0 runs on the calling
-//     thread, the rest on the pool. Callers that keep per-worker state
-//     (design replicas, scratch timers) key it by slice index: a slice is
-//     executed by exactly one thread at a time. Blocks until every slice
-//     finished; the first exception thrown by any slice is rethrown.
-//   * parallelFor(n, fn) — strided element-wise loop over [0, n) built on
-//     runSlices, for stateless per-index work (e.g. move scoring).
+// One dispatch primitive, runSlices(S, fn): it invokes fn(0..S-1); slice 0
+// runs on the calling thread, the rest on the pool. Callers that keep
+// per-worker state (design replicas, scratch timers) key it by slice
+// index: a slice is executed by exactly one thread at a time. Blocks until
+// every slice finished; the first exception thrown by any slice is
+// rethrown. Callers that want balanced work over many items hand them out
+// from an atomic counter inside the slices.
 //
-// runSlices/parallelFor must not be called from inside a pool job (a slice
-// that dispatches again can deadlock waiting for its own worker).
+// runSlices must not be called from inside a pool job (a slice that
+// dispatches again can deadlock waiting for its own worker).
 #pragma once
 
 #include <cstddef>
@@ -62,10 +61,6 @@ class ThreadPool {
   /// See file comment. `slices` == 0 is a no-op.
   void runSlices(std::size_t slices,
                  const std::function<void(std::size_t)>& fn);
-
-  /// Element-wise parallel loop over [0, n): fn(i) for every i, spread
-  /// stride-wise over size() + 1 threads (the caller works too).
-  void parallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// The process-wide pool, constructed on first use.
   static ThreadPool& shared();

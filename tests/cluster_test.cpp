@@ -111,6 +111,44 @@ std::string call(ClusterFrontend& fe, const std::string& line) {
   return out.lines.empty() ? "" : out.lines.front();
 }
 
+/// Submits `spec` over the wire — with the spec-level "record":true
+/// unless `record` is false — and returns its RESULT reply line (waited
+/// for).
+std::string recordedResultLine(ClusterFrontend& fe, const serve::JobSpec& spec,
+                               bool record = true) {
+  json::Value sj = serve::specToJson(spec);
+  if (record) sj.set("record", true);
+  json::Value submit = json::Value::object();
+  submit.set("cmd", "SUBMIT");
+  submit.set("spec", std::move(sj));
+  const json::Value sr = json::parse(call(fe, json::dump(submit)));
+  EXPECT_TRUE(sr.boolean("ok", false));
+  return call(fe, R"({"cmd":"RESULT","id":)" +
+                      std::to_string(static_cast<std::uint64_t>(
+                          sr.num("id", 0))) +
+                      R"(,"wait":true})");
+}
+
+/// A RESULT reply with its wall-clock members (queue_ms, run_ms,
+/// result.stage_ms) removed and serialized back to bytes; everything left,
+/// the record included, is a pure function of the spec.
+std::string scrubTimings(const std::string& line) {
+  const json::Value v = json::parse(line);
+  json::Value out = json::Value::object();
+  for (const auto& [key, value] : v.members()) {
+    if (key == "queue_ms" || key == "run_ms") continue;
+    if (key == "result") {
+      json::Value r = json::Value::object();
+      for (const auto& [rk, rv] : value.members())
+        if (rk != "stage_ms") r.set(rk, rv);
+      out.set(key, std::move(r));
+      continue;
+    }
+    out.set(key, value);
+  }
+  return json::dump(out);
+}
+
 // ---------------------------------------------------------------------------
 // Router
 
@@ -307,26 +345,10 @@ TEST(ClusterProtocol, SingleShardRepliesMatchPinnedBytes) {
       R"({"ok":false,"error":"json: bad literal at offset 0"})",
   };
   ASSERT_EQ(requests.size(), expected.size());
-  // Timing fields (queue_ms/run_ms, stage_ms) differ run to run; compare
-  // the parsed structure with those removed, serialized back to bytes.
-  const auto scrub = [](const std::string& line) {
-    const json::Value v = json::parse(line);
-    json::Value out = json::Value::object();
-    for (const auto& [key, value] : v.members()) {
-      if (key == "queue_ms" || key == "run_ms") continue;
-      if (key == "result") {
-        json::Value r = json::Value::object();
-        for (const auto& [rk, rv] : value.members())
-          if (rk != "stage_ms") r.set(rk, rv);
-        out.set(key, std::move(r));
-        continue;
-      }
-      out.set(key, value);
-    }
-    return json::dump(out);
-  };
+  // Timing fields (queue_ms/run_ms, stage_ms) differ run to run.
   for (std::size_t i = 0; i < requests.size(); ++i)
-    EXPECT_EQ(scrub(call(fe, requests[i])), expected[i]) << requests[i];
+    EXPECT_EQ(scrubTimings(call(fe, requests[i])), expected[i])
+        << requests[i];
   fe.drain();
 }
 
@@ -768,23 +790,24 @@ TEST(ClusterObs, TraceContextPropagatesAcrossShardsInOneMergedExport) {
 TEST(ClusterObs, FlightRecordsAreIdenticalAcrossShardCounts) {
   serve::JobSpec spec = tinySpec(60, core::FlowMode::kGlobalLocal);
   spec.options.global.u_sweep = {0.05, 0.2};
-  spec.options.record = true;
 
   auto recordOf = [&](std::size_t shards) -> std::string {
     ClusterFrontend fe(sharedTech(), sharedLut(), smallCluster(shards));
     const auto sub = fe.submit(spec, true);
     EXPECT_TRUE(sub.job);
     if (!sub.job) return "";
-    const std::string record = fe.result(sub.id).flight_record;
+    const std::string record =
+        json::dump(serve::flightRecordToJson(fe.result(sub.id)));
     fe.drain();
     return record;
   };
 
   const std::string sharded = recordOf(3);
   const std::string solo = recordOf(1);
-  ASSERT_FALSE(sharded.empty());
   EXPECT_EQ(sharded, solo);  // shard placement never leaks into the record
-  (void)json::parse(sharded);  // strict JSON
+  const json::Value doc = json::parse(sharded);
+  EXPECT_NE(doc.find("global"), nullptr);
+  EXPECT_NE(doc.find("local"), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -1085,7 +1108,7 @@ TEST(ObsProtocolTest, ResultCarriesTheFlightRecordOnlyWhenRequested) {
   ClusterFrontend fe(sharedTech(), sharedLut(), smallCluster(1, 1));
 
   serve::JobSpec spec = tinySpec(37);
-  spec.options.record = true;
+  spec.record = true;
   json::Value submit = json::Value::object();
   submit.set("cmd", "SUBMIT");
   submit.set("spec", serve::specToJson(spec));
@@ -1102,8 +1125,7 @@ TEST(ObsProtocolTest, ResultCarriesTheFlightRecordOnlyWhenRequested) {
   EXPECT_NE(record->find("local"), nullptr);
 
   // The same spec without record (a cache hit — record stays out of the
-  // key): the reply omits the member, so recorder-off responses are
-  // byte-compatible with the pre-recorder protocol.
+  // key): the reply omits the member.
   json::Value submit2 = json::Value::object();
   submit2.set("cmd", "SUBMIT");
   submit2.set("spec", serve::specToJson(tinySpec(37)));
@@ -1118,6 +1140,89 @@ TEST(ObsProtocolTest, ResultCarriesTheFlightRecordOnlyWhenRequested) {
                                    std::to_string(id2) + "}"))
                   .boolean("cached", false));
   EXPECT_EQ(rr2.find("result")->find("record"), nullptr);
+  fe.drain();
+}
+
+TEST(ObsProtocolTest, RecordedResultRepliesMatchPinnedHashes) {
+  // RESULT replies with "record":true, one per record shape: a global
+  // run, a local run, a global-local run, a warm DELTA, and a global run
+  // that stops before its LP sweep (no global section). The hashes pin
+  // the reply bytes — record document included — across changes to how
+  // the record is produced.
+  ClusterFrontend fe(sharedTech(), sharedLut(), smallCluster(1));
+  const auto check = [](const std::string& line, std::uint64_t want,
+                        const char* what) {
+    const std::string scrubbed = scrubTimings(line);
+    EXPECT_EQ(fnv1a64(scrubbed), want) << what << ": " << scrubbed;
+    return json::parse(line);
+  };
+
+  const serve::JobSpec global = tinySpec(5, core::FlowMode::kGlobal);
+  const json::Value g =
+      check(recordedResultLine(fe, global), 0xcb7c7fa1c90049efull, "global");
+  const json::Value* grec = g.find("result")->find("record");
+  ASSERT_NE(grec, nullptr);
+  EXPECT_NE(grec->find("global"), nullptr);
+  EXPECT_EQ(grec->find("local"), nullptr);
+
+  const json::Value l =
+      check(recordedResultLine(fe, tinySpec(5, core::FlowMode::kLocal)),
+            0xa756087867ce5beaull, "local");
+  ASSERT_NE(l.find("result")->find("record"), nullptr);
+  EXPECT_NE(l.find("result")->find("record")->find("local"), nullptr);
+
+  serve::JobSpec both = tinySpec(72, core::FlowMode::kGlobalLocal);
+  both.options.global.u_sweep = {0.05, 0.2};
+  check(recordedResultLine(fe, both), 0xd4d68d4c6fc786ccull, "global-local");
+
+  // DELTA on the global job (id 1): same topology, so the run is warm.
+  ASSERT_TRUE(json::parse(call(fe, R"({"cmd":"DELTA","base":1,)"
+                                   R"("edits":{"u_sweep":[0.1,0.3]},)"
+                                   R"("block":true})"))
+                  .boolean("ok", false));
+  const json::Value d =
+      check(call(fe, R"({"cmd":"RESULT","id":4,"wait":true})"),
+            0xd6be980a05abe5a9ull, "delta");
+  const json::Value* drec = d.find("result")->find("record");
+  ASSERT_NE(drec, nullptr);
+  EXPECT_TRUE(drec->boolean("warm_start", false));
+
+  // No pair reaches the LP: the global stage returns before its sweep.
+  serve::JobSpec early = tinySpec(73, core::FlowMode::kGlobal);
+  early.options.global.max_pairs_lp = 0;
+  const json::Value e =
+      check(recordedResultLine(fe, early), 0x5d99639975bd85e9ull,
+            "global-early-return");
+  const json::Value* erec = e.find("result")->find("record");
+  ASSERT_NE(erec, nullptr);
+  EXPECT_EQ(erec->find("global"), nullptr);
+  fe.drain();
+}
+
+TEST(ObsProtocolTest, RecordedCacheHitOfAnUnrecordedRunCarriesTheRecord) {
+  // The record is a view of the result, so a recorded request served from
+  // an unrecorded run's cache entry still gets it — byte-equal to the
+  // record of a fresh recorded run of the same spec.
+  const serve::JobSpec spec = tinySpec(39, core::FlowMode::kGlobalLocal);
+  std::string fresh;
+  {
+    ClusterFrontend fe(sharedTech(), sharedLut(), smallCluster(1, 1));
+    const json::Value r = json::parse(recordedResultLine(fe, spec));
+    const json::Value* rec = r.find("result")->find("record");
+    ASSERT_NE(rec, nullptr);
+    fresh = json::dump(*rec);
+    fe.drain();
+  }
+
+  ClusterFrontend fe(sharedTech(), sharedLut(), smallCluster(1, 1));
+  const json::Value plain =
+      json::parse(recordedResultLine(fe, spec, /*record=*/false));
+  EXPECT_EQ(plain.find("result")->find("record"), nullptr);
+  const json::Value hit = json::parse(recordedResultLine(fe, spec));
+  EXPECT_TRUE(hit.boolean("cached", false));
+  const json::Value* rec = hit.find("result")->find("record");
+  ASSERT_NE(rec, nullptr);
+  EXPECT_EQ(json::dump(*rec), fresh);
   fe.drain();
 }
 

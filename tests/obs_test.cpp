@@ -4,11 +4,10 @@
 // reader safety under concurrent emission, trace-context stamping and
 // filtering, configurable ring capacity), the structured logger (strict
 // JSON-lines, byte-determinism under a fake clock, rate limiting), the
-// flight-recorder JSON builder, the one-timing-source contract (every
-// wall-time field and histogram of a Flow::run is its span's duration),
-// and the determinism claim the docs make: with a fake clock injected, a
-// serial and a parallel run of the same local optimization produce
-// bit-identical metric snapshots.
+// one-timing-source contract (every wall-time field and histogram of a
+// Flow::run is its span's duration), and the determinism claim the docs
+// make: with a fake clock injected, a serial and a parallel run of the
+// same local optimization produce bit-identical metric snapshots.
 //
 // The whole file also runs under ThreadSanitizer as obs_test_tsan (see
 // tests/CMakeLists.txt) — the race coverage behind the per-thread ring
@@ -36,7 +35,6 @@
 #include "core/objective.h"
 #include "obs/clock.h"
 #include "obs/log.h"
-#include "obs/recorder.h"
 #include "obs/trace.h"
 #include "serve/cache.h"
 #include "serve/json.h"
@@ -789,64 +787,6 @@ TEST(LogTest, ConfigureFailureKeepsThePreviousConfiguration) {
   EXPECT_EQ(lvl, LogLevel::kOff);
   EXPECT_FALSE(parseLogLevel("verbose", &lvl));
   EXPECT_FALSE(parseLogLevel("INFO", &lvl));
-}
-
-// ---------------------------------------------------------------------------
-// Flight recorder
-
-TEST(RecorderTest, BuilderEmitsStrictJsonInAppendOrder) {
-  FlightRecorder rec;
-  rec.field("version", std::int64_t{1});
-  rec.beginObject("global");
-  rec.beginArray("u_points");
-  rec.beginObject()
-      .field("u_ps", 12.5)
-      .field("lp_iterations", std::int64_t{40})
-      .field("warm", false)
-      .endObject();
-  rec.beginObject()
-      .field("u_ps", 15.0)
-      .field("lp_iterations", std::int64_t{8})
-      .field("warm", true)
-      .endObject();
-  rec.endArray();
-  rec.endObject();
-  rec.beginArray("sum_variation_ps");
-  rec.value(101.25);
-  rec.value(97.5);
-  rec.endArray();
-  rec.field("note", "escape \"this\"\n");
-
-  const std::string doc = rec.json();
-  EXPECT_EQ(doc,
-            R"({"version":1,"global":{"u_points":[)"
-            R"({"u_ps":12.5,"lp_iterations":40,"warm":false},)"
-            R"({"u_ps":15,"lp_iterations":8,"warm":true}]},)"
-            R"("sum_variation_ps":[101.25,97.5],)"
-            R"("note":"escape \"this\"\n"})");
-  EXPECT_NO_THROW(serve::json::parse(doc));  // strict JSON
-}
-
-TEST(RecorderTest, UnbalancedDocumentsThrowAndScopedInstallMasks) {
-  FlightRecorder rec;
-  rec.beginObject("open");
-  EXPECT_THROW(rec.json(), std::logic_error);  // recording-site bug
-  rec.endObject();
-  EXPECT_NO_THROW(rec.json());
-
-  // The thread-local install point the optimizers read through.
-  EXPECT_EQ(currentFlightRecorder(), nullptr);
-  FlightRecorder outer_rec;
-  {
-    ScopedFlightRecorder outer(&outer_rec);
-    EXPECT_EQ(currentFlightRecorder(), &outer_rec);
-    {
-      ScopedFlightRecorder mask(nullptr);  // per-run isolation
-      EXPECT_EQ(currentFlightRecorder(), nullptr);
-    }
-    EXPECT_EQ(currentFlightRecorder(), &outer_rec);
-  }
-  EXPECT_EQ(currentFlightRecorder(), nullptr);
 }
 
 // ---------------------------------------------------------------------------

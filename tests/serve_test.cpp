@@ -930,18 +930,18 @@ TEST(SchedulerTest, StatsStayCoherentThroughShutdown) {
 }
 
 // ---------------------------------------------------------------------------
-// Job telemetry: trace ids and the flight recorder
+// Job telemetry: trace ids and the flight record
 
 TEST(ObsProtocolTest, TraceIdRoundTripsButStaysOutOfTheKey) {
   JobSpec spec = tinySpec(34);
   spec.trace_id = 0x0123456789abcdefULL;
-  spec.options.record = true;
+  spec.record = true;
   const json::Value sj = specToJson(spec);
   EXPECT_EQ(sj.str("trace_id", ""), "0123456789abcdef");
   EXPECT_TRUE(sj.boolean("record", false));
   const JobSpec back = specFromJson(sj);
   EXPECT_EQ(back.trace_id, spec.trace_id);
-  EXPECT_TRUE(back.options.record);
+  EXPECT_TRUE(back.record);
 
   // Neither field may move the cache key: trace_id is client metadata,
   // record is observability output.
@@ -968,15 +968,15 @@ TEST(ObsProtocolTest, TraceIdRoundTripsButStaysOutOfTheKey) {
 TEST(ObsProtocolTest, FlightRecordIsBitIdenticalSerialVsParallel) {
   JobSpec spec = tinySpec(36, core::FlowMode::kGlobalLocal);
   spec.options.global.u_sweep = {0.05, 0.2};
-  spec.options.record = true;
 
   JobSpec serial = spec;
   serial.options.local.parallel_trials = false;
   serial.options.global.parallel_realize = false;
-  const core::FlowResult rs = runJobSpec(sharedTech(), sharedLut(), serial);
-  ASSERT_FALSE(rs.flight_record.empty());
-  const json::Value doc = json::parse(rs.flight_record);  // strict JSON
+  const std::string rs = json::dump(
+      flightRecordToJson(runJobSpec(sharedTech(), sharedLut(), serial)));
+  const json::Value doc = json::parse(rs);
   EXPECT_EQ(doc.num("v", -1), 1.0);
+  EXPECT_EQ(doc.str("mode", ""), "global-local");
   EXPECT_NE(doc.find("global"), nullptr);
   EXPECT_NE(doc.find("local"), nullptr);
   EXPECT_NE(doc.find("before"), nullptr);
@@ -986,16 +986,9 @@ TEST(ObsProtocolTest, FlightRecordIsBitIdenticalSerialVsParallel) {
   parallel.options.local.parallel_trials = true;
   parallel.options.local.threads = 4;
   parallel.options.global.parallel_realize = true;
-  const core::FlowResult rp = runJobSpec(sharedTech(), sharedLut(), parallel);
-  EXPECT_EQ(rs.flight_record, rp.flight_record);  // bit-identical
-
-  // Recording off: no document, and the optimization outcome is unchanged
-  // bit for bit — the recorder never steers the flow.
-  JobSpec off = spec;
-  off.options.record = false;
-  const core::FlowResult ro = runJobSpec(sharedTech(), sharedLut(), off);
-  EXPECT_TRUE(ro.flight_record.empty());
-  expectIdentical(rs, ro);
+  const std::string rp = json::dump(
+      flightRecordToJson(runJobSpec(sharedTech(), sharedLut(), parallel)));
+  EXPECT_EQ(rs, rp);  // bit-identical
 }
 
 }  // namespace
