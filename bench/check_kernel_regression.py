@@ -15,10 +15,16 @@ so everything is normalized to nanoseconds first; constant per-unit
 divisors the JSON doesn't expose (e.g. the move-table size behind
 BM_MoveScoreBatch) cancel in the current-vs-baseline comparison.
 
+A run with --benchmark_repetitions holds one record per repetition of a
+case; the gate reads each case's median real time, so one descheduled
+repetition on a shared host does not fail it. A file with one record a
+case (the baseline) reads as that record.
+
 Usage: check_kernel_regression.py [current.json] [baseline.json] [margin]
 """
 
 import json
+import statistics
 import sys
 
 # Batch element count baked into BM_NldmLookupBatch (bench_kernels.cpp kN).
@@ -33,15 +39,16 @@ UNIT_TO_NS = {
 
 
 def load(path):
-    """case -> time in ns, whatever unit the record was written in."""
+    """case -> median time in ns over the case's records, whatever unit
+    each record was written in."""
     with open(path) as f:
         data = json.load(f)
     times = {}
     for r in data["records"]:
         scale = UNIT_TO_NS.get(r["metric"])
         if scale is not None:
-            times[r["case"]] = r["value"] * scale
-    return times
+            times.setdefault(r["case"], []).append(r["value"] * scale)
+    return {case: statistics.median(ts) for case, ts in times.items()}
 
 
 # Gated kernels: name -> (batch case, scalar case, per-unit divisor).

@@ -36,9 +36,9 @@
 #include "cluster/frontend.h"
 #include "obs/log.h"
 #include "cluster/protocol.h"
-#include "cluster/router.h"
 #include "serve/client.h"
 #include "serve/server.h"
+#include "support/fnv.h"
 
 namespace {
 
@@ -256,7 +256,7 @@ void writeDigests(std::FILE* f, const char* prefix,
                   const std::map<std::string, std::string>& digests) {
   for (const auto& [hash, digest] : digests)
     std::fprintf(f, "%s%s %s\n", prefix, hash.c_str(),
-                 hashHex(cluster::fnv1a64(digest)).c_str());
+                 hashHex(support::fnv1a64(digest)).c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -599,7 +599,7 @@ Certificate certify(const lp::Model& model, const lp::Solution& sol) {
 }
 
 void reportWorst(DiagnosticEngine& engine, int code, const Worst& w,
-                 const char* what, const lp::Model& model) {
+                 const char* what) {
   if (w.count == 0) return;
   std::ostringstream os;
   os.precision(4);
@@ -607,7 +607,7 @@ void reportWorst(DiagnosticEngine& engine, int code, const Worst& w,
   if (w.row)
     os << "row " << w.index;
   else
-    os << "variable " << w.index << " (" << model.varName(w.index) << ')';
+    os << "variable " << w.index;
   os << " by " << w.amount << " (relative " << w.residual << " > " << w.tol
      << ')';
   engine.report(code, Severity::kError, "lp-certificate", os.str());
@@ -636,11 +636,11 @@ void checkLpOptimality(const lp::Model& model, const lp::Solution& solution,
     return;
   }
   const Certificate c = certify(model, solution);
-  reportWorst(engine, 230, c.primal, "bound(s) violated", model);
+  reportWorst(engine, 230, c.primal, "bound(s) violated");
   reportWorst(engine, 231, c.dual,
-              "multiplier(s) of a sign no finite bound supports", model);
+              "multiplier(s) of a sign no finite bound supports");
   reportWorst(engine, 232, c.complementarity,
-              "multiplier(s) pricing a bound the point does not hold", model);
+              "multiplier(s) pricing a bound the point does not hold");
   if (c.gap > kLpGapTol) {
     std::ostringstream os;
     os.precision(10);

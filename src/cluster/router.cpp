@@ -1,17 +1,11 @@
 #include "cluster/router.h"
 
 #include <algorithm>
+#include <string>
+
+#include "support/fnv.h"
 
 namespace skewopt::cluster {
-
-std::uint64_t fnv1a64(const std::string& bytes) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 ShardRouter::ShardRouter(ShardRouterOptions opts)
     : shards_(std::max<std::size_t>(1, opts.shards)),
@@ -19,9 +13,9 @@ ShardRouter::ShardRouter(ShardRouterOptions opts)
   ring_.reserve(shards_ * vnodes_);
   for (std::size_t s = 0; s < shards_; ++s)
     for (std::size_t v = 0; v < vnodes_; ++v)
-      ring_.emplace_back(
-          fnv1a64("shard:" + std::to_string(s) + ":" + std::to_string(v)),
-          static_cast<std::uint32_t>(s));
+      ring_.emplace_back(support::fnv1a64("shard:" + std::to_string(s) + ":" +
+                                          std::to_string(v)),
+                         static_cast<std::uint32_t>(s));
   // Sort by point; break point collisions by shard id so the ring is a
   // deterministic function of (shards, vnodes) alone.
   std::sort(ring_.begin(), ring_.end());

@@ -2,11 +2,11 @@
 //
 // The ring is a pure, deterministic function of (shard count, vnodes):
 // every shard owns `vnodes` points placed by hashing "shard:<i>:<j>" with
-// FNV-1a, and a job routes to the owner of the first ring point at or
-// after its content hash (wrapping). Determinism is a protocol property —
-// the same spec must land on the same shard across process restarts so
-// its cached result and warm state stay reachable — and is pinned by
-// tests/cluster_test.cpp.
+// support::fnv1a64, and a job routes to the owner of the first ring point
+// at or after its content hash (wrapping). Determinism is a protocol
+// property — the same spec must land on the same shard across process
+// restarts so its cached result and warm state stay reachable — and is
+// pinned by tests/cluster_test.cpp.
 //
 // Virtual nodes smooth the partition: with v points per shard the
 // expected per-shard load imbalance shrinks as O(1/sqrt(v)). Consistent
@@ -16,13 +16,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace skewopt::cluster {
-
-/// FNV-1a 64-bit over a byte string; the ring's point-placement hash.
-std::uint64_t fnv1a64(const std::string& bytes);
 
 struct ShardRouterOptions {
   std::size_t shards = 1;

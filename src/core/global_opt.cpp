@@ -4,10 +4,10 @@
 #include "cts/cts.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "support/fnv.h"
 #include "support/thread_pool.h"
 
 #include <algorithm>
-#include <cstring>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -320,38 +320,27 @@ BuiltLp buildLp(const Design& d, const LpContext& ctx,
 
 std::uint64_t designFingerprint(const Design& d,
                                 const std::vector<sta::CornerTiming>& timing) {
-  std::uint64_t h = 14695981039346656037ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffull;
-      h *= 1099511628211ull;
-    }
-  };
-  const auto mixDouble = [&mix](double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    mix(bits);
-  };
-  mix(static_cast<std::uint64_t>(d.tree.numNodes()));
-  mix(static_cast<std::uint64_t>(d.corners.size()));
+  support::Fnv1a64 h;
+  h.u64(d.tree.numNodes());
+  h.u64(d.corners.size());
   for (std::size_t i = 0; i < d.tree.numNodes(); ++i) {
     const int id = static_cast<int>(i);
     if (!d.tree.isValid(id)) {
-      mix(0x517eadull);  // keep invalid slots from aliasing valid ones
+      h.u64(0x517eadull);  // keep invalid slots from aliasing valid ones
       continue;
     }
     const network::ClockNode& n = d.tree.node(id);
-    mix(static_cast<std::uint64_t>(n.kind));
-    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(n.cell)));
-    mixDouble(n.pos.x);
-    mixDouble(n.pos.y);
+    h.u64(static_cast<std::uint64_t>(n.kind));
+    h.u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(n.cell)));
+    h.f64(n.pos.x);
+    h.f64(n.pos.y);
   }
   for (const sta::CornerTiming& t : timing) {
-    mix(static_cast<std::uint64_t>(t.corner));
-    for (const double a : t.arrival) mixDouble(a);
-    for (const double s : t.slew) mixDouble(s);
+    h.u64(t.corner);
+    for (const double a : t.arrival) h.f64(a);
+    for (const double s : t.slew) h.f64(s);
   }
-  return h;
+  return h.value();
 }
 
 // Post-ECO local-skew cleanup: for every pair whose |skew| degraded beyond

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace skewopt::lp {
@@ -40,9 +39,8 @@ struct Term {
 /// coalesced and zero coefficients dropped, so numNonzeros() is exact.
 class Model {
  public:
-  int addVar(double lb, double ub, double obj, std::string name = "");
-  void addRow(double lo, double hi, std::vector<Term> terms,
-              std::string name = "");
+  int addVar(double lb, double ub, double obj);
+  void addRow(double lo, double hi, std::vector<Term> terms);
 
   /// Re-bounds an existing row (the U-sweep retightens Eq. (5) in place
   /// instead of rebuilding the whole model).
@@ -60,9 +58,6 @@ class Model {
   const std::vector<Term>& rowTerms(int r) const {
     return rows_[static_cast<std::size_t>(r)];
   }
-  const std::string& varName(int v) const {
-    return var_names_[static_cast<std::size_t>(v)];
-  }
 
   /// Evaluates a candidate point: objective and worst constraint violation.
   double objective(const std::vector<double>& x) const;
@@ -72,7 +67,6 @@ class Model {
   std::vector<double> obj_, var_lb_, var_ub_;
   std::vector<double> row_lo_, row_hi_;
   std::vector<std::vector<Term>> rows_;
-  std::vector<std::string> var_names_, row_names_;
   std::size_t nnz_ = 0;
 };
 

@@ -7,24 +7,15 @@
 
 namespace skewopt::lp {
 
-int Model::addVar(double lb, double ub, double obj, std::string name) {
+int Model::addVar(double lb, double ub, double obj) {
   if (lb > ub) throw std::invalid_argument("Model::addVar: lb > ub");
   obj_.push_back(obj);
   var_lb_.push_back(lb);
   var_ub_.push_back(ub);
-  // Built in a fresh string and move-assigned: GCC 12's -Wrestrict
-  // misdiagnoses any char* copy into `name` under heavy inlining.
-  if (name.empty()) {
-    std::string generated = std::to_string(obj_.size() - 1);
-    generated.insert(0, 1, 'x');
-    name = std::move(generated);
-  }
-  var_names_.push_back(std::move(name));
   return static_cast<int>(obj_.size()) - 1;
 }
 
-void Model::addRow(double lo, double hi, std::vector<Term> terms,
-                   std::string name) {
+void Model::addRow(double lo, double hi, std::vector<Term> terms) {
   if (lo > hi) throw std::invalid_argument("Model::addRow: lo > hi");
   for (const Term& t : terms)
     if (t.var < 0 || t.var >= numVars())
@@ -47,12 +38,6 @@ void Model::addRow(double lo, double hi, std::vector<Term> terms,
   row_lo_.push_back(lo);
   row_hi_.push_back(hi);
   rows_.push_back(std::move(terms));
-  if (name.empty()) {  // see addVar: keep char* copies out of `name`
-    std::string generated = std::to_string(rows_.size() - 1);
-    generated.insert(0, 1, 'r');
-    name = std::move(generated);
-  }
-  row_names_.push_back(std::move(name));
 }
 
 void Model::setRowBounds(int r, double lo, double hi) {

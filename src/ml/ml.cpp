@@ -85,15 +85,6 @@ double meanAbsError(const std::vector<double>& pred,
   return pred.empty() ? 0.0 : s / static_cast<double>(pred.size());
 }
 
-double mape(const std::vector<double>& pred, const std::vector<double>& truth,
-            double floor_abs) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < pred.size(); ++i)
-    s += std::abs(pred[i] - truth[i]) /
-         std::max(std::abs(truth[i]), floor_abs);
-  return pred.empty() ? 0.0 : 100.0 * s / static_cast<double>(pred.size());
-}
-
 void splitDataset(const Dataset& all, double val_fraction, std::uint64_t seed,
                   Dataset* train, Dataset* val) {
   const std::size_t n = all.size(), d = all.x.cols();

@@ -242,48 +242,9 @@ class MeanRegressor : public Regressor {
 double rmse(const std::vector<double>& pred, const std::vector<double>& truth);
 double meanAbsError(const std::vector<double>& pred,
                     const std::vector<double>& truth);
-/// Mean absolute percentage error with a floor on |truth| to avoid blowups.
-double mape(const std::vector<double>& pred, const std::vector<double>& truth,
-            double floor_abs = 1.0);
 
 /// Deterministic train/validation split.
 void splitDataset(const Dataset& all, double val_fraction, std::uint64_t seed,
                   Dataset* train, Dataset* val);
-
-/// K-fold cross-validated RMSE of a regressor factory.
-template <typename MakeRegressor>
-double kfoldRmse(const Dataset& all, std::size_t folds, MakeRegressor make) {
-  const std::size_t n = all.size();
-  if (n < folds || folds < 2) return 0.0;
-  double total_sq = 0.0;
-  std::size_t count = 0;
-  for (std::size_t f = 0; f < folds; ++f) {
-    Dataset train, test;
-    const std::size_t d = all.x.cols();
-    std::vector<std::size_t> tr, te;
-    for (std::size_t i = 0; i < n; ++i)
-      (i % folds == f ? te : tr).push_back(i);
-    train.x = Matrix(tr.size(), d);
-    test.x = Matrix(te.size(), d);
-    for (std::size_t i = 0; i < tr.size(); ++i) {
-      for (std::size_t j = 0; j < d; ++j)
-        train.x.at(i, j) = all.x.at(tr[i], j);
-      train.y.push_back(all.y[tr[i]]);
-    }
-    for (std::size_t i = 0; i < te.size(); ++i) {
-      for (std::size_t j = 0; j < d; ++j) test.x.at(i, j) = all.x.at(te[i], j);
-      test.y.push_back(all.y[te[i]]);
-    }
-    auto reg = make();
-    reg->fit(train);
-    const std::vector<double> pred = reg->predictAll(test.x);
-    for (std::size_t i = 0; i < pred.size(); ++i) {
-      const double e = pred[i] - test.y[i];
-      total_sq += e * e;
-      ++count;
-    }
-  }
-  return count ? std::sqrt(total_sq / static_cast<double>(count)) : 0.0;
-}
 
 }  // namespace skewopt::ml

@@ -250,14 +250,6 @@ double d2mFromMoments(double m1, double m2) {
   return (m1 * m1 / std::sqrt(m2)) * 0.6931471805599453;
 }
 
-std::vector<double> d2mDelays(const RcTree& tree) {
-  Moments m = Moments::compute(tree);
-  std::vector<double> d(m.m1.size());
-  for (std::size_t i = 0; i < d.size(); ++i)
-    d[i] = d2mFromMoments(m.m1[i], m.m2[i]);
-  return d;
-}
-
 double periSlew(double slew_in_ps, double step_slew_ps) {
   return std::sqrt(slew_in_ps * slew_in_ps + step_slew_ps * step_slew_ps);
 }

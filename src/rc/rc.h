@@ -134,9 +134,6 @@ void elmoreDelaysInto(const RcTree& tree, std::vector<double>& delays,
 /// D2M delay metric at one node given its moments: D2M = m1^2/sqrt(m2) * ln2.
 double d2mFromMoments(double m1, double m2);
 
-/// D2M delay from the driving point to every node, in ps.
-std::vector<double> d2mDelays(const RcTree& tree);
-
 /// Step-response wire output slew estimate from the Elmore delay of the
 /// node (the classical ln(9) * Elmore 20-80%-style approximation).
 inline double wireSlewFromElmore(double elmore_ps) {

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "network/io.h"
+#include "support/fnv.h"
 #include "testgen/testgen.h"
 
 namespace skewopt::serve {
@@ -127,15 +128,6 @@ void writeSpecKey(KeyWriter& w, const JobSpec& spec, bool topology) {
   w.add("l.enum.include_no_sizing", l.enumerate.include_no_sizing);
 }
 
-std::uint64_t fnv64(const std::string& key) {
-  std::uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
-  for (const char c : key) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return h;
-}
-
 }  // namespace
 
 std::string canonicalKey(const JobSpec& spec) {
@@ -148,7 +140,7 @@ std::string canonicalKey(const JobSpec& spec) {
 }
 
 std::uint64_t contentHash(const JobSpec& spec) {
-  return fnv64(canonicalKey(spec));
+  return support::fnv1a64(canonicalKey(spec));
 }
 
 std::string topologyKey(const JobSpec& spec) {
@@ -156,10 +148,6 @@ std::string topologyKey(const JobSpec& spec) {
   w.add("tv", 1);  // distinct prefix: never aliases a canonical key
   writeSpecKey(w, spec, /*topology=*/true);
   return w.str();
-}
-
-std::uint64_t topologyHash(const JobSpec& spec) {
-  return fnv64(topologyKey(spec));
 }
 
 JobSpec applyDeltaEdits(const JobSpec& base, const DeltaEdits& edits) {

@@ -103,7 +103,7 @@ struct JobSpec {
 /// comment for what is excluded and why).
 std::string canonicalKey(const JobSpec& spec);
 
-/// FNV-1a (64-bit) over canonicalKey.
+/// support::fnv1a64 over canonicalKey.
 std::uint64_t contentHash(const JobSpec& spec);
 
 /// Like canonicalKey, but *excluding* the delta-editable fields — the U
@@ -114,9 +114,6 @@ std::uint64_t contentHash(const JobSpec& spec);
 /// is what lets a DELTA job reuse the state its base job left behind even
 /// though their content keys differ.
 std::string topologyKey(const JobSpec& spec);
-
-/// FNV-1a (64-bit) over topologyKey.
-std::uint64_t topologyHash(const JobSpec& spec);
 
 /// The edit list of a DELTA job: what changes relative to the base spec.
 /// All three edit classes keep the topology key fixed by construction.

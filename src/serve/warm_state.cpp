@@ -7,8 +7,8 @@ core::FlowResult runJobSpecWarm(const tech::TechModel& tech,
                                 const JobSpec& spec, WarmStateStore* store) {
   if (store == nullptr) return runJobSpec(tech, lut, spec);
   const std::string key = topologyKey(spec);
-  const std::shared_ptr<const core::FlowWarmState> warm_in =
-      store->lookup(key);
+  std::shared_ptr<const core::FlowWarmState> warm_in;
+  store->lookup(key, &warm_in);
   auto warm_out = std::make_shared<core::FlowWarmState>();
   network::Design d = buildDesign(tech, spec.source);
   const core::Flow flow(tech, lut, spec.options);

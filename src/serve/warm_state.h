@@ -16,10 +16,7 @@
 // concurrent jobs on the same key share one immutable snapshot.
 #pragma once
 
-#include <cstddef>
 #include <memory>
-#include <string>
-#include <utility>
 
 #include "core/flow.h"
 #include "serve/job.h"
@@ -43,34 +40,10 @@ struct WarmStateMetrics {
   static constexpr const char* kEntriesHelp = "Live warm-state entries";
 };
 
-class WarmStateStore {
- public:
-  using Stats = LruStats;
-
-  /// `capacity` == 0 disables the store (lookup always misses, insert is a
-  /// no-op) — every job then runs cold.
-  explicit WarmStateStore(std::size_t capacity = 64) : lru_(capacity) {}
-
-  /// Returns the stored state for a topology key (marking it
-  /// most-recently-used), or nullptr on a miss.
-  std::shared_ptr<const core::FlowWarmState> lookup(const std::string& key) {
-    std::shared_ptr<const core::FlowWarmState> state;
-    lru_.lookup(key, &state);
-    return state;
-  }
-
-  /// Inserts (or replaces) the state for a key, evicting the
-  /// least-recently-used entry when over capacity. A null state is ignored.
-  void insert(const std::string& key,
-              std::shared_ptr<const core::FlowWarmState> state) {
-    if (state != nullptr) lru_.insert(key, std::move(state));
-  }
-
-  Stats stats() const { return lru_.stats(); }
-
- private:
-  LruStore<std::shared_ptr<const core::FlowWarmState>, WarmStateMetrics> lru_;
-};
+/// Capacity 0 disables the store: every lookup misses and every job runs
+/// cold (SchedulerOptions::warm_capacity).
+using WarmStateStore =
+    LruStore<std::shared_ptr<const core::FlowWarmState>, WarmStateMetrics>;
 
 /// Runs one spec like runJobSpec, but warm: looks the spec's topology key
 /// up in `store` (null store == always cold), feeds any hit into the flow

@@ -320,17 +320,6 @@ std::vector<CornerTiming> Timer::analyzeDesign(
   return out;
 }
 
-std::vector<double> Timer::sinkLatencies(const ClockTree& tree,
-                                         const Routing& routing,
-                                         std::size_t corner,
-                                         const std::vector<int>& sinks) const {
-  const CornerTiming t = analyze(tree, routing, corner);
-  std::vector<double> lat;
-  lat.reserve(sinks.size());
-  for (const int s : sinks) lat.push_back(t.arrival[static_cast<std::size_t>(s)]);
-  return lat;
-}
-
 double Timer::worstLoadRatio(const ClockTree& tree, const Routing& routing,
                              std::size_t corner) const {
   const CornerTiming t = analyze(tree, routing, corner);

@@ -102,12 +102,6 @@ class Timer {
   /// Propagation at every active corner of a design.
   std::vector<CornerTiming> analyzeDesign(const network::Design& d) const;
 
-  /// Sink latencies only (convenience for objective evaluation).
-  std::vector<double> sinkLatencies(const network::ClockTree& tree,
-                                    const network::Routing& routing,
-                                    std::size_t corner,
-                                    const std::vector<int>& sinks) const;
-
   /// Worst max-capacitance overload ratio across all drivers (<= 1 means
   /// clean). Used to assert the optimizer creates no max-cap violations.
   double worstLoadRatio(const network::ClockTree& tree,

@@ -30,8 +30,10 @@
 #include "cluster/router.h"
 #include "obs/clock.h"
 #include "obs/trace.h"
+#include "pinned.h"
 #include "serve/client.h"
 #include "serve/server.h"
+#include "support/fnv.h"
 
 namespace skewopt::cluster {
 namespace {
@@ -151,14 +153,6 @@ std::string scrubTimings(const std::string& line) {
 
 // ---------------------------------------------------------------------------
 // Router
-
-TEST(ShardRouter, Fnv1aIsThePinnedFunction) {
-  // Known FNV-1a vectors: the ring layout (and therefore the shard a spec
-  // routes to) is a wire-stability contract, so the hash is pinned.
-  EXPECT_EQ(fnv1a64(""), 14695981039346656037ull);
-  EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cull);
-  EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ull);
-}
 
 TEST(ShardRouter, RingIsDeterministicAcrossInstances) {
   const ShardRouter a(ShardRouterOptions{4, 16});
@@ -346,9 +340,11 @@ TEST(ClusterProtocol, SingleShardRepliesMatchPinnedBytes) {
   };
   ASSERT_EQ(requests.size(), expected.size());
   // Timing fields (queue_ms/run_ms, stage_ms) differ run to run.
-  for (std::size_t i = 0; i < requests.size(); ++i)
-    EXPECT_EQ(scrubTimings(call(fe, requests[i])), expected[i])
-        << requests[i];
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    SCOPED_TRACE(requests[i]);
+    pinned::expectPinned("reply" + std::to_string(i),
+                         scrubTimings(call(fe, requests[i])), expected[i]);
+  }
   fe.drain();
 }
 
@@ -1153,7 +1149,9 @@ TEST(ObsProtocolTest, RecordedResultRepliesMatchPinnedHashes) {
   const auto check = [](const std::string& line, std::uint64_t want,
                         const char* what) {
     const std::string scrubbed = scrubTimings(line);
-    EXPECT_EQ(fnv1a64(scrubbed), want) << what << ": " << scrubbed;
+    SCOPED_TRACE(scrubbed);
+    pinned::expectPinned(what, pinned::Hex(support::fnv1a64(scrubbed)),
+                         pinned::Hex(want));
     return json::parse(line);
   };
 

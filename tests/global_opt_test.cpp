@@ -7,12 +7,13 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "check/check.h"
 #include "obs/clock.h"
+#include "pinned.h"
+#include "support/fnv.h"
 #include "testgen/testgen.h"
 
 namespace skewopt::core {
@@ -284,28 +285,24 @@ TEST_F(GlobalOptTest, EmptyPairsIsNoOp) {
 struct LpTrajectory {
   int iterations, phase1_iterations, refactorizations;
   bool warm_started;
-  std::uint64_t digest;
+  pinned::Hex digest;
 };
 
-std::uint64_t fnv1a64(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+std::string pinText(const LpTrajectory& t) {
+  return pinned::braced(t.iterations, t.phase1_iterations, t.refactorizations,
+                        t.warm_started, t.digest);
 }
 
 LpTrajectory trajectoryOf(const lp::Solution& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const double v : s.x) h = fnv1a64(h, &v, sizeof v);
-  h = fnv1a64(h, &s.objective, sizeof s.objective);
+  support::Fnv1a64 h;
+  for (const double v : s.x) h.f64(v);
+  h.f64(s.objective);
   for (const lp::BasisStatus b : s.basis.status) {
     const auto byte = static_cast<unsigned char>(b);
-    h = fnv1a64(h, &byte, 1);
+    h.bytes(&byte, 1);
   }
   return {s.iterations, s.phase1_iterations, s.refactorizations,
-          s.warm_started, h};
+          s.warm_started, h.value()};
 }
 
 /// Asserts that an optimal solve passes the optimality certificate with
@@ -361,34 +358,6 @@ std::vector<LpTrajectory> solveSweepChain(const std::string& name,
   return out;
 }
 
-// The literal form of a trajectory, printed on mismatch so a deliberate
-// algorithm change can re-pin it.
-std::string literalOf(const LpTrajectory& t) {
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "{%d, %d, %d, %s, 0x%016llxULL}",
-                t.iterations, t.phase1_iterations, t.refactorizations,
-                t.warm_started ? "true" : "false",
-                static_cast<unsigned long long>(t.digest));
-  return buf;
-}
-
-void expectTrajectory(const std::string& label,
-                      const std::vector<LpTrajectory>& got,
-                      const std::vector<LpTrajectory>& want) {
-  ASSERT_EQ(got.size(), want.size()) << label;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    const LpTrajectory& g = got[i];
-    const LpTrajectory& w = want[i];
-    const std::string at =
-        label + " solve " + std::to_string(i) + ": " + literalOf(g);
-    EXPECT_EQ(g.iterations, w.iterations) << at;
-    EXPECT_EQ(g.phase1_iterations, w.phase1_iterations) << at;
-    EXPECT_EQ(g.refactorizations, w.refactorizations) << at;
-    EXPECT_EQ(g.warm_started, w.warm_started) << at;
-    EXPECT_EQ(g.digest, w.digest) << at;
-  }
-}
-
 TEST(LpTrajectoryTest, PinnedOnBenchScaleClsChains) {
   const std::vector<LpTrajectory> cls1v1 = {
       {765, 575, 7, false, 0x18fa6f1f8493db6dULL},
@@ -408,21 +377,21 @@ TEST(LpTrajectoryTest, PinnedOnBenchScaleClsChains) {
       {375, 134, 4, true, 0x9794eff0920efd98ULL},
       {444, 224, 4, true, 0x9e03e1941391cb4bULL},
   };
-  expectTrajectory("CLS1v1", solveSweepChain("CLS1v1", {}), cls1v1);
-  expectTrajectory("CLS1v2", solveSweepChain("CLS1v2", {}), cls1v2);
-  expectTrajectory("CLS2v1", solveSweepChain("CLS2v1", {}), cls2v1);
+  pinned::expectPinned("CLS1v1", solveSweepChain("CLS1v1", {}), cls1v1);
+  pinned::expectPinned("CLS1v2", solveSweepChain("CLS1v2", {}), cls1v2);
+  pinned::expectPinned("CLS2v1", solveSweepChain("CLS2v1", {}), cls2v1);
 }
 
 TEST(LpTrajectoryTest, PinnedUnderDantzigPricing) {
   lp::SolverOptions o;
   o.pricing = lp::SolverOptions::Pricing::kDantzig;
-  expectTrajectory("CLS1v2 Dantzig", solveSweepChain("CLS1v2", o),
-                   {
-                       {924, 765, 8, false, 0x50ea7e3d2b0a6485ULL},
-                       {763, 0, 7, true, 0x4fc5d6d2802ceb52ULL},
-                       {640, 198, 6, true, 0xccaa9dfa2c8a4107ULL},
-                       {599, 315, 5, true, 0xcdc758bb48f74f2dULL},
-                   });
+  pinned::expectPinned("CLS1v2", solveSweepChain("CLS1v2", o),
+                       std::vector<LpTrajectory>{
+                           {924, 765, 8, false, 0x50ea7e3d2b0a6485ULL},
+                           {763, 0, 7, true, 0x4fc5d6d2802ceb52ULL},
+                           {640, 198, 6, true, 0xccaa9dfa2c8a4107ULL},
+                           {599, 315, 5, true, 0xcdc758bb48f74f2dULL},
+                       });
 }
 
 TEST(LpTrajectoryTest, PinnedUnderFrequentRefactorization) {
@@ -430,13 +399,13 @@ TEST(LpTrajectoryTest, PinnedUnderFrequentRefactorization) {
   // that precedes a refactorization runs many times.
   lp::SolverOptions o;
   o.refactor_every = 8;
-  expectTrajectory("CLS1v2 refactor_every=8", solveSweepChain("CLS1v2", o),
-                   {
-                       {841, 581, 105, false, 0x7ade3197174fb3aeULL},
-                       {437, 0, 54, true, 0x35ccbe5e96878ce3ULL},
-                       {297, 98, 37, true, 0x130f026e99135edfULL},
-                       {475, 190, 59, true, 0x85f71bd3302e7fb0ULL},
-                   });
+  pinned::expectPinned("CLS1v2", solveSweepChain("CLS1v2", o),
+                       std::vector<LpTrajectory>{
+                           {841, 581, 105, false, 0x7ade3197174fb3aeULL},
+                           {437, 0, 54, true, 0x35ccbe5e96878ce3ULL},
+                           {297, 98, 37, true, 0x130f026e99135edfULL},
+                           {475, 190, 59, true, 0x85f71bd3302e7fb0ULL},
+                       });
 }
 
 // A cold Dantzig solve of the CLS1v1 sweep model at t = 0.05 pivots its
@@ -472,67 +441,30 @@ TEST(LpPhase2Feasibility, DantzigSweepSolveRecoversTheOptimum) {
 // still re-timed each rebuilt arc by a full re-analysis, so they tie the
 // incremental realization to that path's exact answers.
 struct RealizePin {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> candidates;
+  std::vector<std::pair<pinned::Hex, pinned::Hex>> candidates;
   std::size_t arcs_changed;
-  std::uint64_t chosen_u_bits;
-  std::uint64_t design_digest;
+  pinned::Hex chosen_u_bits;
+  pinned::Hex design_digest;
 };
 
-std::uint64_t designDigest(const network::Design& d) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < d.tree.numNodes(); ++i) {
-    const int id = static_cast<int>(i);
-    const unsigned char valid = d.tree.isValid(id) ? 1 : 0;
-    h = fnv1a64(h, &valid, 1);
-    if (valid == 0) continue;
-    const network::ClockNode& n = d.tree.node(id);
-    h = fnv1a64(h, &n.parent, sizeof n.parent);
-    h = fnv1a64(h, &n.pos.x, sizeof n.pos.x);
-    h = fnv1a64(h, &n.pos.y, sizeof n.pos.y);
-    h = fnv1a64(h, &n.cell, sizeof n.cell);
-  }
-  return h;
+std::string pinText(const RealizePin& p) {
+  return pinned::braced(p.candidates, p.arcs_changed, p.chosen_u_bits,
+                        p.design_digest);
 }
 
-RealizePin realizeCls(const std::string& name) {
+void expectRealized(const std::string& name, const RealizePin& want) {
   network::Design d = clsDesign(name);
   const Objective objective(d, sta::Timer(sharedTech()));
   const GlobalResult r =
       GlobalOptimizer(sharedTech(), sharedLut()).run(d, objective);
-  RealizePin pin{{},
+  RealizePin got{{},
                  r.arcs_changed,
                  std::bit_cast<std::uint64_t>(r.chosen_u_ps),
-                 designDigest(d)};
+                 pinned::designDigest(d)};
   for (const auto& [u, sum] : r.candidates)
-    pin.candidates.push_back(
-        {std::bit_cast<std::uint64_t>(u), std::bit_cast<std::uint64_t>(sum)});
-  return pin;
-}
-
-std::string literalOf(const RealizePin& p) {
-  std::string s = "{{";
-  char buf[64];
-  for (const auto& [u, sum] : p.candidates) {
-    std::snprintf(buf, sizeof buf, "{0x%016llxULL, 0x%016llxULL}, ",
-                  static_cast<unsigned long long>(u),
-                  static_cast<unsigned long long>(sum));
-    s += buf;
-  }
-  std::snprintf(buf, sizeof buf, "}, %zu, 0x%016llxULL, ", p.arcs_changed,
-                static_cast<unsigned long long>(p.chosen_u_bits));
-  s += buf;
-  std::snprintf(buf, sizeof buf, "0x%016llxULL}",
-                static_cast<unsigned long long>(p.design_digest));
-  return s + buf;
-}
-
-void expectRealized(const std::string& name, const RealizePin& want) {
-  const RealizePin got = realizeCls(name);
-  const std::string at = name + ": " + literalOf(got);
-  EXPECT_EQ(got.candidates, want.candidates) << at;
-  EXPECT_EQ(got.arcs_changed, want.arcs_changed) << at;
-  EXPECT_EQ(got.chosen_u_bits, want.chosen_u_bits) << at;
-  EXPECT_EQ(got.design_digest, want.design_digest) << at;
+    got.candidates.emplace_back(std::bit_cast<std::uint64_t>(u),
+                                std::bit_cast<std::uint64_t>(sum));
+  pinned::expectPinned(name, got, want);
 }
 
 TEST(GlobalRealizePinned, Cls1v1) {

@@ -21,8 +21,8 @@ void expectCertified(const Model& m, const Solution& s,
 
 TEST(Model, BuildAndEvaluate) {
   Model m;
-  const int x = m.addVar(0, 10, 1.0, "x");
-  const int y = m.addVar(-kInf, kInf, -2.0, "y");
+  const int x = m.addVar(0, 10, 1.0);
+  const int y = m.addVar(-kInf, kInf, -2.0);
   m.addRow(-kInf, 5.0, {{x, 1.0}, {y, 1.0}});
   EXPECT_EQ(m.numVars(), 2);
   EXPECT_EQ(m.numRows(), 1);

@@ -5,10 +5,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "pinned.h"
+#include "support/fnv.h"
 
 namespace skewopt::ml {
 namespace {
@@ -57,11 +59,10 @@ TEST(Scaler, ZeroMeanUnitVariance) {
   for (std::size_t j = 0; j < 3; ++j) EXPECT_DOUBLE_EQ(row[j], t.at(5, j));
 }
 
-TEST(Metrics, RmseMaeMape) {
+TEST(Metrics, RmseMae) {
   EXPECT_DOUBLE_EQ(rmse({1, 2, 3}, {1, 2, 3}), 0.0);
   EXPECT_DOUBLE_EQ(rmse({0, 0}, {3, 4}), std::sqrt(12.5));
   EXPECT_DOUBLE_EQ(meanAbsError({0, 0}, {3, -4}), 3.5);
-  EXPECT_NEAR(mape({90, 110}, {100, 100}), 10.0, 1e-9);
   EXPECT_THROW(rmse({1}, {1, 2}), std::invalid_argument);
 }
 
@@ -190,18 +191,6 @@ TEST(Hsm, BlendsAndBeatsWorstMember) {
   EXPECT_LT(hsm.mlpWeight(), 1.0);
 }
 
-TEST(Kfold, EstimatesGeneralizationError) {
-  geom::Rng rng(11);
-  const Dataset all = makeDataset(200, 2, rng, linearFn, 0.05);
-  const double cv = kfoldRmse(all, 4, [] {
-    MlpOptions o;
-    o.epochs = 120;
-    return std::make_unique<MlpRegressor>(o);
-  });
-  EXPECT_GT(cv, 0.0);
-  EXPECT_LT(cv, 1.0);  // linear target with tiny noise: near-perfect fit
-}
-
 // Parameterized sweep: every family beats the mean baseline on the linear
 // target across several seeds (the property the paper's Sec 4.2 relies on).
 class FamilyBeatsBaseline : public ::testing::TestWithParam<int> {};
@@ -241,20 +230,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FamilyBeatsBaseline, ::testing::Range(0, 3));
 // rows, one subsampled and one epsilon-compacted, keeping 14-40 support
 // vectors. The literals, captured from the scalar kernels, are FNV-1a-64
 // digests of each model's predictions over a fixed query grid, plus the
-// support-vector count. On a mismatch the test prints one line
-// `MlKernelPinned literal <case> <digest> <nsv>`.
-
-std::uint64_t fnv1a64(const std::vector<double>& v) {
-  std::uint64_t x = 0xcbf29ce484222325ULL;
-  for (const double d : v) {
-    const std::uint64_t b = std::bit_cast<std::uint64_t>(d);
-    for (int i = 0; i < 8; ++i) {
-      x ^= (b >> (8 * i)) & 0xffu;
-      x *= 0x100000001b3ULL;
-    }
-  }
-  return x;
-}
+// support-vector count.
 
 /// 5^3 = 125 query rows spanning the training range [-2, 2]^3 and past it.
 Matrix pinQueryGrid() {
@@ -271,17 +247,11 @@ double pinTarget(const double* x) {
   return x[0] * x[0] - 1.5 * x[1] + std::sin(x[2]) + 0.4 * x[0] * x[2];
 }
 
-void expectPinned(const std::string& name, const Regressor& model,
-                  const char* want, std::size_t nsv = 0,
-                  std::size_t want_nsv = 0) {
-  char got[17];
-  std::snprintf(got, sizeof got, "%016llx",
-                static_cast<unsigned long long>(
-                    fnv1a64(model.predictAll(pinQueryGrid()))));
-  EXPECT_EQ(std::string(got), want) << name;
-  EXPECT_EQ(nsv, want_nsv) << name;
-  if (std::string(got) != want || nsv != want_nsv)
-    std::printf("MlKernelPinned literal %s %s %zu\n", name.c_str(), got, nsv);
+/// The digest of a model's predictions over the query grid.
+std::string gridDigest(const Regressor& model) {
+  support::Fnv1a64 x;
+  for (const double d : model.predictAll(pinQueryGrid())) x.f64(d);
+  return pinned::hexDigits(x.value());
 }
 
 TEST(MlKernelPinned, MlpBatchAndValidationRemainders) {
@@ -322,9 +292,10 @@ TEST(MlKernelPinned, MlpBatchAndValidationRemainders) {
     o.val_fraction = c.val ? 0.15 : 0.0;
     MlpRegressor mlp(o);
     mlp.fit(train);
-    expectPinned("mlp_n" + std::to_string(c.n) + "_b" +
-                     std::to_string(c.batch) + (c.val ? "_val" : "_noval"),
-                 mlp, c.digest);
+    pinned::expectPinned("mlp_n" + std::to_string(c.n) + "_b" +
+                             std::to_string(c.batch) +
+                             (c.val ? "_val" : "_noval"),
+                         gridDigest(mlp), c.digest);
   }
 }
 
@@ -353,7 +324,9 @@ TEST(MlKernelPinned, SvrRowRemainders) {
     o.epsilon = c.epsilon;
     SvrRbf svr(o);
     svr.fit(train);
-    expectPinned(c.name, svr, c.digest, svr.numSupportVectors(), c.nsv);
+    pinned::expectPinned(c.name, gridDigest(svr), c.digest);
+    pinned::expectPinned(std::string(c.name) + ".nsv",
+                         svr.numSupportVectors(), c.nsv);
   }
 }
 

@@ -156,9 +156,9 @@ TEST(MetricsTest, ServeEvictionAndWarmStateMetricNamesArePinned) {
   const auto ce0 = cache_evictions.value();
 
   serve::WarmStateStore store(1);
-  EXPECT_EQ(store.lookup("a"), nullptr);  // miss
+  EXPECT_FALSE(store.lookup("a", nullptr));  // miss
   store.insert("a", std::make_shared<core::FlowWarmState>());
-  EXPECT_NE(store.lookup("a"), nullptr);  // hit
+  EXPECT_TRUE(store.lookup("a", nullptr));  // hit
   store.insert("b", std::make_shared<core::FlowWarmState>());  // evicts "a"
   EXPECT_EQ(hits.value() - h0, 1u);
   EXPECT_EQ(misses.value() - m0, 1u);

@@ -6,7 +6,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -15,6 +14,8 @@
 
 #include "core/moves.h"
 #include "obs/trace.h"
+#include "pinned.h"
+#include "support/fnv.h"
 #include "support/thread_pool.h"
 #include "testgen/testgen.h"
 
@@ -333,43 +334,12 @@ TEST(CollectMoveSamples, GoldenDeltasMatchCopyAndFullAnalysisBitForBit) {
 
 // ---- pinned model bits ----------------------------------------------------
 
-std::string hexBits(double v) {
-  char buf[19];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(v)));
-  return buf;
-}
-
-/// FNV-1a-64 over the bits of a stream of doubles and integers.
-class Fnv64 {
- public:
-  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
-  void add(std::uint64_t b) {
-    for (int i = 0; i < 8; ++i) {
-      x_ ^= (b >> (8 * i)) & 0xffu;
-      x_ *= 0x100000001b3ULL;
-    }
-  }
-  void add(int v) {
-    add(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
-  }
-  std::string hex() const {
-    char buf[19];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(x_));
-    return buf;
-  }
-
- private:
-  std::uint64_t x_ = 0xcbf29ce484222325ULL;
-};
-
 /// FNV-1a-64 over the bits of a corner's holdout predictions and goldens.
 std::string holdoutDigest(const DeltaLatencyModel::Holdout& h) {
-  Fnv64 x;
-  for (const double v : h.predicted) x.add(v);
-  for (const double v : h.golden) x.add(v);
-  return x.hex();
+  support::Fnv1a64 x;
+  for (const double v : h.predicted) x.f64(v);
+  for (const double v : h.golden) x.f64(v);
+  return pinned::hexDigits(x.value());
 }
 
 /// Fixed model inputs in the feature layout of MoveAnalyzer::features,
@@ -406,12 +376,15 @@ TEST(DeltaLatencyModelPinned, HsmPredictionsAndHoldoutBits) {
   const char* kHoldout[3] = {"73655f06f9c4e55b", "32f1b6688248f760",
                              "c71cb4b8f7452aaa"};
   for (std::size_t c = 0; c < corners.size(); ++c) {
+    const std::string corner = "corner" + std::to_string(corners[c]);
     for (std::size_t f = 0; f < kPinFeatures.size(); ++f)
-      EXPECT_EQ(hexBits(model.predict(corners[c], kPinFeatures[f])),
-                kPredict[c][f])
-          << "corner " << corners[c] << " feature " << f;
-    EXPECT_EQ(holdoutDigest(model.holdout(corners[c])), kHoldout[c])
-        << "corner " << corners[c];
+      pinned::expectPinned(
+          corner + ".feature" + std::to_string(f),
+          pinned::hexBits(model.predict(corners[c], kPinFeatures[f])),
+          kPredict[c][f]);
+    pinned::expectPinned(corner + ".holdout",
+                         holdoutDigest(model.holdout(corners[c])),
+                         kHoldout[c]);
   }
 }
 
@@ -424,11 +397,13 @@ TEST(DeltaLatencyModelPinned, AnnAndSvrFamiliesPredictionBits) {
   for (std::size_t fam = 0; fam < 2; ++fam) {
     DeltaLatencyModel model;
     model.train(sharedTech(), {1}, pinnedTrainOptions(families[fam]));
+    const std::string family = "family" + std::to_string(fam);
     for (std::size_t f = 0; f < kPinFeatures.size(); ++f)
-      EXPECT_EQ(hexBits(model.predict(1, kPinFeatures[f])), kPredict[fam][f])
-          << "family " << fam << " feature " << f;
-    EXPECT_EQ(holdoutDigest(model.holdout(1)), kHoldout[fam])
-        << "family " << fam;
+      pinned::expectPinned(family + ".feature" + std::to_string(f),
+                           pinned::hexBits(model.predict(1, kPinFeatures[f])),
+                           kPredict[fam][f]);
+    pinned::expectPinned(family + ".holdout",
+                         holdoutDigest(model.holdout(1)), kHoldout[fam]);
   }
 }
 
@@ -459,7 +434,8 @@ TEST(DeltaLatencyModel, PredictBatchEqualsPredictForEveryLaneRemainder) {
         std::vector<double> got(n, -1.0);
         model.predictBatch(k, rows.data(), n, got.data());
         for (std::size_t i = 0; i < n; ++i)
-          EXPECT_EQ(hexBits(got[i]), hexBits(model.predict(k, rows[i])))
+          EXPECT_EQ(pinned::hexBits(got[i]),
+                    pinned::hexBits(model.predict(k, rows[i])))
               << "family " << static_cast<int>(family) << " corner " << k
               << " n=" << n << " row " << i;
       }
@@ -608,17 +584,20 @@ TEST(MoveAnalyzerPinned, GroupFeatureAndScoreBits) {
   for (const bool heavy : {false, true}) {
     const PinnedCase c = pinnedCase(heavy);
     const MoveAnalyzer analyzer(c.design, timer);
-    Fnv64 groups, features;
+    support::Fnv1a64 groups, features;
+    const auto i64 = [](int v) {
+      return static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
+    };
     for (const Move& m : c.moves) {
       for (const ImpactGroup& g : analyzer.analyze(m)) {
-        groups.add(g.root);
-        groups.add(g.exclude);
-        groups.add(g.primary ? 1 : 0);
+        groups.u64(i64(g.root));
+        groups.u64(i64(g.exclude));
+        groups.u64(g.primary ? 1 : 0);
         for (const auto& per_corner : g.delta)
-          for (const double v : per_corner) groups.add(v);
+          for (const double v : per_corner) groups.f64(v);
         if (!g.primary) continue;
         for (std::size_t ki = 0; ki < c.design.corners.size(); ++ki)
-          for (const double v : analyzer.features(m, g, ki)) features.add(v);
+          for (const double v : analyzer.features(m, g, ki)) features.f64(v);
       }
     }
     const Objective objective(c.design, timer);
@@ -626,12 +605,16 @@ TEST(MoveAnalyzerPinned, GroupFeatureAndScoreBits) {
                                   &pinnedScoringModel());
     std::vector<double> scores(c.moves.size());
     predictor.scoreBatch(c.moves, scores);
-    Fnv64 score_bits;
-    for (const double v : scores) score_bits.add(v);
+    support::Fnv1a64 score_bits;
+    for (const double v : scores) score_bits.f64(v);
     const std::size_t ci = heavy ? 1 : 0;
-    EXPECT_EQ(groups.hex(), kWant[ci][0]) << "impact groups, case " << ci;
-    EXPECT_EQ(features.hex(), kWant[ci][1]) << "features, case " << ci;
-    EXPECT_EQ(score_bits.hex(), kWant[ci][2]) << "scores, case " << ci;
+    const std::string at = "case" + std::to_string(ci);
+    pinned::expectPinned(at + ".groups", pinned::hexDigits(groups.value()),
+                         kWant[ci][0]);
+    pinned::expectPinned(at + ".features",
+                         pinned::hexDigits(features.value()), kWant[ci][1]);
+    pinned::expectPinned(at + ".scores",
+                         pinned::hexDigits(score_bits.value()), kWant[ci][2]);
   }
 }
 

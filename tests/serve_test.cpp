@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "pinned.h"
 #include "serve/client.h"
 #include "serve/json.h"
 #include "serve/queue.h"
@@ -130,8 +131,10 @@ void expectIdentical(const core::FlowResult& a, const core::FlowResult& b) {
 // move without a deliberate key-version change (the retired LP
 // solver-choice slot keeps writing 0 for this reason).
 TEST(JobSpecTest, ContentHashIsPinned) {
-  EXPECT_EQ(contentHash(tinySpec(1)), 0x29552be2877e321bULL);
-  EXPECT_EQ(contentHash(JobSpec{}), 0x3b5cc08c11ad74e6ULL);
+  pinned::expectPinned("tinySpec1", pinned::Hex(contentHash(tinySpec(1))),
+                       pinned::Hex(0x29552be2877e321bULL));
+  pinned::expectPinned("default", pinned::Hex(contentHash(JobSpec{})),
+                       pinned::Hex(0x3b5cc08c11ad74e6ULL));
 }
 
 TEST(JobSpecTest, CanonicalKeyCoversResultAffectingFields) {
@@ -181,7 +184,6 @@ TEST(JobSpecTest, TopologyKeyIsStableUnderDeltaEdits) {
   edited.options.global.corner_dmax_derate = {1.05};
   edited.source.moved_sinks = {MovedSink{2, 1.0, 2.0}};
   EXPECT_EQ(topologyKey(base), topologyKey(edited));
-  EXPECT_EQ(topologyHash(base), topologyHash(edited));
   EXPECT_NE(canonicalKey(base), canonicalKey(edited));
 
   // Everything that changes the materialized design or flow structure

@@ -179,19 +179,6 @@ TEST_F(StaTest, PowerAndAreaAccounting) {
   EXPECT_GT(clockCellAreaUm2(d), a1);
 }
 
-TEST_F(StaTest, SinkLatenciesMatchesAnalyze) {
-  ClockTree t({0, 0});
-  const int b = t.addBuffer(0, {10, 10}, 2);
-  const int s1 = t.addSink(b, {40, 10});
-  const int s2 = t.addSink(b, {20, 30});
-  Routing r;
-  r.rebuildAll(t);
-  const CornerTiming ct = timer_.analyze(t, r, 2);
-  const std::vector<double> lat = timer_.sinkLatencies(t, r, 2, {s1, s2});
-  EXPECT_DOUBLE_EQ(lat[0], ct.arrival[static_cast<std::size_t>(s1)]);
-  EXPECT_DOUBLE_EQ(lat[1], ct.arrival[static_cast<std::size_t>(s2)]);
-}
-
 TEST_F(StaTest, SlewPropagatesMonotonically) {
   // Along a chain without buffers the slew only degrades (PERI adds in
   // quadrature); buffers restore it.
