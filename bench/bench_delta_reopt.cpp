@@ -126,8 +126,8 @@ int main(int argc, char** argv) {
                   static_cast<double>(delta.global.lp_replays));
       json.record(case_name, "delta_realize_memo_hits",
                   static_cast<double>(delta.global.realize_memo_hits));
-      json.record(case_name, "delta_reused_models",
-                  delta.global.reused_models ? 1.0 : 0.0);
+      json.record(case_name, "delta_lp_solves",
+                  static_cast<double>(delta.global.lp_solves.size()));
     }
   }
   bench::printRule(86);

@@ -59,7 +59,7 @@ ClusterFrontend::ClusterFrontend(const tech::TechModel& tech,
                                  const eco::StageDelayLut& lut,
                                  ClusterOptions opts,
                                  serve::Scheduler::Runner runner)
-    : router_(ShardRouterOptions{opts.shards, opts.vnodes}) {
+    : router_(ShardRouterOptions{opts.shards}) {
   shardObsFor(router_.shards());
   shards_.reserve(router_.shards());
   for (std::size_t i = 0; i < router_.shards(); ++i) {

@@ -36,8 +36,7 @@
 namespace skewopt::cluster {
 
 struct ClusterOptions {
-  std::size_t shards = 1;
-  std::size_t vnodes = 64;  ///< router ring points per shard
+  std::size_t shards = 1;  ///< the router keeps its default ring density
   /// Per-shard scheduler configuration (workers, queue, cache, warm store,
   /// retention — each shard gets an identical, independent copy). Any
   /// on_terminal hook set here is chained after the front-end's own.

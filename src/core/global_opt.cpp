@@ -62,8 +62,7 @@ struct LpContext {
 
 LpContext buildContext(const Design& d,
                        const std::vector<sta::CornerTiming>& timing,
-                       const VariationReport& report, std::size_t max_pairs,
-                       double min_arc_delay_ps) {
+                       std::size_t max_pairs, double min_arc_delay_ps) {
   LpContext ctx;
   ctx.arcs = d.tree.extractArcs();
   ctx.arc_by_dst.assign(d.tree.numNodes(), -1);
@@ -135,7 +134,6 @@ LpContext buildContext(const Design& d,
       if (d.tree.isValid(id) && d.tree.node(id).kind == NodeKind::Sink)
         ctx.dmax[ki] = std::max(ctx.dmax[ki], timing[ki].arrival[i]);
     }
-  (void)report;
   return ctx;
 }
 
@@ -156,30 +154,24 @@ std::vector<std::pair<int, double>> pairCoefs(const Design& d,
   return out;
 }
 
-struct BuiltLp {
-  lp::Model model;
-  // dp/dm var index of (slot, ki): dp = base(slot,ki), dm = base+1.
-  int varBase(std::size_t slot, std::size_t ki, std::size_t nk) const {
-    return static_cast<int>(2 * (slot * nk + ki));
-  }
-  std::vector<int> v_var;  // per opt-pair position
-  /// Constraint-(9) rows, recorded so a cached model can be re-bounded for
-  /// new corner derates instead of rebuilt (see GlobalWarmState).
-  std::vector<GlobalWarmState::LatencyRow> latency_rows;
-};
+/// Delta+ variable index of (slot, ki); its Delta- is the next index.
+int varBase(std::size_t slot, std::size_t ki, std::size_t nk) {
+  return static_cast<int>(2 * (slot * nk + ki));
+}
 
 /// Dmax multiplier of active corner ki (1.0 past the end / when empty).
 double derateOf(const std::vector<double>& derates, std::size_t ki) {
   return ki < derates.size() ? derates[ki] : 1.0;
 }
 
-BuiltLp buildLp(const Design& d, const LpContext& ctx,
-                const eco::StageDelayLut& lut, const Objective& objective,
-                const VariationReport& report, double beta,
-                const std::vector<double>& derates, bool min_sum_v,
-                double u_bound) {
-  BuiltLp built;
-  lp::Model& m = built.model;
+/// The pass-1 min-sum-V model (`min_sum_v`), or the sweep model, whose
+/// budget row (5) is appended last with upper bound `u_bound`.
+lp::Model buildLp(const Design& d, const LpContext& ctx,
+                  const eco::StageDelayLut& lut, const Objective& objective,
+                  const VariationReport& report, double beta,
+                  const std::vector<double>& derates, bool min_sum_v,
+                  double u_bound) {
+  lp::Model m;
   const std::size_t nk = d.corners.size();
   const std::vector<double>& alpha = objective.alphas();
 
@@ -196,9 +188,10 @@ BuiltLp buildLp(const Design& d, const LpContext& ctx,
     }
   }
   // V variables.
-  built.v_var.reserve(ctx.opt_pairs.size());
+  std::vector<int> v_var;  // per opt-pair position
+  v_var.reserve(ctx.opt_pairs.size());
   for (std::size_t p = 0; p < ctx.opt_pairs.size(); ++p)
-    built.v_var.push_back(m.addVar(0.0, lp::kInf, min_sum_v ? 1.0 : 0.0));
+    v_var.push_back(m.addVar(0.0, lp::kInf, min_sum_v ? 1.0 : 0.0));
 
   // (6) V lower bounds, (7) local-skew, (8) variation-vs-c0 preservation.
   for (std::size_t p = 0; p < ctx.opt_pairs.size(); ++p) {
@@ -213,10 +206,10 @@ BuiltLp buildLp(const Design& d, const LpContext& ctx,
         for (int sign = -1; sign <= 1; sign += 2) {
           // V >= sign * (alpha_a * S^a - alpha_b * S^b)
           std::vector<lp::Term> terms;
-          terms.push_back({built.v_var[p], 1.0});
+          terms.push_back({v_var[p], 1.0});
           for (const auto& [slot, cf] : coefs) {
-            const int va = built.varBase(static_cast<std::size_t>(slot), a, nk);
-            const int vb = built.varBase(static_cast<std::size_t>(slot), b, nk);
+            const int va = varBase(static_cast<std::size_t>(slot), a, nk);
+            const int vb = varBase(static_cast<std::size_t>(slot), b, nk);
             const double ka = -sign * alpha[a] * cf;
             const double kb = sign * alpha[b] * cf;
             terms.push_back({va, ka});
@@ -233,7 +226,7 @@ BuiltLp buildLp(const Design& d, const LpContext& ctx,
     for (std::size_t ki = 0; ki < nk; ++ki) {
       std::vector<lp::Term> terms;
       for (const auto& [slot, cf] : coefs) {
-        const int v = built.varBase(static_cast<std::size_t>(slot), ki, nk);
+        const int v = varBase(static_cast<std::size_t>(slot), ki, nk);
         terms.push_back({v, cf});
         terms.push_back({v + 1, -cf});
       }
@@ -246,8 +239,8 @@ BuiltLp buildLp(const Design& d, const LpContext& ctx,
       const double v0 = alpha[ki] * c[ki] - alpha[0] * c[0];
       std::vector<lp::Term> terms;
       for (const auto& [slot, cf] : coefs) {
-        const int vk = built.varBase(static_cast<std::size_t>(slot), ki, nk);
-        const int v0i = built.varBase(static_cast<std::size_t>(slot), 0, nk);
+        const int vk = varBase(static_cast<std::size_t>(slot), ki, nk);
+        const int v0i = varBase(static_cast<std::size_t>(slot), 0, nk);
         terms.push_back({vk, alpha[ki] * cf});
         terms.push_back({vk + 1, -alpha[ki] * cf});
         terms.push_back({v0i, -alpha[0] * cf});
@@ -259,8 +252,7 @@ BuiltLp buildLp(const Design& d, const LpContext& ctx,
   }
 
   // (9): latency bound per optimized sink and corner; the RHS carries the
-  // per-corner Dmax derate, and each row is recorded so delta jobs that
-  // change only derates can re-bound a cached model in place.
+  // per-corner Dmax derate.
   for (const int s : ctx.opt_sinks) {
     for (std::size_t ki = 0; ki < nk; ++ki) {
       double lat = 0.0;
@@ -268,12 +260,11 @@ BuiltLp buildLp(const Design& d, const LpContext& ctx,
         lat += ctx.delay[static_cast<std::size_t>(slot)][ki];
       std::vector<lp::Term> terms;
       for (const int slot : ctx.path_of_sink[static_cast<std::size_t>(s)]) {
-        const int v = built.varBase(static_cast<std::size_t>(slot), ki, nk);
+        const int v = varBase(static_cast<std::size_t>(slot), ki, nk);
         terms.push_back({v, 1.0});
         terms.push_back({v + 1, -1.0});
       }
       if (terms.empty()) continue;
-      built.latency_rows.push_back({m.numRows(), ki, ctx.dmax[ki], lat});
       m.addRow(-lp::kInf, derateOf(derates, ki) * ctx.dmax[ki] - lat,
                std::move(terms));
     }
@@ -296,8 +287,8 @@ BuiltLp buildLp(const Design& d, const LpContext& ctx,
         const double r0 = da / db;
         w_up = std::max(w_up, r0 * 1.001);
         w_lo = std::min(w_lo, r0 * 0.999);
-        const int va = built.varBase(s, a, nk);
-        const int vb = built.varBase(s, b, nk);
+        const int va = varBase(s, a, nk);
+        const int vb = varBase(s, b, nk);
         // da + Dla - W*(db + Dlb) <= 0  (upper), >= 0 with w_lo (lower)
         m.addRow(-lp::kInf, w_up * db - da,
                  {{va, 1.0}, {va + 1, -1.0}, {vb, -w_up}, {vb + 1, w_up}});
@@ -310,10 +301,10 @@ BuiltLp buildLp(const Design& d, const LpContext& ctx,
   // (5): sum of V <= U (only in the min-|Delta| mode).
   if (!min_sum_v) {
     std::vector<lp::Term> terms;
-    for (const int v : built.v_var) terms.push_back({v, 1.0});
+    for (const int v : v_var) terms.push_back({v, 1.0});
     m.addRow(-lp::kInf, u_bound, std::move(terms));
   }
-  return built;
+  return m;
 }
 
 }  // namespace
@@ -492,102 +483,99 @@ GlobalResult GlobalOptimizer::run(Design& d, const Objective& objective,
   res.sum_after_ps = before.sum_variation_ps;
 
   if (d.pairs.empty()) return res;
-  LpContext ctx = buildContext(d, timing, before, opts_.max_pairs_lp,
-                               opts_.min_arc_delay_ps);
+  const LpContext ctx = buildContext(d, timing, opts_.max_pairs_lp,
+                                     opts_.min_arc_delay_ps);
   res.arcs_in_lp = ctx.slot_arc.size();
   if (ctx.slot_arc.empty()) return res;
 
   for (const std::size_t pi : ctx.opt_pairs)
     res.lp_orig_sum_ps += before.v_pair_ps[pi];
 
-  // Cross-job warm state: reuse prior models only when the design's
-  // placement/timing bits match exactly (then the prior models are
-  // coefficient-identical and only row RHS can differ via derates).
+  // Cross-job warm state. Design-changing edits (moved sinks) fail the
+  // fingerprint, derate edits the derates: both then solve every LP live
+  // and keep only the incremental-STA seed and the realize memo.
   const bool cross_job = warm_in != nullptr || warm_out != nullptr;
   const std::uint64_t fp = cross_job ? designFingerprint(d, timing) : 0;
-  // Solution replay below is additionally gated on matching derates;
-  // design-changing edits (moved sinks) fail the fingerprint here and run
-  // the LPs cold, keeping only the incremental-STA seed.
-  const bool warm_data_match = warm_in != nullptr && warm_in->models_valid &&
-                               warm_in->model_fingerprint == fp;
-  const bool reuse_models =
-      warm_data_match && warm_in->min_v_model.numVars() > 0;
-  static obs::Counter& model_reuses = obs::MetricsRegistry::global().counter(
-      "skewopt_global_model_reuses_total",
-      "Global runs that re-bounded cached LP models instead of rebuilding");
-  static obs::Counter& memo_hits_ctr = obs::MetricsRegistry::global().counter(
-      "skewopt_global_realize_memo_hits_total",
-      "Sweep points served from the cross-job realization memo");
-
-  // Pass 1: minimum achievable sum of variations over the selected pairs.
-  BuiltLp min_lp;
-  std::vector<GlobalWarmState::LatencyRow> latency_rows;
-  {
-    obs::Span build_span("global.lp_build");
-    build_span.arg("pass", std::int64_t{1});
-    if (reuse_models) {
-      min_lp.model = warm_in->min_v_model;
-      latency_rows = warm_in->latency_rows;
-      for (const GlobalWarmState::LatencyRow& lr : latency_rows)
-        min_lp.model.setRowBounds(
-            lr.row, -lp::kInf,
-            derateOf(opts_.corner_dmax_derate, lr.ki) * lr.dmax - lr.lat);
-      res.reused_models = true;
-      model_reuses.add();
-    } else {
-      min_lp = buildLp(d, ctx, *lut_, objective, before, opts_.beta,
-                       opts_.corner_dmax_derate, /*min_sum_v=*/true, 0.0);
-      latency_rows = std::move(min_lp.latency_rows);
-    }
-  }
-  res.lp_rows = static_cast<std::size_t>(min_lp.model.numRows());
-  res.lp_vars = static_cast<std::size_t>(min_lp.model.numVars());
-  gateLp(min_lp.model, /*budget_row=*/-1, chk, "global:lp");
-  // Exact solve replay: when the fingerprint AND the effective derates
-  // match the cached state bitwise, the (re-bounded) models are
-  // bit-identical to the ones the cached run solved, so its recorded
-  // solutions ARE the cold answers and the solves can be skipped outright.
-  // This is the only equality-safe way to reuse prior solver work; seeding
-  // the simplex with a foreign basis converges, on degenerate models, to
-  // an alternate optimal vertex whose low-order bits differ from the cold
-  // solve, which the differential delta==cold tests reject.
   std::vector<double> eff_derates(d.corners.size());
   for (std::size_t ki = 0; ki < eff_derates.size(); ++ki)
     eff_derates[ki] = derateOf(opts_.corner_dmax_derate, ki);
+  static obs::Counter& memo_hits_ctr = obs::MetricsRegistry::global().counter(
+      "skewopt_global_realize_memo_hits_total",
+      "Sweep points served from the cross-job realization memo");
   static obs::Counter& replays_ctr = obs::MetricsRegistry::global().counter(
       "skewopt_global_lp_replays_total",
       "LP solves skipped by replaying a cached bit-identical solution");
-  lp::Basis pass1_cached;
-  const bool pass1_replay =
-      warm_data_match && warm_in->pass1_valid &&
-      warm_in->solve_derates == eff_derates &&
-      lp::deserializeBasis(warm_in->pass1_basis, &pass1_cached) &&
-      pass1_cached.status.size() ==
-          static_cast<std::size_t>(min_lp.model.numVars() +
-                                   min_lp.model.numRows());
-  lp::Solution vsol;
-  double pass1_ms = 0.0;  // a replayed solve has no span and reports 0
-  if (pass1_replay) {
-    vsol.status = lp::Status::Optimal;
-    vsol.objective = warm_in->pass1_objective;
-    vsol.iterations = warm_in->pass1_iterations;
-    vsol.basis = std::move(pass1_cached);
-    ++res.lp_replays;
-    replays_ctr.add();
-  } else {
-    obs::Span solve_span("global.lp_solve");
-    solve_span.arg("pass", std::int64_t{1});
-    vsol = lp::solve(min_lp.model, opts_.lp, nullptr);
-    pass1_ms = solve_span.end();
-    lpo.solves.add();
-    lpo.iterations.add(static_cast<std::uint64_t>(vsol.iterations));
-    lpo.solve_ms.observe(pass1_ms);
+
+  // One replay rule for pass 1 and every sweep point (GlobalWarmState):
+  // while `replaying`, entries [0, lp_replays) replayed, so the next solve
+  // is log entry lp_replays.
+  bool replaying = warm_in != nullptr && warm_in->fingerprint == fp &&
+                   warm_in->derates == eff_derates;
+  std::vector<GlobalWarmState::Solve> log;  // this run's, for warm_out
+  // Solves `model` at budget `u` (0 for pass 1) from `start` (empty: cold),
+  // or replays the log entry that holds exactly that solve.
+  const auto solveEntry = [&](const lp::Model& model, double u,
+                              const lp::Basis& start, const char* span_key,
+                              std::int64_t span_value) {
+    lp::Solution sol;
+    const auto i = static_cast<std::size_t>(res.lp_replays);
+    replaying = replaying && i < warm_in->solves.size() &&
+                warm_in->solves[i].u == u &&
+                lp::deserializeBasis(warm_in->solves[i].basis, &sol.basis) &&
+                sol.basis.status.size() ==
+                    static_cast<std::size_t>(model.numVars() +
+                                             model.numRows());
+    double ms = 0.0;  // a replayed solve has no span and reports 0
+    if (replaying) {
+      const GlobalWarmState::Solve& e = warm_in->solves[i];
+      sol.status = lp::Status::Optimal;
+      sol.objective = e.objective;
+      sol.x = e.x;
+      sol.iterations = e.iterations;
+      ++res.lp_replays;
+      replays_ctr.add();
+      if (warm_out != nullptr) log.push_back(e);
+    } else {
+      obs::Span solve_span("global.lp_solve");
+      solve_span.arg(span_key, span_value);
+      sol = lp::solve(model, opts_.lp, start.empty() ? nullptr : &start);
+      ms = solve_span.end();
+      gateLpCertificate(model, sol, chk);
+      lpo.solves.add();
+      lpo.iterations.add(static_cast<std::uint64_t>(sol.iterations));
+      lpo.solve_ms.observe(ms);
+      if (!start.empty()) {
+        if (sol.warm_started) {
+          ++res.lp_warm_hits;
+          lpo.warm_hits.add();
+        } else {
+          ++res.lp_warm_misses;
+          lpo.warm_misses.add();
+        }
+      }
+      if (warm_out != nullptr && sol.status == lp::Status::Optimal)
+        log.push_back({u, sol.objective, sol.x, sol.iterations,
+                       lp::serializeBasis(sol.basis)});
+    }
+    res.lp_solves.push_back({u, sol.iterations, sol.refactorizations,
+                             replaying || sol.warm_started,
+                             sol.status == lp::Status::Optimal, ms, 0.0});
+    return sol;
+  };
+
+  // Pass 1: minimum achievable sum of variations over the selected pairs.
+  lp::Model min_v_model;
+  {
+    obs::Span build_span("global.lp_build");
+    build_span.arg("pass", std::int64_t{1});
+    min_v_model = buildLp(d, ctx, *lut_, objective, before, opts_.beta,
+                          opts_.corner_dmax_derate, /*min_sum_v=*/true, 0.0);
   }
-  if (!pass1_replay) gateLpCertificate(min_lp.model, vsol, chk);
-  res.lp_solves.push_back({0.0, vsol.iterations, vsol.refactorizations,
-                           pass1_replay,
-                           vsol.status == lp::Status::Optimal, pass1_ms,
-                           0.0});
+  res.lp_rows = static_cast<std::size_t>(min_v_model.numRows());
+  res.lp_vars = static_cast<std::size_t>(min_v_model.numVars());
+  gateLp(min_v_model, /*budget_row=*/-1, chk, "global:lp");
+  const lp::Solution vsol =
+      solveEntry(min_v_model, 0.0, lp::Basis{}, "pass", 1);
   if (vsol.status != lp::Status::Optimal) return res;
   res.lp_min_sum_ps = vsol.objective;
   res.lp_iterations = vsol.iterations;
@@ -601,7 +589,7 @@ GlobalResult GlobalOptimizer::run(Design& d, const Objective& objective,
   // (ECO + golden re-time), the expensive part, then fans out across sweep
   // points on the shared pool. The best-candidate pick below walks the
   // results in sweep order with the serial acceptance logic, so the
-  // parallel path is bit-identical to the serial one.
+  // result does not depend on the pool.
   eco::EcoEngine eco_engine(*tech_, *lut_, opts_.eco_pair_penalty_ps,
                             opts_.eco_overshoot_weight);
   const std::size_t nk = d.corners.size();
@@ -609,24 +597,16 @@ GlobalResult GlobalOptimizer::run(Design& d, const Objective& objective,
   Design best = d;
   bool improved = false;
 
-  BuiltLp sweep_lp;
+  lp::Model sweep_model;
   {
     obs::Span build_span("global.lp_build");
     build_span.arg("pass", std::int64_t{2});
-    if (reuse_models) {
-      sweep_lp.model = warm_in->sweep_model;
-      for (const GlobalWarmState::LatencyRow& lr : latency_rows)
-        sweep_lp.model.setRowBounds(
-            lr.row, -lp::kInf,
-            derateOf(opts_.corner_dmax_derate, lr.ki) * lr.dmax - lr.lat);
-    } else {
-      sweep_lp = buildLp(d, ctx, *lut_, objective, before, opts_.beta,
-                         opts_.corner_dmax_derate, /*min_sum_v=*/false,
-                         res.lp_orig_sum_ps);
-    }
+    sweep_model = buildLp(d, ctx, *lut_, objective, before, opts_.beta,
+                          opts_.corner_dmax_derate, /*min_sum_v=*/false,
+                          res.lp_orig_sum_ps);
   }
-  const int budget_row = sweep_lp.model.numRows() - 1;
-  gateLp(sweep_lp.model, budget_row, chk, "global:lp-sweep");
+  const int budget_row = sweep_model.numRows() - 1;
+  gateLp(sweep_model, budget_row, chk, "global:lp-sweep");
   if (chk >= check::Level::kDeep) {
     check::DiagnosticEngine engine;
     engine.setContext("global:lp-sweep");
@@ -649,21 +629,12 @@ GlobalResult GlobalOptimizer::run(Design& d, const Objective& objective,
     double u = 0.0;
     bool solved = false;
     std::vector<double> x;  ///< LP solution (empty unless solved)
-    int iterations = 0;
-    std::vector<unsigned char> basis_after;  ///< chain after this solve
     std::size_t stats_ix = 0;
     std::shared_ptr<const Design> trial;
     VariationReport after;
     std::size_t changed = 0;
   };
   std::vector<SweepPoint> points;
-
-  // Prefix-only sweep replay: the sweep solves chain bases serially, so a
-  // cached point is the cold answer only while every earlier point (and
-  // pass 1) replayed too — the first mismatch breaks the chain and every
-  // later point solves live from the exactly-reproduced chain state.
-  std::size_t replay_ix = 0;
-  bool replaying = pass1_replay;
   for (const double t : opts_.u_sweep) {
     const double u =
         res.lp_min_sum_ps + t * (res.lp_orig_sum_ps - res.lp_min_sum_ps);
@@ -674,61 +645,14 @@ GlobalResult GlobalOptimizer::run(Design& d, const Objective& objective,
     SweepPoint pt;
     pt.u = u;
     pt.stats_ix = res.lp_solves.size();
-    const GlobalWarmState::SweptSolution* cached = nullptr;
-    if (replaying && replay_ix < warm_in->sweep_solutions.size() &&
-        warm_in->sweep_solutions[replay_ix].u == u)
-      cached = &warm_in->sweep_solutions[replay_ix];
-    lp::Basis cached_basis;
-    if (cached != nullptr && opts_.warm_start_sweep &&
-        !(lp::deserializeBasis(cached->basis, &cached_basis) &&
-          cached_basis.status.size() ==
-              static_cast<std::size_t>(sweep_lp.model.numVars() +
-                                       sweep_lp.model.numRows())))
-      cached = nullptr;  // unusable chain state: fall back to a live solve
-    if (cached != nullptr) {
-      pt.solved = true;
-      pt.x = cached->x;
-      pt.iterations = cached->iterations;
-      pt.basis_after = cached->basis;
-      if (opts_.warm_start_sweep) chain = std::move(cached_basis);
-      ++replay_ix;
-      ++res.lp_replays;
-      replays_ctr.add();
-      res.lp_solves.push_back(
-          {u, cached->iterations, 0, true, true, 0.0, 0.0});
-      points.push_back(std::move(pt));
-      continue;
-    }
-    replaying = false;
-    sweep_lp.model.setRowBounds(budget_row, -lp::kInf, u);
-    obs::Span solve_span("global.lp_solve");
-    solve_span.arg("u_index", static_cast<std::int64_t>(points.size()));
-    const lp::Solution sol = lp::solve(sweep_lp.model, opts_.lp,
-                                       chain.empty() ? nullptr : &chain);
-    const double sweep_ms = solve_span.end();
-    gateLpCertificate(sweep_lp.model, sol, chk);
-    lpo.solves.add();
-    lpo.iterations.add(static_cast<std::uint64_t>(sol.iterations));
-    lpo.solve_ms.observe(sweep_ms);
-    if (!chain.empty()) {
-      if (sol.warm_started) {
-        ++res.lp_warm_hits;
-        lpo.warm_hits.add();
-      } else {
-        ++res.lp_warm_misses;
-        lpo.warm_misses.add();
-      }
-    }
-    res.lp_solves.push_back({u, sol.iterations, sol.refactorizations,
-                             sol.warm_started,
-                             sol.status == lp::Status::Optimal, sweep_ms,
-                             0.0});
+    sweep_model.setRowBounds(budget_row, -lp::kInf, u);
+    lp::Solution sol =
+        solveEntry(sweep_model, u, chain, "u_index",
+                   static_cast<std::int64_t>(points.size()));
     if (sol.status == lp::Status::Optimal) {
       pt.solved = true;
-      pt.x = sol.x;
-      pt.iterations = sol.iterations;
-      if (opts_.warm_start_sweep) chain = sol.basis;
-      pt.basis_after = lp::serializeBasis(sol.basis);
+      pt.x = std::move(sol.x);
+      if (opts_.warm_start_sweep) chain = std::move(sol.basis);
     }
     points.push_back(std::move(pt));
   }
@@ -769,7 +693,7 @@ GlobalResult GlobalOptimizer::run(Design& d, const Objective& objective,
       std::vector<double> desired(nk), chain_ps(nk), slews(nk), loads(nk);
       double maxdev = 0.0;
       for (std::size_t ki = 0; ki < nk; ++ki) {
-        const int v = sweep_lp.varBase(s, ki, nk);
+        const int v = varBase(s, ki, nk);
         const double delta = x[static_cast<std::size_t>(v)] -
                              x[static_cast<std::size_t>(v + 1)];
         desired[ki] = ctx.delay[s][ki] + delta;
@@ -910,31 +834,15 @@ GlobalResult GlobalOptimizer::run(Design& d, const Objective& objective,
     realize_hist.observe(ms);
     realized_arcs.add(pt.changed);
   };
-  if (opts_.parallel_realize && todo.size() > 1) {
-    support::ThreadPool::shared().runSlices(todo.size(), realizeOne);
-  } else {
-    for (std::size_t i = 0; i < todo.size(); ++i) realizeOne(i);
-  }
+  support::ThreadPool::shared().runSlices(todo.size(), realizeOne);
 
   // Capture this run's warm state before the pick below consumes the
   // trial designs. `warm_out` must not alias `warm_in` (the serve store
   // always hands out distinct snapshots).
   if (warm_out != nullptr) {
-    warm_out->pass1_basis = lp::serializeBasis(vsol.basis);
-    warm_out->model_fingerprint = fp;
-    warm_out->latency_rows = std::move(latency_rows);
-    warm_out->min_v_model = std::move(min_lp.model);
-    warm_out->sweep_model = std::move(sweep_lp.model);
-    warm_out->models_valid = true;
-    warm_out->solve_derates = std::move(eff_derates);
-    warm_out->pass1_valid = vsol.status == lp::Status::Optimal;
-    warm_out->pass1_objective = vsol.objective;
-    warm_out->pass1_iterations = vsol.iterations;
-    warm_out->sweep_solutions.clear();
-    for (const SweepPoint& pt : points)
-      if (pt.solved)
-        warm_out->sweep_solutions.push_back(
-            {pt.u, pt.x, pt.iterations, pt.basis_after});
+    warm_out->fingerprint = fp;
+    warm_out->derates = std::move(eff_derates);
+    warm_out->solves = std::move(log);
     constexpr std::size_t kMemoCap = 24;
     warm_out->realize_memo.clear();
     for (const SweepPoint& pt : points)
@@ -1001,19 +909,17 @@ GlobalLpProbe GlobalOptimizer::extractGlobalLp(const Design& d,
   for (std::size_t ki = 0; ki < timing.size(); ++ki)
     lat[ki] = timing[ki].arrival;
   const VariationReport before = objective.evaluateFromLatencies(d, lat);
-  const LpContext ctx = buildContext(d, timing, before, opts_.max_pairs_lp,
-                                     opts_.min_arc_delay_ps);
+  const LpContext ctx =
+      buildContext(d, timing, opts_.max_pairs_lp, opts_.min_arc_delay_ps);
   if (ctx.slot_arc.empty()) return probe;
   for (const std::size_t pi : ctx.opt_pairs)
     probe.orig_sum_ps += before.v_pair_ps[pi];
   probe.min_v = buildLp(d, ctx, *lut_, objective, before, opts_.beta,
-                        opts_.corner_dmax_derate, /*min_sum_v=*/true, 0.0)
-                    .model;
-  BuiltLp sweep = buildLp(d, ctx, *lut_, objective, before, opts_.beta,
-                          opts_.corner_dmax_derate, /*min_sum_v=*/false,
-                          probe.orig_sum_ps);
-  probe.budget_row = sweep.model.numRows() - 1;
-  probe.sweep = std::move(sweep.model);
+                        opts_.corner_dmax_derate, /*min_sum_v=*/true, 0.0);
+  probe.sweep = buildLp(d, ctx, *lut_, objective, before, opts_.beta,
+                        opts_.corner_dmax_derate, /*min_sum_v=*/false,
+                        probe.orig_sum_ps);
+  probe.budget_row = probe.sweep.numRows() - 1;
   return probe;
 }
 

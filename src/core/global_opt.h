@@ -69,11 +69,6 @@ struct GlobalOptions {
   /// changes one row bound per step, so a warm re-solve is a handful of
   /// iterations). Off forces every LP to solve cold.
   bool warm_start_sweep = true;
-  /// Realize the sweep candidates (ECO + golden re-time) concurrently on
-  /// the shared ThreadPool, one Design replica per sweep point. The
-  /// best-candidate pick stays in sweep order and is bit-identical to the
-  /// serial path.
-  bool parallel_realize = true;
   /// Invariant-checker gate level (see src/check): the built LPs are
   /// verified before solving and the optimized design before returning;
   /// kDeep adds the ratio-envelope scan and a full multi-corner re-time.
@@ -82,9 +77,6 @@ struct GlobalOptions {
   /// Per-active-corner multiplier on the Dmax bound of the latency
   /// constraint (9): entry ki scales corner ki's original maximum sink
   /// latency (missing entries default to 1.0, empty means no derating).
-  /// The derate enters only row right-hand sides, so a delta job with
-  /// changed derates re-bounds the cached LP rows via
-  /// GlobalWarmState::latency_rows instead of rebuilding the model.
   std::vector<double> corner_dmax_derate;
   lp::SolverOptions lp;
 };
@@ -119,10 +111,12 @@ struct GlobalResult {
   std::vector<LpSolveStats> lp_solves;
   int lp_warm_hits = 0;    ///< sweep solves that accepted a warm basis
   int lp_warm_misses = 0;  ///< sweep solves that fell back to a cold start
+  /// Always false: every run builds its LP models. Kept for readers of
+  /// the field (the benchmark's staged replay).
+  bool reused_models = false;
   /// Cross-job warm-start effects of this run (all zero on cold runs):
-  bool reused_models = false;     ///< LP models re-bounded, not rebuilt
   int realize_memo_hits = 0;      ///< sweep points served from the memo
-  int lp_replays = 0;             ///< LP solves replayed from cached solutions
+  int lp_replays = 0;             ///< LP solves replayed from the solve log
 };
 
 /// Fingerprint of everything a global run's realization depends on beyond
@@ -150,58 +144,38 @@ struct RealizedPointMemo {
 /// Solver and realization state captured from one global run for reuse by
 /// a later run over the same design topology (serve keys its warm-state
 /// store by serve::topologyKey, which pins every field of the spec except
-/// the delta-editable ones: U sweep, corner derates, moved sinks). The
-/// basis blobs are stored serialized (lp::serializeBasis) so a corrupt or
-/// wrong-shaped entry degrades to a cold solve instead of undefined
-/// behavior. Contract: a warm state may only be fed back into an optimizer
-/// whose options differ at most in u_sweep and corner_dmax_derate.
+/// the delta-editable ones: U sweep, corner derates, moved sinks).
+/// Contract: a warm state may only be fed back into an optimizer whose
+/// options differ at most in u_sweep and corner_dmax_derate.
 ///
-/// Every reuse here is an exact replay, never a heuristic seed: a cached
-/// solution or realized point is consumed only when the inputs that
-/// produced it (fingerprint, effective derates, budget bound, LP solution
-/// vector) match the current run's bit-for-bit, in which case the cached
-/// value IS what the cold computation would produce. Seeding the simplex
-/// with a foreign basis is deliberately not done — on degenerate models it
-/// converges to an alternate optimal vertex whose low-order bits differ
-/// from the cold solve, breaking the delta==cold guarantee.
+/// Every reuse here is an exact replay, never a heuristic seed. Log entry i
+/// replays only when the fingerprint and effective derates match (so the
+/// freshly built models are bit-identical to the ones that produced the
+/// log), every earlier entry replayed (the sweep chains bases serially, so
+/// the chain state matches too), its budget `u` equals the current one, and
+/// its basis deserializes to the current model's shape; then the entry IS
+/// what the cold solve would return. Anything else solves live, and so
+/// does every later entry. Bases are stored serialized
+/// (lp::serializeBasis) so a corrupt entry degrades to a live solve.
+/// Seeding the simplex with a foreign basis is deliberately not done — on
+/// degenerate models it converges to an alternate optimal vertex whose
+/// low-order bits differ from the cold solve, breaking delta==cold.
 struct GlobalWarmState {
-  std::vector<unsigned char> pass1_basis;  ///< serialized pass-1 optimum
-  /// Cached LP models, valid only while the design fingerprint matches
-  /// (identical placement + timing bits): a derate-only edit re-bounds the
-  /// latency rows below instead of rebuilding ~2k rows from scratch.
-  bool models_valid = false;
-  std::uint64_t model_fingerprint = 0;
-  lp::Model min_v_model;
-  lp::Model sweep_model;
-  /// One entry per constraint-(9) row (same row indices in both models):
-  /// the row's upper bound is derate(ki) * dmax - lat.
-  struct LatencyRow {
-    int row = -1;
-    std::size_t ki = 0;
-    double dmax = 0.0;  ///< original (underated) max latency of corner ki
-    double lat = 0.0;   ///< original path latency of the row's sink
-  };
-  std::vector<LatencyRow> latency_rows;
-  std::vector<RealizedPointMemo> realize_memo;
-  /// Effective per-active-corner derates the cached solutions were solved
-  /// under (derateOf semantics: missing entries are 1.0). Solutions replay
-  /// only when these match the current run's bitwise — then the re-bounded
-  /// models are bit-identical to the ones that produced the cache.
-  std::vector<double> solve_derates;
-  bool pass1_valid = false;     ///< pass-1 solution fields below are usable
-  double pass1_objective = 0.0; ///< pass-1 optimum (lp_min_sum_ps)
-  int pass1_iterations = 0;
-  /// One solved sweep point, in solve order. Replay is prefix-only: the
-  /// sweep LPs chain bases serially, so point i's cached solution is the
-  /// cold answer only if every earlier point replayed too (same chain
-  /// state). `basis` is the chain basis right after this point's solve.
-  struct SweptSolution {
+  std::uint64_t fingerprint = 0;  ///< designFingerprint of the logged run
+  /// Effective per-active-corner derates the log was solved under (missing
+  /// entries are 1.0).
+  std::vector<double> derates;
+  /// One optimal LP solve: pass 1 first (u = 0, as in LpSolveStats::u_ps),
+  /// then each solved sweep point in solve order.
+  struct Solve {
     double u = 0.0;  ///< budget bound of row (5), bitwise replay key
+    double objective = 0.0;
     std::vector<double> x;
     int iterations = 0;
-    std::vector<unsigned char> basis;
+    std::vector<unsigned char> basis;  ///< optimal basis after this solve
   };
-  std::vector<SweptSolution> sweep_solutions;
+  std::vector<Solve> solves;
+  std::vector<RealizedPointMemo> realize_memo;
 };
 
 /// Bench/test probe: the exact LPs run() would solve on a design — the
@@ -232,7 +206,7 @@ class GlobalOptimizer {
   /// run its initial analysis: a null seed builds the same timer from `d`,
   /// and every sweep point realizes from a copy of that one timer, re-timing
   /// each rebuilt driver's subtree. `warm_in` (may be null) supplies a
-  /// prior run's cached models, recorded solutions, and realize memo;
+  /// prior run's solve log and realize memo;
   /// `warm_out` (may be null) captures this run's state for the next delta.
   /// Results are equal to the cold run(d, objective) (asserted by the serve
   /// differential tests); only the work expended differs.

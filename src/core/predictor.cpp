@@ -1142,6 +1142,7 @@ bool MovePredictor::markChangedSinks(ScoreCache& c) const {
   ScoreCache::Layout& was = c.layout_;
   const std::vector<network::SinkPair>& pairs = design_->pairs;
   const std::size_t nk = base_report_.skew_ps.size();
+  // Dropping dfs/spans: 48 of 5,612 CLS1v2 round-4/5 scores miss a rescore.
   const bool same =
       was.dfs_sinks == dfs_sinks_ && was.span_begin == span_begin_ &&
       was.span_end == span_end_ && was.pairs.size() == pairs.size() &&

@@ -22,7 +22,6 @@ std::size_t ClockTree::checked(int id) const {
 }
 
 ClockNode& ClockTree::mut(int id) {
-  ++edit_stamp_;
   return nodes_[checked(id)];
 }
 
@@ -94,7 +93,6 @@ void ClockTree::detach(int id) {
     kids.erase(std::remove(kids.begin(), kids.end(), id), kids.end());
   }
   n.parent = -1;
-  ++edit_stamp_;
 }
 
 void ClockTree::reassignDriver(int id, int new_parent) {

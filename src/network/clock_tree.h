@@ -130,13 +130,8 @@ class ClockTree {
   /// trees (cycles, dangling children, dead-node references) that the edit
   /// operations above refuse to create; never call it from flow code.
   ClockNode& corruptNodeForTest(int id) {
-    ++edit_stamp_;
     return nodes_.at(static_cast<std::size_t>(id));
   }
-
-  /// Monotonically increasing counter bumped by every mutating call; lets
-  /// caches (timer, routing) detect staleness.
-  std::uint64_t editStamp() const { return edit_stamp_; }
 
  private:
   std::size_t checked(int id) const;
@@ -144,7 +139,6 @@ class ClockTree {
   void detach(int id);
 
   std::vector<ClockNode> nodes_;
-  std::uint64_t edit_stamp_ = 0;
 };
 
 }  // namespace skewopt::network

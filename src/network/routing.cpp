@@ -6,7 +6,6 @@
 namespace skewopt::network {
 
 void Routing::rebuildNet(const ClockTree& tree, int driver) {
-  ++version_;
   const ClockNode& d = tree.node(driver);
   if (d.children.empty()) {
     nets_.erase(driver);
@@ -19,7 +18,6 @@ void Routing::rebuildNet(const ClockTree& tree, int driver) {
 }
 
 void Routing::rebuildAll(const ClockTree& tree) {
-  ++version_;
   nets_.clear();
   for (std::size_t i = 0; i < tree.numNodes(); ++i) {
     const int id = static_cast<int>(i);
@@ -40,7 +38,6 @@ const route::SteinerTree* Routing::net(int driver) const {
 }
 
 void Routing::addExtra(int driver, std::size_t pin_idx, double extra_um) {
-  ++version_;
   auto it = nets_.find(driver);
   if (it == nets_.end()) throw std::out_of_range("addExtra: no such net");
   auto& net = it->second;

@@ -7,7 +7,6 @@
 // paper's "ECO routing" step after every move.
 #pragma once
 
-#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -34,15 +33,11 @@ class Routing {
   void rebuildAround(const ClockTree& tree, int id);
 
   /// Drops the net of a driver (e.g. after the driver was removed).
-  void eraseNet(int driver) {
-    ++version_;
-    nets_.erase(driver);
-  }
+  void eraseNet(int driver) { nets_.erase(driver); }
 
   /// Reinstates a previously captured net snapshot verbatim (trial
   /// rollback), including any forced-extra snaking the rebuild dropped.
   void restoreNet(int driver, const route::SteinerTree& net) {
-    ++version_;
     nets_[driver] = net;
   }
 
@@ -62,13 +57,8 @@ class Routing {
 
   std::size_t numNets() const { return nets_.size(); }
 
-  /// Monotonic counter bumped by every mutation; paired with
-  /// ClockTree::editStamp() it identifies a timing state.
-  std::uint64_t version() const { return version_; }
-
  private:
   double jog_factor_;
-  std::uint64_t version_ = 0;
   std::unordered_map<int, route::SteinerTree> nets_;
 };
 

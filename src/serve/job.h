@@ -8,12 +8,11 @@
 // specs with equal keys are guaranteed to produce bit-identical
 // FlowResults (the parallel trial engine and the warm-started sweep are
 // bit-identical to their serial paths, so the pure-parallelism knobs —
-// local.parallel_trials, local.threads, global.parallel_realize — are
-// deliberately excluded from the key; scheduling fields such as priority,
-// deadline and retry budget never affect the result and are excluded
-// too, as is options.check_level — a gate level never changes a
-// *successful* result, only whether a corrupt input fails fast, and
-// failures are never cached).
+// local.parallel_trials, local.threads — are deliberately excluded from
+// the key; scheduling fields such as priority, deadline and retry budget
+// never affect the result and are excluded too, as is options.check_level
+// — a gate level never changes a *successful* result, only whether a
+// corrupt input fails fast, and failures are never cached).
 //
 // A Job is one submitted instance of a spec inside the scheduler, with the
 // lifecycle

@@ -32,7 +32,6 @@ class Value {
   static Value object() { Value v; v.type_ = Type::kObject; return v; }
 
   Type type() const { return type_; }
-  bool isNull() const { return type_ == Type::kNull; }
   bool isBool() const { return type_ == Type::kBool; }
   bool isNumber() const { return type_ == Type::kNumber; }
   bool isString() const { return type_ == Type::kString; }

@@ -153,7 +153,6 @@ class Scheduler {
 
   SchedulerStats stats() const;
   const ResultCache& cache() const { return cache_; }
-  WarmStateStore& warmStore() { return warm_; }
 
  private:
   std::shared_ptr<Job> findJob(std::uint64_t id) const;

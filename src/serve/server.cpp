@@ -159,7 +159,6 @@ json::Value specToJson(const JobSpec& spec) {
   }
 
   json::Value global = json::Value::object();
-  const core::GlobalOptions defaults_g;
   const core::GlobalOptions& g = spec.options.global;
   global.set("beta", g.beta);
   global.set("max_pairs_lp", g.max_pairs_lp);
@@ -168,7 +167,6 @@ json::Value specToJson(const JobSpec& spec) {
   for (const double u : g.u_sweep) sweep.push(u);
   global.set("u_sweep", std::move(sweep));
   global.set("warm_start_sweep", g.warm_start_sweep);
-  global.set("parallel_realize", g.parallel_realize);
   if (!g.corner_dmax_derate.empty()) {
     json::Value derates = json::Value::array();
     for (const double dr : g.corner_dmax_derate) derates.push(dr);
@@ -263,8 +261,7 @@ JobSpec specFromJson(const json::Value& v) {
       requireObject(*gv, "spec.options.global");
       checkKeys(*gv,
                 {"beta", "max_pairs_lp", "repair_passes", "u_sweep",
-                 "warm_start_sweep", "parallel_realize",
-                 "corner_dmax_derate"},
+                 "warm_start_sweep", "corner_dmax_derate"},
                 "spec.options.global");
       core::GlobalOptions& g = spec.options.global;
       g.beta = gv->num("beta", g.beta);
@@ -283,7 +280,6 @@ JobSpec specFromJson(const json::Value& v) {
         }
       }
       g.warm_start_sweep = gv->boolean("warm_start_sweep", g.warm_start_sweep);
-      g.parallel_realize = gv->boolean("parallel_realize", g.parallel_realize);
       if (const json::Value* derates = gv->find("corner_dmax_derate"))
         g.corner_dmax_derate = doubleArrayFromJson(
             *derates, "spec.options.global.corner_dmax_derate");

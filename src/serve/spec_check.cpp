@@ -51,8 +51,8 @@ void checkJobSpec(const JobSpec& spec, DiagnosticEngine& engine) {
                     "sink id (entry " +
                         std::to_string(i) + ")");
   }
-  // SKW307: per-corner Dmax derates (the delta edit class that re-bounds
-  // the latency rows). Derates must be finite and positive; a derate
+  // SKW307: per-corner Dmax derates (the delta edit class that moves the
+  // latency rows' bounds). Derates must be finite and positive; a derate
   // below 1 tightens constraint (9), above 1 relaxes it.
   for (std::size_t i = 0;
        i < spec.options.global.corner_dmax_derate.size(); ++i) {

@@ -1,6 +1,6 @@
 // Warm-state store: topology key -> the state a completed flow run left
-// behind (core::FlowWarmState: initial-design timing snapshot, LP bases and
-// cached models, realize memo).
+// behind (core::FlowWarmState: initial-design timing snapshot, LP solve
+// log, realize memo).
 //
 // Keys come from serve::topologyKey, which pins every result-affecting
 // field *except* the delta-editable ones (U sweep, corner derates, moved

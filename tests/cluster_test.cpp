@@ -162,6 +162,24 @@ TEST(ShardRouter, RingIsDeterministicAcrossInstances) {
   for (std::uint64_t h = 0; h < 1000; ++h)
     EXPECT_EQ(a.route(h * 0x9e3779b97f4a7c15ull),
               b.route(h * 0x9e3779b97f4a7c15ull));
+
+  // Contract pin: the ring at the cluster's default density and where it
+  // sends fixed hashes. An edit of the "shard:<i>:<j>" point names or of
+  // the ring order moves every spec's shard, so it fails here.
+  const ShardRouter pinned_ring(ShardRouterOptions{3, 64});
+  support::Fnv1a64 ring_digest;
+  for (const auto& [point, shard] : pinned_ring.ring()) {
+    ring_digest.u64(point);
+    ring_digest.u64(shard);
+  }
+  pinned::expectPinned("ring", pinned::Hex(ring_digest.value()),
+                       pinned::Hex(0x63a4c360cede95aeULL));
+  std::vector<std::size_t> routed;
+  for (std::uint64_t h = 0; h < 20; ++h)
+    routed.push_back(pinned_ring.route(h * 0x9e3779b97f4a7c15ull));
+  pinned::expectPinned("routes", routed,
+                       std::vector<std::size_t>{0, 2, 0, 2, 2, 0, 2, 2, 1, 2,
+                                                0, 2, 2, 0, 2, 0, 1, 2, 0, 2});
 }
 
 TEST(ShardRouter, SpecsRouteTheSameAcrossRestarts) {

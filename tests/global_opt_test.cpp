@@ -141,38 +141,35 @@ TEST_F(GlobalOptTest, CandidateSweepRecorded) {
   }
 }
 
-TEST_F(GlobalOptTest, SerialAndParallelSweepBitIdentical) {
-  // The parallel realization pass must pick the same candidate and produce
-  // the same design as the serial loop — bitwise, not approximately.
-  network::Design serial_d = makeDesign(100, 2);
-  network::Design parallel_d = makeDesign(100, 2);
-  const Objective objective(serial_d, timer_);
+TEST_F(GlobalOptTest, ConcurrentRealizationEqualsEachPointAlone) {
+  // Realization fans the sweep points out on the shared pool, and a
+  // one-point sweep realizes inline. With cold sweep solves no point's LP
+  // depends on another's, so every candidate of the full sweep must equal
+  // its one-point run bitwise, and the chosen design must be that run's.
+  const network::Design base = makeDesign(100, 2);
+  const Objective objective(base, timer_);
+  GlobalOptions o;
+  o.warm_start_sweep = false;
+  network::Design all_d = base;
+  const GlobalResult all =
+      GlobalOptimizer(sharedTech(), sharedLut(), o).run(all_d, objective);
+  ASSERT_EQ(all.candidates.size(), o.u_sweep.size());
 
-  GlobalOptions so;
-  so.parallel_realize = false;
-  const GlobalResult sr =
-      GlobalOptimizer(sharedTech(), sharedLut(), so).run(serial_d, objective);
-  GlobalOptions po;
-  po.parallel_realize = true;
-  const GlobalResult pr = GlobalOptimizer(sharedTech(), sharedLut(), po)
-                              .run(parallel_d, objective);
-
-  EXPECT_EQ(sr.improved, pr.improved);
-  EXPECT_EQ(sr.chosen_u_ps, pr.chosen_u_ps);
-  EXPECT_EQ(sr.arcs_changed, pr.arcs_changed);
-  EXPECT_EQ(sr.sum_after_ps, pr.sum_after_ps);
-  ASSERT_EQ(sr.candidates.size(), pr.candidates.size());
-  for (std::size_t i = 0; i < sr.candidates.size(); ++i) {
-    EXPECT_EQ(sr.candidates[i].first, pr.candidates[i].first) << i;
-    EXPECT_EQ(sr.candidates[i].second, pr.candidates[i].second) << i;
-  }
-  // The realized designs time identically at every node and corner.
-  const auto st = timer_.analyzeDesign(serial_d);
-  const auto pt = timer_.analyzeDesign(parallel_d);
-  ASSERT_EQ(st.size(), pt.size());
-  for (std::size_t ki = 0; ki < st.size(); ++ki) {
-    EXPECT_EQ(st[ki].arrival, pt[ki].arrival) << "corner " << ki;
-    EXPECT_EQ(st[ki].slew, pt[ki].slew) << "corner " << ki;
+  for (std::size_t i = 0; i < o.u_sweep.size(); ++i) {
+    GlobalOptions one = o;
+    one.u_sweep = {o.u_sweep[i]};
+    network::Design one_d = base;
+    const GlobalResult r =
+        GlobalOptimizer(sharedTech(), sharedLut(), one).run(one_d, objective);
+    ASSERT_EQ(r.candidates.size(), 1u) << i;
+    EXPECT_EQ(r.candidates[0], all.candidates[i]) << i;
+    if (all.improved && all.chosen_u_ps == r.candidates[0].first) {
+      EXPECT_TRUE(r.improved) << i;
+      EXPECT_EQ(r.sum_after_ps, all.sum_after_ps) << i;
+      EXPECT_EQ(r.arcs_changed, all.arcs_changed) << i;
+      EXPECT_EQ(pinned::designDigest(one_d), pinned::designDigest(all_d))
+          << i;
+    }
   }
 }
 
@@ -260,6 +257,43 @@ TEST_F(GlobalOptTest, ReplayedSolvesReportZeroSolveTime) {
     EXPECT_EQ(r.lp_solves[i].solve_ms, 0.0) << i;
   }
   EXPECT_EQ(r.sum_after_ps, cold.sum_after_ps);
+}
+
+TEST_F(GlobalOptTest, CorruptLoggedBasisSolvesLiveFromThatEntryOn) {
+  // A solve-log entry whose basis bytes fail to deserialize is solved live,
+  // and so is every later one: the replays stop at the corrupt entry and
+  // the run still equals the cold one — pass 1 first, then the last sweep
+  // point.
+  const network::Design base = makeDesign(80, 5);
+  const Objective objective(base, timer_);
+  GlobalOptions o;
+  o.u_sweep = {0.1, 0.5};
+  const GlobalOptimizer opt(sharedTech(), sharedLut(), o);
+  GlobalWarmState warm;
+  network::Design cold_d = base;
+  const GlobalResult cold = opt.run(cold_d, objective, nullptr, nullptr, &warm);
+  ASSERT_EQ(warm.solves.size(), cold.lp_solves.size());
+  ASSERT_GE(warm.solves.size(), 2u);
+
+  for (const std::size_t bad : {std::size_t{0}, warm.solves.size() - 1}) {
+    GlobalWarmState corrupt = warm;
+    std::vector<unsigned char>& bytes = corrupt.solves[bad].basis;
+    ASSERT_GT(bytes.size(), 9u);
+    bytes[bytes.size() / 2] ^= 0xff;
+    network::Design d = base;
+    const GlobalResult r = opt.run(d, objective, nullptr, &corrupt, nullptr);
+    EXPECT_EQ(r.lp_replays, static_cast<int>(bad)) << bad;
+    ASSERT_EQ(r.lp_solves.size(), cold.lp_solves.size()) << bad;
+    for (std::size_t i = 0; i < r.lp_solves.size(); ++i)
+      EXPECT_EQ(r.lp_solves[i].iterations, cold.lp_solves[i].iterations)
+          << bad << " solve " << i;
+    EXPECT_EQ(r.lp_min_sum_ps, cold.lp_min_sum_ps) << bad;
+    EXPECT_EQ(r.candidates, cold.candidates) << bad;
+    EXPECT_EQ(r.improved, cold.improved) << bad;
+    EXPECT_EQ(r.chosen_u_ps, cold.chosen_u_ps) << bad;
+    EXPECT_EQ(r.sum_after_ps, cold.sum_after_ps) << bad;
+    EXPECT_EQ(pinned::designDigest(d), pinned::designDigest(cold_d)) << bad;
+  }
 }
 
 TEST_F(GlobalOptTest, EmptyPairsIsNoOp) {

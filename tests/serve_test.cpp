@@ -230,7 +230,6 @@ TEST(JobSpecTest, SchedulingAndParallelismKnobsDoNotChangeTheKey) {
   same.max_retries = 5;
   same.options.local.parallel_trials = !base.options.local.parallel_trials;
   same.options.local.threads = 7;
-  same.options.global.parallel_realize = !base.options.global.parallel_realize;
   EXPECT_EQ(canonicalKey(base), canonicalKey(same));
 }
 
@@ -973,7 +972,6 @@ TEST(ObsProtocolTest, FlightRecordIsBitIdenticalSerialVsParallel) {
 
   JobSpec serial = spec;
   serial.options.local.parallel_trials = false;
-  serial.options.global.parallel_realize = false;
   const std::string rs = json::dump(
       flightRecordToJson(runJobSpec(sharedTech(), sharedLut(), serial)));
   const json::Value doc = json::parse(rs);
@@ -987,7 +985,6 @@ TEST(ObsProtocolTest, FlightRecordIsBitIdenticalSerialVsParallel) {
   JobSpec parallel = spec;
   parallel.options.local.parallel_trials = true;
   parallel.options.local.threads = 4;
-  parallel.options.global.parallel_realize = true;
   const std::string rp = json::dump(
       flightRecordToJson(runJobSpec(sharedTech(), sharedLut(), parallel)));
   EXPECT_EQ(rs, rp);  // bit-identical
